@@ -1,0 +1,148 @@
+"""Boolean-lattice level maps and symmetric chain families.
+
+Subsets of [n] use positions 1..n; as bitsets (bit i-1 for element i) the
+numeric order of same-size subsets coincides with colex order, which is the
+basis ordering for the level matrices.  Chains are produced by iterating the
+bracket-matching successor shared with the transfer module, truncating the
+full symmetric chain decomposition to levels [i, n-i].
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+
+from . import exactalg
+from .exactalg import ExactMatrix
+from .transfer import bracket_successor
+
+
+def level_subsets(n: int, i: int) -> list[int]:
+    """All i-subsets of [n] as bitsets, in colex (= numeric) order."""
+    return sorted(
+        sum(1 << (x - 1) for x in combo)
+        for combo in combinations(range(1, n + 1), i)
+    )
+
+
+def bits_to_set(bits: int) -> frozenset[int]:
+    return frozenset(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+def set_to_bits(members) -> int:
+    return sum(1 << (i - 1) for i in members)
+
+
+def up_map(n: int, i: int) -> ExactMatrix:
+    """Level-raising average: an i-subset goes to its covers with weight 1/(n-i)."""
+    if not (0 <= i < n):
+        raise ValueError("need 0 <= i < n")
+    src = level_subsets(n, i)
+    dst = level_subsets(n, i + 1)
+    dst_index = {s: j for j, s in enumerate(dst)}
+    w = Fraction(1, n - i)
+    cols = []
+    for s in src:
+        rows = sorted(dst_index[s | (1 << (x - 1))] for x in range(1, n + 1)
+                      if not s >> (x - 1) & 1)
+        cols.append(tuple((r, w) for r in rows))
+    return ExactMatrix(len(dst), len(src), tuple(cols))
+
+
+@dataclass(frozen=True)
+class LevelRank:
+    i: int
+    dim_src: int
+    dim_dst: int
+    rank: int
+
+    @property
+    def injective(self) -> bool:
+        return self.rank == self.dim_src
+
+    @property
+    def injectivity_expected(self) -> bool:
+        # at i = n/2 exactly (n even) the target is strictly smaller, so
+        # injectivity is impossible by dimension count; flag, don't assert
+        return self.dim_src <= self.dim_dst
+
+
+@dataclass(frozen=True)
+class LemmaReport:
+    n: int
+    levels: tuple[LevelRank, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(
+            lv.injective == lv.injectivity_expected
+            and lv.rank == min(lv.dim_src, lv.dim_dst)
+            for lv in self.levels
+        )
+
+    @property
+    def flagged(self) -> tuple[LevelRank, ...]:
+        return tuple(lv for lv in self.levels if not lv.injectivity_expected)
+
+
+def verify_lemma(n: int, limit: int = 14) -> LemmaReport:
+    """Ranks of the up maps for all levels i <= floor(n/2)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > limit:
+        raise ValueError(f"n={n} exceeds the size budget {limit}")
+    levels = []
+    for i in range(min(n // 2, n - 1) + 1):
+        m = up_map(n, i)
+        rk = exactalg.rank_certified(m)
+        levels.append(LevelRank(i, comb(n, i), comb(n, i + 1), rk))
+    return LemmaReport(n, tuple(levels))
+
+
+@dataclass(frozen=True)
+class ChainFamily:
+    n: int
+    i: int
+    chains: tuple[tuple[int, ...], ...]  # each chain: bitsets from level i to n-i
+
+
+def symmetric_chains(n: int, i: int) -> ChainFamily:
+    """C(n, i) pairwise disjoint saturated chains from level i to level n-i.
+
+    Each chain starts at an i-subset and repeatedly adds the leftmost
+    unmatched opener of its bracket word; injectivity of that successor on
+    every level makes the chains disjoint.
+    """
+    if not (0 <= i <= n // 2):
+        raise ValueError("need 0 <= i <= n/2")
+    chains = []
+    for start in level_subsets(n, i):
+        members = bits_to_set(start)
+        chain = [start]
+        while len(members) < n - i:
+            nxt = bracket_successor(n, frozenset(members))
+            if nxt is None:
+                raise AssertionError("bracket successor exhausted below level n-i")
+            members = nxt
+            chain.append(set_to_bits(members))
+        chains.append(tuple(chain))
+    return ChainFamily(n, i, tuple(chains))
+
+
+def chains_are_valid(fam: ChainFamily) -> bool:
+    """Saturation, level bounds, and pairwise disjointness."""
+    seen: set[int] = set()
+    for chain in fam.chains:
+        sizes = [c.bit_count() for c in chain]
+        if sizes != list(range(fam.i, fam.n - fam.i + 1)):
+            return False
+        for a, b in zip(chain, chain[1:]):
+            if a & ~b:
+                return False
+        for c in chain:
+            if c in seen:
+                return False
+            seen.add(c)
+    return len(fam.chains) == comb(fam.n, fam.i)

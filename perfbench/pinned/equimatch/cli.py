@@ -1,0 +1,472 @@
+"""Command-line front end and deterministic JSON reporting.
+
+Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or input
+error, 3 every requested check was skipped (budget exceeded).
+
+JSON reports are byte-identical across runs for fixed inputs: ordering is
+canonical everywhere and wall-clock timings are printed to the terminal
+only, never serialized.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import re
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+from . import __version__, boollattice, phimap, polyring
+from .autgroup import SizeLimitError, automorphisms
+from .graph import (
+    Graph,
+    GraphFormatError,
+    GraphSpecError,
+    bits_to_edges,
+    edge_bits,
+    generate,
+    parse_graph,
+)
+from .matchings import check_numeric_logconcavity, matching_table
+from .phimap import BudgetExceededError, build_phi
+from .transfer import MatchingPair, decompose, f_equivariance_counterexample, krattenthaler_f, neighbor_set
+
+ALL_CHECKS = ("diagram", "equivariant", "f-equivariance", "injective", "nonneg", "parts")
+SCHEMA_VERSION = 1
+
+
+def _edge_token(g: Graph, bits: int) -> str:
+    return ",".join(f"{u}-{v}" for (u, v) in bits_to_edges(g, bits))
+
+
+def _parse_matching_tokens(g: Graph, text: str) -> int:
+    if not text.strip():
+        return 0
+    pairs = []
+    for tok in text.split(","):
+        m = re.fullmatch(r"\s*(\d+)-(\d+)\s*", tok)
+        if not m:
+            raise ValueError(f"bad edge token {tok!r}; expected 'u-v'")
+        pairs.append((int(m.group(1)), int(m.group(2))))
+    return edge_bits(g, pairs)
+
+
+def _load_graph(args) -> tuple[Graph, str]:
+    if getattr(args, "gen", None):
+        return generate(args.gen), f"gen:{args.gen}"
+    text = Path(args.file).read_text()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return parse_graph(text), f"file:sha256:{digest}"
+
+
+def _add_source(parser):
+    src = parser.add_mutually_exclusive_group(required=True)
+    src.add_argument("--gen", help="generator spec, e.g. cycle:6")
+    src.add_argument("--file", help="edge-list file")
+
+
+def _check_record(check: str, ell: int, k: int, status: str, details: dict) -> dict:
+    return {"check": check, "ell": ell, "k": k, "status": status, "details": details}
+
+
+def _run_checks(g: Graph, ell: int, k: int, checks, budget: int, group) -> list[dict]:
+    t = matching_table(g)
+    records = []
+    phi = None
+    phi_state = "unbuilt"
+    if k + 1 <= t.r:
+        try:
+            phi = build_phi(g, ell, k, table=t, budget=budget)
+            phi_state = "built"
+        except BudgetExceededError:
+            phi_state = "budget"
+
+    def need_phi(name):
+        if phi_state == "budget":
+            records.append(
+                _check_record(name, ell, k, "skipped", {"reason": f"budget {budget} exceeded"})
+            )
+            return False
+        return True
+
+    for check in checks:
+        if check == "injective":
+            if not need_phi(check):
+                continue
+            rep = phimap.verify_injective(g, ell, k, table=t, phi=phi)
+            records.append(
+                _check_record(
+                    check,
+                    ell,
+                    k,
+                    "pass" if rep.passed else "fail",
+                    {
+                        "rank": rep.total_rank,
+                        "columns": rep.expected,
+                        "blocks": len(rep.blocks),
+                    },
+                )
+            )
+        elif check == "equivariant":
+            if not need_phi(check):
+                continue
+            rep = phimap.verify_equivariant(g, ell, k, table=t, group=group, phi=phi)
+            details = {"group_order": rep.group_order, "columns": rep.columns}
+            if rep.failures:
+                sigma, pair = rep.failures[0]
+                details["witness"] = {
+                    "sigma": list(sigma),
+                    "blue": _edge_token(g, pair[0]),
+                    "pink": _edge_token(g, pair[1]),
+                }
+            records.append(
+                _check_record(check, ell, k, "pass" if rep.passed else "fail", details)
+            )
+        elif check == "diagram":
+            if not need_phi(check):
+                continue
+            rep = polyring.verify_diagram(g, ell, k, table=t, phi=phi)
+            records.append(
+                _check_record(
+                    check,
+                    ell,
+                    k,
+                    "pass" if rep.passed else "fail",
+                    {"columns": rep.columns},
+                )
+            )
+        elif check == "nonneg":
+            rep = polyring.verify_nonneg(g, ell, k, table=t)
+            details = {"terms": rep.term_count}
+            if rep.violations:
+                exps, coeff = rep.violations[0]
+                details["violating_monomial"] = {
+                    "exponents": list(exps),
+                    "coefficient": str(coeff),
+                }
+            records.append(
+                _check_record(check, ell, k, "pass" if rep.passed else "fail", details)
+            )
+        elif check == "parts":
+            if not need_phi(check):
+                continue
+            recs = phimap.count_parts(g, ell, k, table=t, phi=phi)
+            bad = [r for r in recs if not r.counts_equal]
+            records.append(
+                _check_record(
+                    check,
+                    ell,
+                    k,
+                    "fail" if bad else "pass",
+                    {
+                        "unions": len(recs),
+                        "all_match_pow_edges": all(r.matches_pow_edges for r in recs),
+                        "all_match_pow_components": all(
+                            r.matches_pow_components for r in recs
+                        ),
+                    },
+                )
+            )
+        elif check == "f-equivariance":
+            # expected-failure check: the single-output map is order dependent,
+            # so a counterexample on a graph with nontrivial symmetry is the
+            # expected outcome and counts as a pass
+            cols = t.m(ell - 1) * t.m(k + 1)
+            if cols * max(group.order, 1) > budget:
+                records.append(
+                    _check_record(check, ell, k, "skipped", {"reason": f"budget {budget} exceeded"})
+                )
+                continue
+            witness = f_equivariance_counterexample(g, group, ell, k)
+            if witness is None:
+                details = {
+                    "counterexample": None,
+                    "group_order": group.order,
+                }
+            else:
+                sigma, pair = witness
+                details = {
+                    "counterexample": {
+                        "sigma": list(sigma),
+                        "blue": _edge_token(g, pair.blue),
+                        "pink": _edge_token(g, pair.pink),
+                    },
+                    "group_order": group.order,
+                    "note": "expected failure of the order-dependent map, witnessed",
+                }
+            records.append(_check_record(check, ell, k, "pass", details))
+        else:
+            raise ValueError(f"unknown check {check!r}")
+    return records
+
+
+def _verify_report(g: Graph, descriptor: str, slots, checks, budget: int) -> dict:
+    t = matching_table(g)
+    group = automorphisms(g)
+    records = []
+    for (ell, k) in slots:
+        records.extend(_run_checks(g, ell, k, checks, budget, group))
+    records.sort(key=lambda r: (r["check"], r["ell"], r["k"]))
+    statuses = {r["status"] for r in records}
+    overall = (
+        "fail"
+        if "fail" in statuses
+        else ("skipped" if statuses == {"skipped"} else "pass")
+    )
+    return {
+        "schema": SCHEMA_VERSION,
+        "tool": "equimatch",
+        "version": __version__,
+        "graph": {"descriptor": descriptor, "n": g.n, "m": g.num_edges},
+        "matching_numbers": list(t.counts),
+        "r": t.r,
+        "group_order": group.order,
+        "checks": records,
+        "overall": overall,
+    }
+
+
+def _emit(report: dict, json_path: str | None) -> None:
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if json_path:
+        Path(json_path).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _report_exit(report: dict) -> int:
+    return {"pass": 0, "fail": 1, "skipped": 3}[report["overall"]]
+
+
+def cmd_gen(args) -> int:
+    g = generate(args.spec)
+    text = g.serialize()
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+def cmd_count(args) -> int:
+    g, _ = _load_graph(args)
+    t = matching_table(g)
+    print(f"m = {list(t.counts)}")
+    print(f"r = {t.r}")
+    triples = check_numeric_logconcavity(t)
+    bad = [trip for trip in triples if trip[2] < 0]
+    if bad:
+        for (ell, k, slack) in bad:
+            print(f"log-concavity VIOLATED at (l, k) = ({ell}, {k}): slack {slack}")
+        return 1
+    print(f"log-concavity: all {len(triples)} slacks nonnegative")
+    return 0
+
+
+def cmd_aut(args) -> int:
+    g, _ = _load_graph(args)
+    group = automorphisms(g)
+    print(f"order = {group.order}")
+    for sigma in group:
+        print(" ".join(map(str, sigma)))
+    return 0
+
+
+def cmd_verify(args) -> int:
+    g, descriptor = _load_graph(args)
+    t = matching_table(g)
+    if args.ell is not None or args.k is not None:
+        if args.ell is None or args.k is None:
+            print("--ell and --k must be given together", file=sys.stderr)
+            return 2
+        if not (1 <= args.ell <= args.k <= max(t.r, 1)):
+            print(f"need 1 <= ell <= k <= r = {t.r}", file=sys.stderr)
+            return 2
+        slots = [(args.ell, args.k)]
+    else:
+        slots = [(l, k) for k in range(1, t.r + 1) for l in range(1, k + 1)]
+    checks = sorted(set(args.check.split(","))) if args.check else list(ALL_CHECKS)
+    unknown = [c for c in checks if c not in ALL_CHECKS]
+    if unknown:
+        print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    started = time.monotonic()
+    report = _verify_report(g, descriptor, slots, checks, args.budget)
+    elapsed = time.monotonic() - started
+    _emit(report, args.json)
+    print(
+        f"verify {descriptor}: {report['overall']} "
+        f"({len(report['checks'])} records, {elapsed:.2f}s)",
+        file=sys.stderr,
+    )
+    return _report_exit(report)
+
+
+def cmd_boolean(args) -> int:
+    n = args.n
+    rep = boollattice.verify_lemma(n)
+    records = []
+    for lv in rep.levels:
+        ok = lv.rank == min(lv.dim_src, lv.dim_dst) and (
+            lv.injective == lv.injectivity_expected
+        )
+        records.append(
+            {
+                "check": "lemma-rank",
+                "ell": lv.i,
+                "k": lv.i + 1,
+                "status": "pass" if ok else "fail",
+                "details": {
+                    "dim_src": lv.dim_src,
+                    "dim_dst": lv.dim_dst,
+                    "rank": lv.rank,
+                    "injective": lv.injective,
+                    "injectivity_expected": lv.injectivity_expected,
+                },
+            }
+        )
+    for i in range(n // 2 + 1):
+        fam = boollattice.symmetric_chains(n, i)
+        ok = boollattice.chains_are_valid(fam)
+        records.append(
+            {
+                "check": "chains",
+                "ell": i,
+                "k": n - i,
+                "status": "pass" if ok else "fail",
+                "details": {"count": len(fam.chains)},
+            }
+        )
+    records.sort(key=lambda r: (r["check"], r["ell"], r["k"]))
+    overall = "fail" if any(r["status"] == "fail" for r in records) else "pass"
+    report = {
+        "schema": SCHEMA_VERSION,
+        "tool": "equimatch",
+        "version": __version__,
+        "boolean_lattice": {"n": n},
+        "checks": records,
+        "overall": overall,
+    }
+    _emit(report, args.json)
+    return _report_exit(report)
+
+
+def cmd_transfer(args) -> int:
+    g, _ = _load_graph(args)
+    blue = _parse_matching_tokens(g, args.blue)
+    pink = _parse_matching_tokens(g, args.pink)
+    pair = MatchingPair(blue, pink)
+    dec = decompose(g, pair)
+    print(f"blue = [{_edge_token(g, blue)}]  pink = [{_edge_token(g, pink)}]")
+    print(f"two-colored = [{_edge_token(g, pair.intersection)}]")
+    for comp in dec.components:
+        print(f"component [{_edge_token(g, comp.edges)}]: {comp.kind}")
+    print(f"b = {dec.b}, p = {dec.p}")
+    for q in neighbor_set(g, pair):
+        print(f"neighbor: blue=[{_edge_token(g, q.blue)}] pink=[{_edge_token(g, q.pink)}]")
+    if args.kratt:
+        out = krattenthaler_f(g, pair)
+        print(f"f: blue=[{_edge_token(g, out.blue)}] pink=[{_edge_token(g, out.pink)}]")
+    return 0
+
+
+def cmd_batch(args) -> int:
+    specs = [
+        line.strip()
+        for line in Path(args.specs).read_text().splitlines()
+        if line.strip() and not line.startswith("#")
+    ]
+    outdir = Path(args.json)
+    outdir.mkdir(parents=True, exist_ok=True)
+    codes = []
+    for spec in specs:
+        g = generate(spec)
+        t = matching_table(g)
+        slots = [(l, k) for k in range(1, t.r + 1) for l in range(1, k + 1)]
+        report = _verify_report(g, f"gen:{spec}", slots, list(ALL_CHECKS), args.budget)
+        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", spec)
+        (outdir / f"{safe}.json").write_text(
+            json.dumps(report, indent=2, sort_keys=True) + "\n"
+        )
+        codes.append(_report_exit(report))
+    if 1 in codes:
+        return 1
+    if codes and all(c == 3 for c in codes):
+        return 3
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="equimatch",
+        description="Exact verification of matching-space injections on small graphs.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("gen", help="emit an edge-list file for a generator spec")
+    p.add_argument("spec")
+    p.add_argument("-o", "--output")
+    p.set_defaults(func=cmd_gen)
+
+    p = sub.add_parser("count", help="matching numbers and numeric log-concavity")
+    _add_source(p)
+    p.set_defaults(func=cmd_count)
+
+    p = sub.add_parser("aut", help="automorphism group order and elements")
+    _add_source(p)
+    p.set_defaults(func=cmd_aut)
+
+    p = sub.add_parser("verify", help="run the verification suite")
+    _add_source(p)
+    p.add_argument("--ell", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--all", action="store_true", help="all (ell, k) slots (default)")
+    p.add_argument("--check", help="comma-separated subset of: " + ",".join(ALL_CHECKS))
+    p.add_argument("--budget", type=int, default=phimap.DEFAULT_BUDGET)
+    p.add_argument("--json", help="write the JSON report here instead of stdout")
+    p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("boolean", help="Boolean-lattice rank and chain suite")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--json")
+    p.set_defaults(func=cmd_boolean)
+
+    p = sub.add_parser("transfer", help="decompose a matching pair and list neighbors")
+    _add_source(p)
+    p.add_argument("--blue", required=True, help="comma-separated u-v edge tokens")
+    p.add_argument("--pink", required=True, help="comma-separated u-v edge tokens")
+    p.add_argument("--kratt", action="store_true", help="also apply the single-output map")
+    p.set_defaults(func=cmd_transfer)
+
+    p = sub.add_parser("batch", help="one verify report per spec line")
+    p.add_argument("--specs", required=True)
+    p.add_argument("--json", required=True, help="output directory")
+    p.add_argument("--budget", type=int, default=phimap.DEFAULT_BUDGET)
+    p.set_defaults(func=cmd_batch)
+
+    return parser
+
+
+def run(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if exc.code in (0, 2) else 2
+    try:
+        return args.func(args)
+    except (GraphFormatError, GraphSpecError, SizeLimitError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def main() -> None:
+    sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

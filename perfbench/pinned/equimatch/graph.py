@@ -1,0 +1,276 @@
+"""Vertex-labeled simple graphs with a canonical edge indexing.
+
+Edges are stored as (u, v) with u < v, sorted lexicographically; the index of
+an edge is its position in that sorted list.  Every other module keys matrices
+and bitsets off this single ordering, so it must be a pure function of the
+labeled graph.
+
+Edge sets are plain Python ints used as bitsets over edge indices.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+
+
+class GraphFormatError(ValueError):
+    """Malformed edge-list input; carries a 1-based line number when known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class GraphSpecError(ValueError):
+    """Bad generator spec string."""
+
+
+@dataclass(frozen=True)
+class Graph:
+    n: int
+    edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("negative vertex count")
+        prev = None
+        for (u, v) in self.edges:
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
+            if not (0 <= u < v < self.n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if prev is not None and (u, v) <= prev:
+                raise ValueError("edge list not strictly increasing")
+            prev = (u, v)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edges)
+
+    @cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def incident(self) -> tuple[tuple[int, ...], ...]:
+        """For each vertex, the sorted tuple of incident edge indices."""
+        inc: list[list[int]] = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.edges):
+            inc[u].append(i)
+            inc[v].append(i)
+        return tuple(tuple(x) for x in inc)
+
+    @cached_property
+    def adjacency_bits(self) -> tuple[int, ...]:
+        """For each vertex, neighbors as a vertex bitset."""
+        adj = [0] * self.n
+        for (u, v) in self.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return tuple(adj)
+
+    def index_of(self, u: int, v: int) -> int:
+        if u > v:
+            u, v = v, u
+        return self.edge_index[(u, v)]
+
+    def serialize(self) -> str:
+        lines = [f"{self.n} {self.num_edges}"]
+        lines.extend(f"{u} {v}" for (u, v) in self.edges)
+        return "\n".join(lines) + "\n"
+
+
+def graph_from_edges(n: int, edges) -> Graph:
+    """Canonicalize an iterable of (u, v) pairs into a Graph.
+
+    Rejects loops and duplicates; endpoint order within a pair is irrelevant.
+    """
+    canon = []
+    seen = set()
+    for (u, v) in edges:
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        canon.append((u, v))
+    canon.sort()
+    return Graph(n, tuple(canon))
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse an edge-list document: first line "n m", then m lines "u v"."""
+    lines = text.split("\n")
+    if not lines or not lines[0].strip():
+        raise GraphFormatError("missing header line", 1)
+    head = lines[0].split()
+    if len(head) != 2:
+        raise GraphFormatError("header must be 'n m'", 1)
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise GraphFormatError("header must be two integers", 1) from None
+    if n < 0 or m < 0:
+        raise GraphFormatError("negative count in header", 1)
+    edges = []
+    seen = set()
+    for lineno in range(2, m + 2):
+        if lineno - 1 >= len(lines):
+            raise GraphFormatError("unexpected end of input", lineno)
+        raw = lines[lineno - 1]
+        parts = raw.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"expected 'u v', got {raw!r}", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"non-integer label in {raw!r}", lineno) from None
+        if u == v:
+            raise GraphFormatError(f"loop at vertex {u}", lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"label out of range in ({u}, {v})", lineno)
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
+        seen.add((u, v))
+        edges.append((u, v))
+    edges.sort()
+    return Graph(n, tuple(edges))
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(seed: int):
+    """splitmix64 stream; fixed forever as the gnp generator PRNG."""
+    state = seed & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
+def _positive(token: str, what: str) -> int:
+    try:
+        val = int(token)
+    except ValueError:
+        raise GraphSpecError(f"non-integer {what}: {token!r}") from None
+    if val <= 0:
+        raise GraphSpecError(f"non-positive {what}: {val}")
+    return val
+
+
+def generate(spec: str) -> Graph:
+    """Deterministic graph families.
+
+    Grammar: path:n | cycle:n | complete:n | kbipartite:a:b | star:n |
+    petersen | gnp:n:p_num:p_den:seed.  gnp draws one splitmix64 value per
+    vertex pair (u, v) with u < v in lexicographic order and keeps the edge
+    iff draw * p_den < p_num * 2^64.
+    """
+    parts = spec.split(":")
+    family = parts[0]
+    if family == "path":
+        if len(parts) != 2:
+            raise GraphSpecError("usage: path:n")
+        n = _positive(parts[1], "size")
+        return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    if family == "cycle":
+        if len(parts) != 2:
+            raise GraphSpecError("usage: cycle:n")
+        n = _positive(parts[1], "size")
+        if n < 3:
+            raise GraphSpecError("cycle needs n >= 3")
+        return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    if family == "complete":
+        if len(parts) != 2:
+            raise GraphSpecError("usage: complete:n")
+        n = _positive(parts[1], "size")
+        return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    if family == "kbipartite":
+        if len(parts) != 3:
+            raise GraphSpecError("usage: kbipartite:a:b")
+        a = _positive(parts[1], "size")
+        b = _positive(parts[2], "size")
+        return graph_from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    if family == "star":
+        if len(parts) != 2:
+            raise GraphSpecError("usage: star:n")
+        n = _positive(parts[1], "size")
+        return graph_from_edges(n, [(0, i) for i in range(1, n)])
+    if family == "petersen":
+        if len(parts) != 1:
+            raise GraphSpecError("usage: petersen")
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        edges += [(i, i + 5) for i in range(5)]
+        edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        return graph_from_edges(10, edges)
+    if family == "gnp":
+        if len(parts) != 5:
+            raise GraphSpecError("usage: gnp:n:p_num:p_den:seed")
+        n = _positive(parts[1], "size")
+        try:
+            p_num = int(parts[2])
+            p_den = int(parts[3])
+            seed = int(parts[4])
+        except ValueError:
+            raise GraphSpecError("gnp parameters must be integers") from None
+        if p_den <= 0 or p_num < 0 or p_num > p_den:
+            raise GraphSpecError("probability must lie in [0, 1]")
+        rng = _splitmix64(seed)
+        edges = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                if next(rng) * p_den < p_num << 64:
+                    edges.append((u, v))
+        return graph_from_edges(n, edges)
+    raise GraphSpecError(f"unknown graph family {family!r}")
+
+
+def components(g: Graph, support: int) -> list[int]:
+    """Connected components of the subgraph induced by the edge bitset.
+
+    Returns a partition of `support` into component bitsets, sorted by
+    minimum edge index.
+    """
+    if support >> g.num_edges:
+        raise ValueError("support has bits beyond the host edge count")
+    unvisited = support
+    out = []
+    while unvisited:
+        start = (unvisited & -unvisited).bit_length() - 1
+        comp = 0
+        stack = [start]
+        unvisited &= ~(1 << start)
+        comp |= 1 << start
+        while stack:
+            e = stack.pop()
+            u, v = g.edges[e]
+            for w in (u, v):
+                for e2 in g.incident[w]:
+                    if unvisited >> e2 & 1:
+                        unvisited &= ~(1 << e2)
+                        comp |= 1 << e2
+                        stack.append(e2)
+        out.append(comp)
+    return out
+
+
+def edge_bits(g: Graph, pairs) -> int:
+    """Bitset for an iterable of (u, v) endpoint pairs."""
+    bits = 0
+    for (u, v) in pairs:
+        bits |= 1 << g.index_of(u, v)
+    return bits
+
+
+def bits_to_edges(g: Graph, bits: int) -> list[tuple[int, int]]:
+    return [g.edges[i] for i in range(g.num_edges) if bits >> i & 1]

@@ -1,0 +1,103 @@
+"""Enumeration of k-matchings and the matching-number sequence.
+
+Matchings are edge bitsets (ints) over the host graph's canonical edge
+indexing.  Enumeration backtracks over edge indices in increasing order with
+a used-vertex bitmask; results are sorted by bitset value, which is the basis
+ordering contract shared with the matrix modules.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+
+from .graph import Graph
+
+
+def is_matching(g: Graph, bits: int) -> bool:
+    used = 0
+    e = bits
+    while e:
+        i = (e & -e).bit_length() - 1
+        e &= e - 1
+        u, v = g.edges[i]
+        mask = (1 << u) | (1 << v)
+        if used & mask:
+            return False
+        used |= mask
+    return True
+
+
+def enumerate_matchings(g: Graph, k: int) -> list[int]:
+    """All k-matchings of g as bitsets, sorted by bitset value."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k == 0:
+        return [0]
+    m = g.num_edges
+    out: list[int] = []
+    vertex_mask = [
+        (1 << u) | (1 << v) for (u, v) in g.edges
+    ]
+
+    def extend(start: int, used: int, bits: int, remaining: int):
+        if remaining == 0:
+            out.append(bits)
+            return
+        # not enough edges left to finish
+        for e in range(start, m - remaining + 1):
+            vm = vertex_mask[e]
+            if used & vm:
+                continue
+            extend(e + 1, used | vm, bits | (1 << e), remaining - 1)
+
+    extend(0, 0, 0, k)
+    out.sort()
+    return out
+
+
+@dataclass(frozen=True)
+class MatchingTable:
+    graph: Graph
+    by_size: tuple[tuple[int, ...], ...]  # index k -> sorted k-matching bitsets
+
+    @property
+    def r(self) -> int:
+        return len(self.by_size) - 1
+
+    @cached_property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(len(level) for level in self.by_size)
+
+    def m(self, k: int) -> int:
+        """m_k, zero beyond the maximum matching size."""
+        return len(self.by_size[k]) if 0 <= k <= self.r else 0
+
+    def level(self, k: int) -> tuple[int, ...]:
+        return self.by_size[k] if 0 <= k <= self.r else ()
+
+
+def matching_table(g: Graph) -> MatchingTable:
+    levels = [(0,)]
+    k = 1
+    while True:
+        lvl = enumerate_matchings(g, k)
+        if not lvl:
+            break
+        levels.append(tuple(lvl))
+        k += 1
+    return MatchingTable(g, tuple(levels))
+
+
+def check_numeric_logconcavity(t: MatchingTable) -> list[tuple[int, int, int]]:
+    """All (l, k, slack) triples with slack = m_l*m_k - m_{l-1}*m_{k+1}."""
+    out = []
+    for k in range(1, t.r + 1):
+        for l in range(1, k + 1):
+            slack = t.m(l) * t.m(k) - t.m(l - 1) * t.m(k + 1)
+            out.append((l, k, slack))
+    return out
+
+
+def logconcavity_violations(t: MatchingTable) -> list[tuple[int, int, int]]:
+    return [trip for trip in check_numeric_logconcavity(t) if trip[2] < 0]
