@@ -73,19 +73,6 @@ def automorphisms(g: Graph, limit: int = DEFAULT_VERTEX_LIMIT) -> AutomorphismGr
     return AutomorphismGroup(g, tuple(found))
 
 
-def is_automorphism(g: Graph, sigma: Permutation) -> bool:
-    if sorted(sigma) != list(range(g.n)):
-        return False
-    index = g.edge_index
-    for (u, v) in g.edges:
-        a, b = sigma[u], sigma[v]
-        if a > b:
-            a, b = b, a
-        if (a, b) not in index:
-            return False
-    return True
-
-
 def edge_action(sigma: Permutation, g: Graph) -> tuple[int, ...]:
     """Induced permutation of edge indices; errors if sigma is not an automorphism."""
     index = g.edge_index
@@ -108,20 +95,3 @@ def apply_edge_perm(eperm: tuple[int, ...], bits: int) -> int:
         bits &= bits - 1
         out |= 1 << eperm[i]
     return out
-
-
-def act_matching(sigma: Permutation, g: Graph, bits: int) -> int:
-    """Image of a matching bitset under a graph automorphism."""
-    return apply_edge_perm(edge_action(sigma, g), bits)
-
-
-def compose(sigma: Permutation, tau: Permutation) -> Permutation:
-    """(sigma . tau)(v) = sigma(tau(v))."""
-    return tuple(sigma[t] for t in tau)
-
-
-def inverse(sigma: Permutation) -> Permutation:
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    return tuple(inv)

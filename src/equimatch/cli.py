@@ -1,7 +1,8 @@
 """Command-line front end and deterministic JSON reporting.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or input
-error, 3 every requested check was skipped (budget exceeded).
+error, 3 every requested check was skipped (budget exceeded), 4 internal
+error (a fault in equimatch; the traceback goes to stderr).
 
 JSON reports are byte-identical across runs for fixed inputs: ordering is
 canonical everywhere and wall-clock timings are printed to the terminal
@@ -16,7 +17,7 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
+import traceback
 from pathlib import Path
 
 from . import __version__, boollattice, phimap, polyring
@@ -35,6 +36,7 @@ from .phimap import BudgetExceededError, build_phi
 from .transfer import MatchingPair, decompose, f_equivariance_counterexample, krattenthaler_f, neighbor_set
 
 ALL_CHECKS = ("diagram", "equivariant", "f-equivariance", "injective", "nonneg", "parts")
+GROUP_CHECKS = frozenset({"equivariant", "f-equivariance"})
 SCHEMA_VERSION = 1
 
 
@@ -72,8 +74,8 @@ def _check_record(check: str, ell: int, k: int, status: str, details: dict) -> d
     return {"check": check, "ell": ell, "k": k, "status": status, "details": details}
 
 
-def _run_checks(g: Graph, ell: int, k: int, checks, budget: int, group) -> list[dict]:
-    t = matching_table(g)
+def _run_checks(g: Graph, ell: int, k: int, checks, budget: int, group, t) -> list[dict]:
+    """Records of one (l, k) slot; `t` is the graph's matching table, shared by every slot."""
     records = []
     phi = None
     phi_state = "unbuilt"
@@ -180,7 +182,7 @@ def _run_checks(g: Graph, ell: int, k: int, checks, budget: int, group) -> list[
                     _check_record(check, ell, k, "skipped", {"reason": f"budget {budget} exceeded"})
                 )
                 continue
-            witness = f_equivariance_counterexample(g, group, ell, k)
+            witness = f_equivariance_counterexample(g, group, ell, k, table=t)
             if witness is None:
                 details = {
                     "counterexample": None,
@@ -203,12 +205,12 @@ def _run_checks(g: Graph, ell: int, k: int, checks, budget: int, group) -> list[
     return records
 
 
-def _verify_report(g: Graph, descriptor: str, slots, checks, budget: int) -> dict:
-    t = matching_table(g)
-    group = automorphisms(g)
+def _verify_report(g: Graph, descriptor: str, slots, checks, budget: int, t) -> dict:
+    """The report of `checks` over `slots`; the group is built only if a check needs it."""
+    group = automorphisms(g) if GROUP_CHECKS.intersection(checks) else None
     records = []
     for (ell, k) in slots:
-        records.extend(_run_checks(g, ell, k, checks, budget, group))
+        records.extend(_run_checks(g, ell, k, checks, budget, group, t))
     records.sort(key=lambda r: (r["check"], r["ell"], r["k"]))
     statuses = {r["status"] for r in records}
     overall = (
@@ -223,7 +225,7 @@ def _verify_report(g: Graph, descriptor: str, slots, checks, budget: int) -> dic
         "graph": {"descriptor": descriptor, "n": g.n, "m": g.num_edges},
         "matching_numbers": list(t.counts),
         "r": t.r,
-        "group_order": group.order,
+        "group_order": None if group is None else group.order,
         "checks": records,
         "overall": overall,
     }
@@ -294,7 +296,7 @@ def cmd_verify(args) -> int:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
         return 2
     started = time.monotonic()
-    report = _verify_report(g, descriptor, slots, checks, args.budget)
+    report = _verify_report(g, descriptor, slots, checks, args.budget, t)
     elapsed = time.monotonic() - started
     _emit(report, args.json)
     print(
@@ -386,7 +388,7 @@ def cmd_batch(args) -> int:
         g = generate(spec)
         t = matching_table(g)
         slots = [(l, k) for k in range(1, t.r + 1) for l in range(1, k + 1)]
-        report = _verify_report(g, f"gen:{spec}", slots, list(ALL_CHECKS), args.budget)
+        report = _verify_report(g, f"gen:{spec}", slots, list(ALL_CHECKS), args.budget, t)
         safe = re.sub(r"[^A-Za-z0-9_.-]", "_", spec)
         (outdir / f"{safe}.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -462,6 +464,12 @@ def run(argv=None) -> int:
     except (GraphFormatError, GraphSpecError, SizeLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # an InternalError or any other fault of the program itself: its own
+        # exit code, so it is never read as a failed check (1) or bad input (2)
+        traceback.print_exc()
+        print("internal error: this is a bug in equimatch", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -28,6 +28,10 @@ class GraphSpecError(ValueError):
     """Bad generator spec string."""
 
 
+class InternalError(RuntimeError):
+    """A library invariant failed: a fault in equimatch, not in its input."""
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -55,13 +59,18 @@ class Graph:
         return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
-    def incident(self) -> tuple[tuple[int, ...], ...]:
-        """For each vertex, the sorted tuple of incident edge indices."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
+    def ends(self) -> tuple[int, ...]:
+        """For each edge, its two endpoints as a vertex bitset."""
+        return tuple((1 << u) | (1 << v) for (u, v) in self.edges)
+
+    @cached_property
+    def touching(self) -> tuple[int, ...]:
+        """For each edge, the bitset of edges sharing an endpoint with it, itself included."""
+        inc = [0] * self.n
         for i, (u, v) in enumerate(self.edges):
-            inc[u].append(i)
-            inc[v].append(i)
-        return tuple(tuple(x) for x in inc)
+            inc[u] |= 1 << i
+            inc[v] |= 1 << i
+        return tuple(inc[u] | inc[v] for (u, v) in self.edges)
 
     @cached_property
     def adjacency_bits(self) -> tuple[int, ...]:
@@ -71,6 +80,11 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return tuple(adj)
+
+    @cached_property
+    def _even_part_memo(self) -> dict[int, tuple[int, int]]:
+        """Memo of `even_part`, filled as supports are asked for."""
+        return {}
 
     def index_of(self, u: int, v: int) -> int:
         if u > v:
@@ -239,29 +253,44 @@ def components(g: Graph, support: int) -> list[int]:
     """Connected components of the subgraph induced by the edge bitset.
 
     Returns a partition of `support` into component bitsets, sorted by
-    minimum edge index.
+    minimum edge index.  Each component grows from its lowest edge by whole
+    frontiers of touching edges at a time.
     """
     if support >> g.num_edges:
         raise ValueError("support has bits beyond the host edge count")
+    touching = g.touching
     unvisited = support
     out = []
     while unvisited:
-        start = (unvisited & -unvisited).bit_length() - 1
+        frontier = unvisited & -unvisited
         comp = 0
-        stack = [start]
-        unvisited &= ~(1 << start)
-        comp |= 1 << start
-        while stack:
-            e = stack.pop()
-            u, v = g.edges[e]
-            for w in (u, v):
-                for e2 in g.incident[w]:
-                    if unvisited >> e2 & 1:
-                        unvisited &= ~(1 << e2)
-                        comp |= 1 << e2
-                        stack.append(e2)
+        while frontier:
+            comp |= frontier
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= touching[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & unvisited & ~comp
+        unvisited &= ~comp
         out.append(comp)
     return out
+
+
+def even_part(g: Graph, support: int) -> tuple[int, int]:
+    """Union and number of the components of `support` with an even edge count.
+
+    Memoised on `g`, so the memo lives exactly as long as the graph does.
+    """
+    hit = g._even_part_memo.get(support)
+    if hit is None:
+        bits = count = 0
+        for comp in components(g, support):
+            if comp.bit_count() % 2 == 0:
+                bits |= comp
+                count += 1
+        hit = g._even_part_memo[support] = (bits, count)
+    return hit
 
 
 def edge_bits(g: Graph, pairs) -> int:

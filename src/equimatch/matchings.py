@@ -32,28 +32,7 @@ def enumerate_matchings(g: Graph, k: int) -> list[int]:
     """All k-matchings of g as bitsets, sorted by bitset value."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return [0]
-    m = g.num_edges
-    out: list[int] = []
-    vertex_mask = [
-        (1 << u) | (1 << v) for (u, v) in g.edges
-    ]
-
-    def extend(start: int, used: int, bits: int, remaining: int):
-        if remaining == 0:
-            out.append(bits)
-            return
-        # not enough edges left to finish
-        for e in range(start, m - remaining + 1):
-            vm = vertex_mask[e]
-            if used & vm:
-                continue
-            extend(e + 1, used | vm, bits | (1 << e), remaining - 1)
-
-    extend(0, 0, 0, k)
-    out.sort()
-    return out
+    return list(matching_table(g).level(k))
 
 
 @dataclass(frozen=True)
@@ -78,15 +57,31 @@ class MatchingTable:
 
 
 def matching_table(g: Graph) -> MatchingTable:
-    levels = [(0,)]
-    k = 1
-    while True:
-        lvl = enumerate_matchings(g, k)
-        if not lvl:
-            break
-        levels.append(tuple(lvl))
-        k += 1
-    return MatchingTable(g, tuple(levels))
+    """Every matching of g, by size, from one backtracking pass.
+
+    Each matching is a node of the search tree, so the pass visits it once
+    rather than once per larger size enumerated.
+    """
+    levels: list[list[int]] = [[0]]
+    m = g.num_edges
+    ends = g.ends
+
+    def extend(start: int, used: int, bits: int, size: int):
+        if size == len(levels):
+            levels.append([])
+        level = levels[size]
+        for e in range(start, m):
+            vm = ends[e]
+            if used & vm:
+                continue
+            grown = bits | (1 << e)
+            level.append(grown)
+            extend(e + 1, used | vm, grown, size + 1)
+
+    extend(0, 0, 0, 1)
+    if not levels[-1]:
+        levels.pop()
+    return MatchingTable(g, tuple(tuple(sorted(level)) for level in levels))
 
 
 def check_numeric_logconcavity(t: MatchingTable) -> list[tuple[int, int, int]]:

@@ -20,7 +20,7 @@ from . import exactalg
 from . import graph as graphlib
 from .autgroup import AutomorphismGroup, apply_edge_perm, automorphisms, edge_action
 from .exactalg import ExactMatrix
-from .graph import Graph
+from .graph import Graph, InternalError
 from .matchings import MatchingTable, matching_table
 from .transfer import MatchingPair, neighbor_set
 
@@ -36,12 +36,12 @@ class BudgetExceededError(RuntimeError):
 
 
 def even_part(g: Graph, union: int) -> int:
-    """Union of components of the edge-induced subgraph with even edge count."""
-    h = 0
-    for comp in graphlib.components(g, union):
-        if comp.bit_count() % 2 == 0:
-            h |= comp
-    return h
+    """Union of components of the edge-induced subgraph with even edge count.
+
+    Memoised per union on the graph, so the pairs sharing a union (several
+    per union, on both sides of every slot) search its components once.
+    """
+    return graphlib.even_part(g, union)[0]
 
 
 def block_key(g: Graph, blue: int, pink: int) -> BlockKey:
@@ -110,7 +110,7 @@ def build_phi(
         nbrs = neighbor_set(g, MatchingPair(blue, pink))
         p = len(nbrs)
         if p < k - ell + 2:
-            raise AssertionError("pink-chain count below the forced minimum")
+            raise InternalError("pink-chain count below the forced minimum")
         nnz += p
         if budget is not None and nnz > budget:
             raise BudgetExceededError(
@@ -141,17 +141,14 @@ def block_partition(phi: PhiMatrix) -> list[Block]:
         by_key.setdefault(key, ([], []))[0].append(j)
     for i, key in enumerate(phi.row_keys):
         by_key.setdefault(key, ([], []))[1].append(i)
-    out = [
+    row_keys = phi.row_keys
+    for key, column in zip(phi.col_keys, phi.columns):
+        if any(row_keys[r] != key for (r, _) in column):
+            raise InternalError("nonzero entry escapes its block")
+    return [
         Block(key, tuple(cols), tuple(rows))
         for key, (cols, rows) in sorted(by_key.items())
     ]
-    for block in out:
-        rowset = set(block.row_indices)
-        for j in block.col_indices:
-            for (r, _) in phi.columns[j]:
-                if r not in rowset:
-                    raise AssertionError("nonzero entry escapes its block")
-    return out
 
 
 def _block_matrix(phi: PhiMatrix, block: Block) -> ExactMatrix:
@@ -317,7 +314,8 @@ def verify_equivariant(
         moved = np.sort(cimg[col_of_nz] * nrows + row_a[r1] * len_k + row_b[r2])
         if not np.array_equal(moved, base_codes):
             pair = _equivariance_witness(phi, pm, ell, k, len_k, len_k1)
-            assert pair is not None
+            if pair is None:
+                raise InternalError("pattern mismatch without an offending column")
             failures.append((sigma, pair))
     return EquivarianceReport(ell, k, grp.order, ncols, tuple(failures))
 
@@ -373,52 +371,14 @@ def count_parts(
         targets.setdefault(u, set()).add((blue & h, pink & h))
     out = []
     for u in sorted(sources):
-        h = even_part(g, u)
-        comps = graphlib.components(g, h)
+        h, comps = graphlib.even_part(g, u)
         out.append(
             PartRecord(
                 u,
                 len(sources[u]),
                 len(targets.get(u, set())),
                 h.bit_count(),
-                len(comps),
+                comps,
             )
         )
     return out
-
-
-def part_map_is_bijective(
-    g: Graph, ell: int, k: int, table: MatchingTable | None = None
-) -> bool:
-    """Check that unioning neighbor sets maps source parts bijectively to target parts."""
-    t = table or matching_table(g)
-    if k + 1 > t.r:
-        return True
-    phi = build_phi(g, ell, k, table=t)
-    src_parts: dict[tuple[int, PairBits], set[PairBits]] = {}
-    for (blue, pink) in phi.col_pairs:
-        u = blue | pink
-        h = even_part(g, u)
-        src_parts.setdefault((u, (blue & h, pink & h)), set()).add((blue, pink))
-    tgt_parts: dict[tuple[int, PairBits], set[PairBits]] = {}
-    for (blue, pink) in phi.row_pairs:
-        u = blue | pink
-        h = even_part(g, u)
-        tgt_parts.setdefault((u, (blue & h, pink & h)), set()).add((blue, pink))
-    images = {}
-    for key, part in src_parts.items():
-        union_of_neighbors: set[PairBits] = set()
-        for (blue, pink) in part:
-            for q in neighbor_set(g, MatchingPair(blue, pink)):
-                union_of_neighbors.add((q.blue, q.pink))
-        # the image must be exactly one target part
-        matches = [
-            tk
-            for tk, tp in tgt_parts.items()
-            if tk[0] == key[0] and tp == union_of_neighbors
-        ]
-        if len(matches) != 1:
-            return False
-        images[key] = matches[0]
-    # injectivity of the part map
-    return len(set(images.values())) == len(images)

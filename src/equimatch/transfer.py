@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import graph as graphlib
-from .graph import Graph
-from .matchings import is_matching
+from .autgroup import apply_edge_perm, edge_action
+from .graph import Graph, InternalError
+from .matchings import MatchingTable, is_matching, matching_table
 
 BLUE_CHAIN = "blue"
 PINK_CHAIN = "pink"
@@ -75,16 +76,20 @@ class ChainDecomposition:
 
 
 def _classify(g: Graph, comp: int, blue: int) -> ChainComponent:
-    edges = graphlib.bits_to_edges(g, comp)
-    vdeg: dict[int, int] = {}
-    for (u, v) in edges:
-        vdeg[u] = vdeg.get(u, 0) + 1
-        vdeg[v] = vdeg.get(v, 0) + 1
-    if any(d > 2 for d in vdeg.values()):
-        raise ValueError("component has a vertex of degree > 2; inputs are not matchings")
-    count = len(edges)
-    endpoints = [v for v, d in vdeg.items() if d == 1]
-    min_vertex = min(vdeg)
+    ends = g.ends
+    seen = twice = 0  # vertices of degree >= 1 and >= 2 inside the component
+    rest = comp
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        vm = ends[low.bit_length() - 1]
+        if twice & vm:
+            raise ValueError("component has a vertex of degree > 2; inputs are not matchings")
+        twice |= seen & vm
+        seen |= vm
+    count = comp.bit_count()
+    endpoints = seen & ~twice
+    min_vertex = (seen & -seen).bit_length() - 1
     if not endpoints:
         if count % 2 or count < 4:
             raise ValueError("odd or degenerate cycle in one-colored subgraph")
@@ -93,11 +98,12 @@ def _classify(g: Graph, comp: int, blue: int) -> ChainComponent:
         return ChainComponent(comp, EVEN_PATH, min_vertex)
     # odd path: alternation forces both end edges to carry the same color
     end_colors = set()
-    for i in range(g.num_edges):
-        if comp >> i & 1:
-            u, v = g.edges[i]
-            if vdeg[u] == 1 or vdeg[v] == 1:
-                end_colors.add(bool(blue >> i & 1))
+    rest = comp
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if ends[low.bit_length() - 1] & endpoints:
+            end_colors.add(bool(blue & low))
     if len(end_colors) != 1:
         raise ValueError("odd chain with mixed end colors; inputs are not matchings")
     kind = BLUE_CHAIN if end_colors.pop() else PINK_CHAIN
@@ -171,7 +177,8 @@ def subset_inject(n: int, members) -> frozenset[int]:
     if 2 * len(members) >= n:
         raise ValueError("need 2*|S| < n")
     result = bracket_successor(n, members)
-    assert result is not None
+    if result is None:
+        raise InternalError("no unmatched opener although 2*|S| < n")
     return result
 
 
@@ -190,36 +197,48 @@ def krattenthaler_f(g: Graph, pair: MatchingPair) -> MatchingPair:
     enlarged = subset_inject(len(odd), blue_positions)
     (new_pos,) = enlarged - blue_positions
     target = odd[new_pos - 1]
-    assert target.kind == PINK_CHAIN
+    if target.kind != PINK_CHAIN:
+        raise InternalError("the subset injection named a blue chain")
     return swap_chain(pair, target)
 
 
-def f_equivariance_counterexample(g, group, ell: int, k: int):
+def f_equivariance_counterexample(
+    g, group, ell: int, k: int, table: MatchingTable | None = None
+):
     """First (sigma, pair) with f(sigma.pair) != sigma.f(pair), or None.
 
     Scans automorphisms in sorted order and column pairs in sorted basis
-    order, so the witness is deterministic.
+    order, so the witness is deterministic.  The identity can never be a
+    witness and is skipped, and f is applied only to the pairs the scan
+    reaches: a trivial group costs nothing, and the scan of a symmetric
+    graph stops at its first witness.
     """
-    from .autgroup import apply_edge_perm, edge_action
-    from .matchings import enumerate_matchings
-
-    blues = enumerate_matchings(g, ell - 1)
-    pinks = enumerate_matchings(g, k + 1)
+    identity = tuple(range(g.n))
+    sigmas = [sigma for sigma in group if sigma != identity]
+    if not sigmas:
+        return None
+    t = table or matching_table(g)
+    blues, pinks = t.level(ell - 1), t.level(k + 1)
     if not pinks:
         return None
-    pairs = [MatchingPair(b, p) for b in blues for p in pinks]
-    images = {pair: krattenthaler_f(g, pair) for pair in pairs}
-    for sigma in group:
+    images: dict[tuple[int, int], MatchingPair] = {}
+
+    def f(blue: int, pink: int) -> MatchingPair:
+        image = images.get((blue, pink))
+        if image is None:
+            image = images[(blue, pink)] = krattenthaler_f(g, MatchingPair(blue, pink))
+        return image
+
+    for sigma in sigmas:
         eperm = edge_action(sigma, g)
-        for pair in pairs:
-            moved = MatchingPair(
-                apply_edge_perm(eperm, pair.blue), apply_edge_perm(eperm, pair.pink)
-            )
-            f_moved = images[moved]
-            fp = images[pair]
-            moved_f = MatchingPair(
-                apply_edge_perm(eperm, fp.blue), apply_edge_perm(eperm, fp.pink)
-            )
-            if f_moved != moved_f:
-                return (sigma, pair)
+        moved_pinks = [apply_edge_perm(eperm, pink) for pink in pinks]
+        for blue in blues:
+            moved_blue = apply_edge_perm(eperm, blue)
+            for pink, moved_pink in zip(pinks, moved_pinks):
+                fp = f(blue, pink)
+                f_moved = f(moved_blue, moved_pink)
+                if f_moved.blue != apply_edge_perm(eperm, fp.blue) or (
+                    f_moved.pink != apply_edge_perm(eperm, fp.pink)
+                ):
+                    return (sigma, MatchingPair(blue, pink))
     return None

@@ -2,7 +2,10 @@
 
 These deliberately avoid the algorithms of the package under test:
 matchings by subset filtering, automorphisms by filtering all permutations,
-rank by naive rational Gaussian elimination (dense and sparse-dict forms).
+rank by naive rational Gaussian elimination (dense and sparse-dict forms),
+the edge-variable identities by expanding polynomials over Fractions,
+components by union-find and even parts by a fresh search per union, and
+the f-equivariance scan eagerly over every group element.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ from itertools import combinations, permutations
 
 from equimatch.exactalg import ExactMatrix
 from equimatch.graph import Graph
+from equimatch.matchings import matching_table
+from equimatch.phimap import build_phi
+from equimatch.transfer import MatchingPair, krattenthaler_f, neighbor_set
 
 
 def brute_force_matchings(g: Graph, k: int) -> list[int]:
@@ -111,3 +117,308 @@ def rank_gauss_sparse(m: ExactMatrix) -> int:
                 else:
                     cur[rr] = s
     return rank
+
+
+# --- edge-variable polynomials: the oracle for polyring's monomial counts ---
+
+
+class Poly:
+    """Immutable polynomial; terms is a dict exponent-tuple -> Fraction."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: dict | None = None):
+        self.nvars = nvars
+        clean = {}
+        for exps, coeff in (terms or {}).items():
+            coeff = Fraction(coeff)
+            if coeff != 0:
+                if len(exps) != nvars:
+                    raise ValueError("exponent vector length mismatch")
+                clean[tuple(exps)] = coeff
+        self.terms = clean
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Poly)
+            and self.nvars == other.nvars
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def __add__(self, other: "Poly") -> "Poly":
+        acc = dict(self.terms)
+        for exps, c in other.terms.items():
+            acc[exps] = acc.get(exps, Fraction(0)) + c
+        return Poly(self.nvars, acc)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        acc = dict(self.terms)
+        for exps, c in other.terms.items():
+            acc[exps] = acc.get(exps, Fraction(0)) - c
+        return Poly(self.nvars, acc)
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        acc: dict[tuple, Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+        return Poly(self.nvars, acc)
+
+    def scale(self, c) -> "Poly":
+        c = Fraction(c)
+        return Poly(self.nvars, {e: v * c for e, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def evaluate_ones(self) -> Fraction:
+        return sum(self.terms.values(), Fraction(0))
+
+    def negative_terms(self) -> list[tuple[tuple, Fraction]]:
+        return sorted((e, c) for e, c in self.terms.items() if c < 0)
+
+    def permute_variables(self, perm: tuple[int, ...]) -> "Poly":
+        """Variable x_i becomes x_perm[i]."""
+        acc = {}
+        for exps, c in self.terms.items():
+            new = [0] * self.nvars
+            for i, e in enumerate(exps):
+                new[perm[i]] = e
+            acc[tuple(new)] = c
+        return Poly(self.nvars, acc)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for exps in sorted(self.terms):
+            c = self.terms[exps]
+            factors = [
+                f"x{i}" if e == 1 else f"x{i}^{e}"
+                for i, e in enumerate(exps)
+                if e
+            ]
+            mono = "*".join(factors) if factors else "1"
+            bits.append(f"{c}*{mono}")
+        return " + ".join(bits)
+
+
+def constant(nvars: int, value=1) -> Poly:
+    return Poly(nvars, {tuple([0] * nvars): Fraction(value)})
+
+
+def monomial_of_bits(g: Graph, bits: int) -> tuple[int, ...]:
+    return tuple(1 if bits >> i & 1 else 0 for i in range(g.num_edges))
+
+
+def pair_monomial(g: Graph, blue: int, pink: int) -> tuple[int, ...]:
+    """Exponent vector of the product of both edge monomials; shared edges get 2."""
+    return tuple(
+        (blue >> i & 1) + (pink >> i & 1) for i in range(g.num_edges)
+    )
+
+
+def poly_of_bitsets(g: Graph, bitsets) -> Poly:
+    """Sum of the squarefree monomials of the given edge bitsets, repeats included."""
+    terms: dict[tuple, Fraction] = {}
+    for bits in bitsets:
+        mono = monomial_of_bits(g, bits)
+        terms[mono] = terms.get(mono, Fraction(0)) + 1
+    return Poly(g.num_edges, terms)
+
+
+def weighted_matching_poly(g: Graph, k: int) -> Poly:
+    """Generating polynomial of the k-matchings (subset filter); one squarefree term each."""
+    return poly_of_bitsets(g, brute_force_matchings(g, k))
+
+
+def pi_map(g: Graph, basis_pairs, coefficients) -> Poly:
+    """Linear extension of the pair-to-monomial map.
+
+    `coefficients` is indexed like `basis_pairs`; pairs are (blue, pink)
+    bitsets.
+    """
+    acc: dict[tuple, Fraction] = {}
+    for (blue, pink), c in zip(basis_pairs, coefficients):
+        c = Fraction(c)
+        if c == 0:
+            continue
+        key = pair_monomial(g, blue, pink)
+        acc[key] = acc.get(key, Fraction(0)) + c
+    return Poly(g.num_edges, acc)
+
+
+def nonneg_by_expansion(g: Graph, table, ell: int, k: int) -> tuple[int, list]:
+    """Term count and sorted negative terms of m_l*m_k - m_{l-1}*m_{k+1}, expanded.
+
+    The polynomials are those of the table's levels, so a doctored table
+    yields negative terms to compare.
+    """
+    def m(i):
+        return poly_of_bitsets(g, table.level(i))
+
+    diff = m(ell) * m(k) - m(ell - 1) * m(k + 1)
+    return len(diff.terms), diff.negative_terms()
+
+
+def diagram_failures_by_pi(g: Graph, phi) -> list[tuple[int, int]]:
+    """Column pairs whose monomial differs from the monomial image of their column."""
+    failures = []
+    for j, (blue, pink) in enumerate(phi.col_pairs):
+        direct = pi_map(g, [(blue, pink)], [Fraction(1)])
+        through = pi_map(
+            g,
+            [phi.row_pairs[r] for (r, _) in phi.columns[j]],
+            [v for (_, v) in phi.columns[j]],
+        )
+        if direct != through:
+            failures.append((blue, pink))
+    return failures
+
+
+# --- permutation helpers the library itself does not need ---
+
+
+def is_automorphism(g: Graph, sigma: tuple[int, ...]) -> bool:
+    if sorted(sigma) != list(range(g.n)):
+        return False
+    edge_set = set(g.edges)
+    return all(tuple(sorted((sigma[u], sigma[v]))) in edge_set for (u, v) in g.edges)
+
+
+def act_matching(sigma: tuple[int, ...], g: Graph, bits: int) -> int:
+    """Image of a matching bitset under a vertex permutation, edge by edge."""
+    out = 0
+    for i, (u, v) in enumerate(g.edges):
+        if bits >> i & 1:
+            out |= 1 << g.edge_index[tuple(sorted((sigma[u], sigma[v])))]
+    return out
+
+
+def compose(sigma: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
+    """(sigma . tau)(v) = sigma(tau(v))."""
+    return tuple(sigma[t] for t in tau)
+
+
+def inverse(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(sigma)
+    for i, s in enumerate(sigma):
+        inv[s] = i
+    return tuple(inv)
+
+
+# --- the f-equivariance scan and the part map, computed eagerly and directly ---
+
+
+def union_find_components(g: Graph, support: int) -> list[int]:
+    """Components of the edge subgraph as edge bitsets, by union-find on vertices."""
+    parent = list(range(g.n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    edges = [i for i in range(g.num_edges) if support >> i & 1]
+    for i in edges:
+        u, v = g.edges[i]
+        parent[root(u)] = root(v)
+    comps: dict[int, int] = {}
+    for i in edges:
+        r = root(g.edges[i][0])
+        comps[r] = comps.get(r, 0) | 1 << i
+    return sorted(comps.values(), key=lambda c: c & -c)
+
+
+def direct_even_part(g: Graph, union: int) -> tuple[int, int]:
+    """Even part of a union and its component count, from a fresh component search."""
+    bits = count = 0
+    for comp in union_find_components(g, union):
+        if comp.bit_count() % 2 == 0:
+            bits |= comp
+            count += 1
+    return bits, count
+
+
+def f_counterexample_eager(g: Graph, group, ell: int, k: int):
+    """First (sigma, pair) with f(sigma.pair) != sigma.f(pair), or None.
+
+    Applies f to every column pair up front and scans every group element,
+    the identity included, in sorted order.
+    """
+    blues = brute_force_matchings(g, ell - 1)
+    pinks = brute_force_matchings(g, k + 1)
+    pairs = [MatchingPair(b, p) for b in blues for p in pinks]
+    images = {pair: krattenthaler_f(g, pair) for pair in pairs}
+    for sigma in sorted(group):
+        for pair in pairs:
+            moved = MatchingPair(
+                act_matching(sigma, g, pair.blue), act_matching(sigma, g, pair.pink)
+            )
+            fp = images[pair]
+            moved_f = MatchingPair(
+                act_matching(sigma, g, fp.blue), act_matching(sigma, g, fp.pink)
+            )
+            if images[moved] != moved_f:
+                return (sigma, pair)
+    return None
+
+
+def part_map_is_bijective(g: Graph, ell: int, k: int) -> bool:
+    """Check that unioning neighbor sets maps source parts bijectively to target parts."""
+    t = matching_table(g)
+    if k + 1 > t.r:
+        return True
+    phi = build_phi(g, ell, k, table=t)
+    src_parts: dict[tuple[int, tuple[int, int]], set[tuple[int, int]]] = {}
+    for (blue, pink) in phi.col_pairs:
+        u = blue | pink
+        h = direct_even_part(g, u)[0]
+        src_parts.setdefault((u, (blue & h, pink & h)), set()).add((blue, pink))
+    tgt_parts: dict[tuple[int, tuple[int, int]], set[tuple[int, int]]] = {}
+    for (blue, pink) in phi.row_pairs:
+        u = blue | pink
+        h = direct_even_part(g, u)[0]
+        tgt_parts.setdefault((u, (blue & h, pink & h)), set()).add((blue, pink))
+    images = {}
+    for key, part in src_parts.items():
+        union_of_neighbors: set[tuple[int, int]] = set()
+        for (blue, pink) in part:
+            for q in neighbor_set(g, MatchingPair(blue, pink)):
+                union_of_neighbors.add((q.blue, q.pink))
+        # the image must be exactly one target part
+        matches = [
+            tk
+            for tk, tp in tgt_parts.items()
+            if tk[0] == key[0] and tp == union_of_neighbors
+        ]
+        if len(matches) != 1:
+            return False
+        images[key] = matches[0]
+    # injectivity of the part map
+    return len(set(images.values())) == len(images)
+
+
+def chain_kinds(g: Graph, blue: int, pink: int) -> list[tuple[int, str, int]]:
+    """(edges, kind, min vertex) of each one-colored component, from vertex degrees."""
+    out = []
+    for comp in union_find_components(g, blue ^ pink):
+        edges = [i for i in range(g.num_edges) if comp >> i & 1]
+        deg: dict[int, int] = {}
+        for i in edges:
+            for v in g.edges[i]:
+                deg[v] = deg.get(v, 0) + 1
+        ends = {v for v, d in deg.items() if d == 1}
+        if not ends:
+            kind = "even_cycle"
+        elif len(edges) % 2 == 0:
+            kind = "even_path"
+        else:
+            end_edge = next(i for i in edges if set(g.edges[i]) & ends)
+            kind = "blue" if blue >> end_edge & 1 else "pink"
+        out.append((comp, kind, min(deg)))
+    return out

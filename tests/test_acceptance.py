@@ -29,7 +29,7 @@ from equimatch.transfer import (
     neighbor_set,
     subset_inject,
 )
-from oracles import brute_force_matchings, rank_gauss_sparse
+from oracles import brute_force_matchings, rank_gauss_sparse, weighted_matching_poly
 
 
 def _line(num, ok, detail):
@@ -199,7 +199,7 @@ def test_criterion_5_oracle_equivalences(c6, path4, petersen):
         t = matching_table(g)
         slacks = {(l, k): s for (l, k, s) in check_numeric_logconcavity(t)}
         polys = {
-            k: polyring.weighted_matching_poly(g, k) for k in range(t.r + 2)
+            k: weighted_matching_poly(g, k) for k in range(t.r + 2)
         }
         for (ell, k) in _slots(t):
             diff = polys[ell] * polys[k] - polys[ell - 1] * polys[k + 1]

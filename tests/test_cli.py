@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from equimatch import phimap, polyring
 from equimatch.cli import run
 
 
@@ -169,3 +170,37 @@ def test_batch(tmp_path):
     assert names == ["cycle_6.json", "path_4.json"]
     for p in outdir.iterdir():
         assert json.loads(p.read_text())["overall"] == "pass"
+
+
+def test_check_subset_without_group_checks_skips_the_group(capsys):
+    # n = 13 is past the automorphism search's vertex limit, but neither
+    # check needs the group, so the group is never built
+    assert run(["verify", "--gen", "cycle:13", "--check", "injective,nonneg"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["group_order"] is None
+    assert report["overall"] == "pass"
+    assert {r["check"] for r in report["checks"]} == {"injective", "nonneg"}
+
+
+def test_group_check_past_the_vertex_limit_is_an_input_error(capsys):
+    assert run(["verify", "--gen", "cycle:13", "--check", "equivariant", "--ell", "1", "--k", "1"]) == 2
+    assert "vertex limit" in capsys.readouterr().err
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    # a neighbor set below the forced pink-chain minimum breaks an invariant
+    # of build_phi, which must surface as an internal error, not as a failed
+    # check (1) or an input error (2)
+    monkeypatch.setattr(phimap, "neighbor_set", lambda g, pair: ())
+    assert run(["verify", "--gen", "cycle:6", "--check", "injective"]) == 4
+    err = capsys.readouterr().err
+    assert "InternalError" in err and "internal error" in err
+
+
+def test_unexpected_exception_exits_4(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(polyring, "verify_nonneg", broken)
+    assert run(["verify", "--gen", "path:4", "--check", "nonneg"]) == 4
+    assert "KeyError" in capsys.readouterr().err

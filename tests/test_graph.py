@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from equimatch.graph import (
     Graph,
@@ -11,6 +11,7 @@ from equimatch.graph import (
     graph_from_edges,
     parse_graph,
 )
+from oracles import union_find_components
 
 
 def test_parse_c6_canonical_order():
@@ -60,7 +61,7 @@ def test_generate_families():
     assert generate("star:5").num_edges == 4
     p = generate("petersen")
     assert p.n == 10 and p.num_edges == 15
-    assert all(len(p.incident[v]) == 3 for v in range(10))
+    assert all(p.adjacency_bits[v].bit_count() == 3 for v in range(10))
 
 
 def test_generate_deterministic():
@@ -111,3 +112,11 @@ def test_components_partition_support(support):
     # sorted by minimum edge index
     mins = [(c & -c) for c in comps]
     assert mins == sorted(mins)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 5), st.integers(0, 2**31 - 1), st.integers(0, 2**36 - 1))
+def test_components_match_union_find(n, num, seed, support):
+    g = generate(f"gnp:{n}:{num}:6:{seed}")
+    support &= (1 << g.num_edges) - 1
+    assert components(g, support) == union_find_components(g, support)

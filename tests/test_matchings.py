@@ -86,3 +86,15 @@ def test_logconcavity_examples(c6, path4):
 def test_logconcavity_never_violated(n, num, seed):
     g = generate(f"gnp:{n}:{num}:6:{seed}")
     assert not logconcavity_violations(matching_table(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 6), st.integers(0, 2**31 - 1))
+def test_table_levels_match_bruteforce(n, num, seed):
+    """The one-pass table holds every level, sorted, and nothing past the top."""
+    g = generate(f"gnp:{n}:{num}:6:{seed}")
+    counts = brute_force_counts(g)
+    t = matching_table(g)
+    assert t.counts == tuple(counts)
+    for k in range(len(counts)):
+        assert list(t.level(k)) == brute_force_matchings(g, k)

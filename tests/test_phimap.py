@@ -1,22 +1,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equimatch.exactalg import equals, multiply, permutation_matrix, BasisIndex
 from equimatch.autgroup import apply_edge_perm, automorphisms, edge_action
-from equimatch.graph import edge_bits, generate
+from equimatch.graph import InternalError, edge_bits, generate
 from equimatch.matchings import logconcavity_violations, matching_table
 from equimatch.phimap import (
     BudgetExceededError,
+    PhiMatrix,
     block_partition,
     build_phi,
     count_parts,
     even_part,
-    part_map_is_bijective,
     verify_equivariant,
     verify_injective,
 )
-from oracles import rank_gauss_sparse
+from oracles import direct_even_part, part_map_is_bijective, rank_gauss_sparse
 
 
 def test_build_phi_path4(path4):
@@ -162,7 +163,7 @@ def test_part_counts_and_bijectivity(spec):
                 continue
             recs = count_parts(g, ell, k, table=t)
             assert all(r.counts_equal for r in recs)
-            assert part_map_is_bijective(g, ell, k, table=t)
+            assert part_map_is_bijective(g, ell, k)
 
 
 def test_nonzero_entries_respect_blocks(path4, c6):
@@ -176,3 +177,31 @@ def test_nonzero_entries_respect_blocks(path4, c6):
                 for j, col in enumerate(phi.columns):
                     for (r, _) in col:
                         assert phi.row_keys[r] == phi.col_keys[j]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 5), st.integers(0, 2**31 - 1))
+def test_memoised_block_keys_match_direct_components(n, num, seed):
+    """Every key, from the per-graph even-part memo, equals a fresh component search."""
+    g = generate(f"gnp:{n}:{num}:6:{seed}")
+    t = matching_table(g)
+    for k in range(1, t.r):
+        for ell in range(1, k + 1):
+            phi = build_phi(g, ell, k, table=t)
+            for pairs, keys in ((phi.col_pairs, phi.col_keys), (phi.row_pairs, phi.row_keys)):
+                for (b, p), key in zip(pairs, keys):
+                    u = b | p
+                    assert key == (u, b & p, b & direct_even_part(g, u)[0])
+            for rec in count_parts(g, ell, k, table=t, phi=phi):
+                h, comps = direct_even_part(g, rec.union)
+                assert (rec.even_edges, rec.even_components) == (h.bit_count(), comps)
+
+
+def test_entry_outside_its_block_is_an_internal_error(c6):
+    phi = build_phi(c6, 2, 2)
+    key = phi.col_keys[0]
+    stray = next(r for r, row_key in enumerate(phi.row_keys) if row_key != key)
+    columns = (((stray, phi.columns[0][0][1]),) + phi.columns[0][1:],) + phi.columns[1:]
+    bad = PhiMatrix(c6, 2, 2, phi.row_pairs, phi.col_pairs, columns)
+    with pytest.raises(InternalError):
+        block_partition(bad)

@@ -3,16 +3,17 @@ from fractions import Fraction
 import pytest
 
 from equimatch.autgroup import automorphisms, edge_action
-from equimatch.graph import edge_bits, generate
-from equimatch.matchings import check_numeric_logconcavity, matching_table
-from equimatch.phimap import build_phi
-from equimatch.polyring import (
+from equimatch.graph import Graph, edge_bits, generate
+from equimatch.matchings import MatchingTable, check_numeric_logconcavity, matching_table
+from equimatch.phimap import PhiMatrix, build_phi
+from equimatch.polyring import verify_diagram, verify_nonneg
+from oracles import (
     Poly,
     constant,
+    diagram_failures_by_pi,
+    nonneg_by_expansion,
     pair_monomial,
     pi_map,
-    verify_diagram,
-    verify_nonneg,
     weighted_matching_poly,
 )
 
@@ -120,3 +121,64 @@ def test_poly_arithmetic():
     assert a.scale(Fraction(1, 2)) + a.scale(Fraction(1, 2)) == a
     assert str(Poly(2, {})) == "0"
     assert "x0" in str(a)
+
+
+def _corpus():
+    """Every atlas graph on 1..6 vertices, then C6, path4 and Petersen."""
+    from networkx.generators.atlas import graph_atlas_g
+
+    for G in graph_atlas_g():
+        if 0 < G.number_of_nodes() <= 6:
+            edges = tuple(sorted(tuple(sorted(e)) for e in G.edges()))
+            yield Graph(G.number_of_nodes(), edges)
+    yield from (generate("cycle:6"), generate("path:4"), generate("petersen"))
+
+
+def test_counts_match_polynomial_expansion():
+    """verify_nonneg and verify_diagram agree with the Fraction polynomial oracle."""
+    graphs = 0
+    for g in _corpus():
+        graphs += 1
+        t = matching_table(g)
+        for k in range(1, t.r + 1):
+            for ell in range(1, k + 1):
+                rep = verify_nonneg(g, ell, k, table=t)
+                terms, negative = nonneg_by_expansion(g, t, ell, k)
+                assert (rep.term_count, list(rep.violations)) == (terms, negative)
+                if t.m(k + 1):
+                    phi = build_phi(g, ell, k, table=t)
+                    diagram = verify_diagram(g, ell, k, table=t, phi=phi)
+                    assert list(diagram.failures) == diagram_failures_by_pi(g, phi)
+                    assert diagram.columns == len(phi.col_pairs)
+    assert graphs == 208 + 3
+
+
+def test_nonneg_violations_match_expansion(c6):
+    # a doctored table: level 1 keeps two disjoint edges and level 2 lists
+    # every matching twice, so the column product outweighs the row product
+    # at most monomials and cancels it exactly at one
+    t = matching_table(c6)
+    a, b = edge_bits(c6, [(0, 1)]), edge_bits(c6, [(2, 3)])
+    fake = MatchingTable(c6, (t.level(0), (a, b), t.level(2) * 2, t.level(3)))
+    rep = verify_nonneg(c6, 1, 1, table=fake)
+    terms, negative = nonneg_by_expansion(c6, fake, 1, 1)
+    assert not rep.passed
+    assert rep.term_count == terms
+    keys = {(x | y, x & y) for x in (a, b) for y in (a, b)} | {(m, 0) for m in t.level(2)}
+    assert terms == len(keys) - 1  # the cancelled monomial x_a x_b is no term
+    assert [(e, Fraction(c)) for (e, c) in rep.violations] == negative
+    # the report prints an integer coefficient exactly as the Fraction did
+    assert [str(c) for (_, c) in rep.violations] == [str(c) for (_, c) in negative]
+
+
+def test_diagram_flags_the_columns_the_oracle_flags(c6):
+    phi = build_phi(c6, 2, 2)
+    # column 0 loses weight, column 1 sends an entry to a row of another key
+    # a block key starts with the (union, intersection) key
+    other = next(r for r, key in enumerate(phi.row_keys) if key[:2] != phi.col_keys[1][:2])
+    columns = list(phi.columns)
+    columns[0] = tuple((r, v / 2) for (r, v) in columns[0])
+    columns[1] = ((other, columns[1][0][1]),) + columns[1][1:]
+    bad = PhiMatrix(c6, 2, 2, phi.row_pairs, phi.col_pairs, tuple(columns))
+    rep = verify_diagram(c6, 2, 2, phi=bad)
+    assert list(rep.failures) == diagram_failures_by_pi(c6, bad) == list(phi.col_pairs[:2])

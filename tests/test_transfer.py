@@ -1,7 +1,9 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from equimatch import transfer
 from equimatch.autgroup import apply_edge_perm, automorphisms, edge_action
 from equimatch.graph import edge_bits, generate
 from equimatch.matchings import enumerate_matchings, is_matching, matching_table
@@ -16,6 +18,7 @@ from equimatch.transfer import (
     subset_inject,
     swap_chain,
 )
+from oracles import chain_kinds, f_counterexample_eager
 
 
 def test_decompose_perfect_matching_vs_empty(c6):
@@ -246,3 +249,42 @@ def test_no_counterexample_for_trivial_group():
         t = matching_table(g)
         if t.r >= 2:
             assert f_equivariance_counterexample(g, grp, 1, 1) is None
+
+
+@pytest.mark.parametrize("spec", ["cycle:6", "complete:4", "kbipartite:3:3"])
+def test_f_witness_matches_eager_scan(spec):
+    g = generate(spec)
+    t = matching_table(g)
+    grp = automorphisms(g)
+    witnesses = 0
+    for k in range(1, t.r + 1):
+        for ell in range(1, k + 1):
+            expected = f_counterexample_eager(g, grp, ell, k)
+            assert f_equivariance_counterexample(g, grp, ell, k, table=t) == expected
+            assert f_equivariance_counterexample(g, grp, ell, k) == expected
+            witnesses += expected is not None
+    assert witnesses > 0
+
+
+def test_f_scan_of_trivial_group_applies_f_to_nothing(monkeypatch):
+    g = generate("gnp:8:1:2:7")
+    grp = automorphisms(g)
+    assert grp.order == 1
+
+    def forbidden(*args):
+        raise AssertionError("f applied although the group is trivial")
+
+    monkeypatch.setattr(transfer, "krattenthaler_f", forbidden)
+    assert f_equivariance_counterexample(g, grp, 1, 1) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 5), st.integers(0, 2**31 - 1), st.randoms(use_true_random=False))
+def test_decompose_matches_degree_oracle(n, num, seed, rnd):
+    g = generate(f"gnp:{n}:{num}:6:{seed}")
+    matchings = [m for level in matching_table(g).by_size for m in level]
+    for _ in range(30):
+        blue, pink = rnd.choice(matchings), rnd.choice(matchings)
+        dec = decompose(g, MatchingPair(blue, pink))
+        got = [(c.edges, c.kind, c.min_vertex) for c in dec.components]
+        assert got == chain_kinds(g, blue, pink)
