@@ -1,13 +1,19 @@
-"""Exhaustive automorphism groups of small graphs and their induced actions.
+"""Automorphism groups of small graphs as strong generating sets.
 
-The group is enumerated completely (not by generators) because the
-verification checks quantify over every element; a vertex-count limit guards
-against factorial blowup.  The search backtracks over vertex images with a
-degree-refinement prune.
+The group is held by a strong generating set for the base 0, 1, ..., n-1
+(Sims 1970): for every i, the generators that fix 0..i-1 generate the
+pointwise stabiliser of 0..i-1.  A representation is a homomorphism, so a
+map commutes with the whole group once it commutes with each generator; the
+checks test the generators and walk the elements only to list every failing
+one.
+One backtracking search over vertex images, with a degree prune, finds the
+generators and streams the elements in lexicographic order.  A vertex-count
+limit guards against factorial blowup where every element is walked.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,52 +31,91 @@ class SizeLimitError(ValueError):
 @dataclass(frozen=True)
 class AutomorphismGroup:
     graph: Graph
-    perms: tuple[Permutation, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.perms)
+    generators: tuple[Permutation, ...]  # sorted; never the identity
+    order: int
 
     @cached_property
     def identity(self) -> Permutation:
         return tuple(range(self.graph.n))
 
-    def __iter__(self):
-        return iter(self.perms)
+    def __iter__(self) -> Iterator[Permutation]:
+        """Every element, lexicographically, found anew on each pass."""
+        return _extensions(self.graph, ())
 
 
-def automorphisms(g: Graph, limit: int = DEFAULT_VERTEX_LIMIT) -> AutomorphismGroup:
-    """All adjacency-preserving vertex bijections, sorted lexicographically."""
+def _extensions(g: Graph, prefix: Permutation) -> Iterator[Permutation]:
+    """The automorphisms with sigma[i] = prefix[i] for every i < len(prefix), in lexicographic order."""
     n = g.n
-    if n > limit:
-        raise SizeLimitError(f"n={n} exceeds the vertex limit {limit}")
     adj = g.adjacency_bits
     deg = [adj[v].bit_count() for v in range(n)]
-    found: list[Permutation] = []
     image = [-1] * n
 
     def place(v: int, used: int):
         if v == n:
-            found.append(tuple(image))
+            yield tuple(image)
             return
         dv = deg[v]
         av = adj[v]
-        for w in range(n):
+        for w in (prefix[v],) if v < len(prefix) else range(n):
             if used >> w & 1 or deg[w] != dv:
                 continue
-            ok = True
+            aw = adj[w]
             for u in range(v):
-                if (av >> u & 1) != (adj[w] >> image[u] & 1):
-                    ok = False
+                if (av >> u & 1) != (aw >> image[u] & 1):
                     break
-            if ok:
+            else:
                 image[v] = w
-                place(v + 1, used | (1 << w))
+                yield from place(v + 1, used | (1 << w))
         image[v] = -1
 
-    place(0, 0)
-    found.sort()
-    return AutomorphismGroup(g, tuple(found))
+    return place(0, 0)
+
+
+def _orbit(point: int, generators: list[Permutation]) -> set[int]:
+    orbit = {point}
+    frontier = [point]
+    while frontier:
+        v = frontier.pop()
+        for sigma in generators:
+            w = sigma[v]
+            if w not in orbit:
+                orbit.add(w)
+                frontier.append(w)
+    return orbit
+
+
+def automorphisms(g: Graph, limit: int = DEFAULT_VERTEX_LIMIT) -> AutomorphismGroup:
+    """A strong generating set for the base 0..n-1, and the group order.
+
+    From the last base point down, the orbit of i under the stabiliser of
+    0..i-1 is closed under the generators found so far; each point w > i the
+    orbit still misses gets the lexicographically first automorphism fixing
+    0..i-1 with i -> w, when one exists.  The order is the product of the
+    orbit lengths.
+
+    So the lexicographically first element outside a subgroup H is a
+    generator: if it fixes 0..i-1 and sends i to w, every element fixing
+    0..i and every generator sending i below w is smaller, hence in H; were
+    w in their orbit, its whole coset would lie in H.  A check that finds
+    the first element failing a property closed under products (commuting
+    with a map) scans the sorted generators only.
+    """
+    n = g.n
+    if n > limit:
+        raise SizeLimitError(f"n={n} exceeds the vertex limit {limit}")
+    generators: list[Permutation] = []
+    order = 1
+    for i in range(n - 1, -1, -1):
+        orbit = _orbit(i, generators)
+        for w in range(i + 1, n):
+            if w in orbit:
+                continue
+            sigma = next(_extensions(g, tuple(range(i)) + (w,)), None)
+            if sigma is not None:
+                generators.append(sigma)
+                orbit = _orbit(i, generators)
+        order *= len(orbit)
+    return AutomorphismGroup(g, tuple(sorted(generators)), order)
 
 
 def edge_action(sigma: Permutation, g: Graph) -> tuple[int, ...]:

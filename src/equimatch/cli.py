@@ -205,8 +205,8 @@ def _run_checks(g: Graph, ell: int, k: int, checks, budget: int, group, t) -> li
     return records
 
 
-def _verify_report(g: Graph, descriptor: str, slots, checks, budget: int, t) -> dict:
-    """The report of `checks` over `slots`; the group is built only if a check needs it."""
+def _verify_report(g: Graph, descriptor: str, slots, checks, budget: int, t):
+    """The report of `checks` over `slots`, and the group, built only if a check needs it (else None)."""
     group = automorphisms(g) if GROUP_CHECKS.intersection(checks) else None
     records = []
     for (ell, k) in slots:
@@ -228,7 +228,19 @@ def _verify_report(g: Graph, descriptor: str, slots, checks, budget: int, t) -> 
         "group_order": None if group is None else group.order,
         "checks": records,
         "overall": overall,
-    }
+    }, group
+
+
+def _progress(descriptor: str, report: dict, group, elapsed: float) -> str:
+    """The stderr summary of one verify report; the group's size stays out of the report."""
+    aut = ""
+    if group is not None:
+        gens = len(group.generators)
+        aut = f", |Aut| {group.order} from {gens} generator{'' if gens == 1 else 's'}"
+    return (
+        f"verify {descriptor}: {report['overall']} "
+        f"({len(report['checks'])} records{aut}, {elapsed:.2f}s)"
+    )
 
 
 def _emit(report: dict, json_path: str | None) -> None:
@@ -296,14 +308,10 @@ def cmd_verify(args) -> int:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
         return 2
     started = time.monotonic()
-    report = _verify_report(g, descriptor, slots, checks, args.budget, t)
+    report, group = _verify_report(g, descriptor, slots, checks, args.budget, t)
     elapsed = time.monotonic() - started
     _emit(report, args.json)
-    print(
-        f"verify {descriptor}: {report['overall']} "
-        f"({len(report['checks'])} records, {elapsed:.2f}s)",
-        file=sys.stderr,
-    )
+    print(_progress(descriptor, report, group, elapsed), file=sys.stderr)
     return _report_exit(report)
 
 
@@ -385,10 +393,13 @@ def cmd_batch(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     codes = []
     for spec in specs:
+        started = time.monotonic()
         g = generate(spec)
         t = matching_table(g)
         slots = [(l, k) for k in range(1, t.r + 1) for l in range(1, k + 1)]
-        report = _verify_report(g, f"gen:{spec}", slots, list(ALL_CHECKS), args.budget, t)
+        descriptor = f"gen:{spec}"
+        report, group = _verify_report(g, descriptor, slots, list(ALL_CHECKS), args.budget, t)
+        print(_progress(descriptor, report, group, time.monotonic() - started), file=sys.stderr)
         safe = re.sub(r"[^A-Za-z0-9_.-]", "_", spec)
         (outdir / f"{safe}.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n"

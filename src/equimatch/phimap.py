@@ -198,29 +198,31 @@ def verify_injective(
     ranks = []
     total = 0
     for block in blocks:
-        if not block.col_indices:
+        ncols = len(block.col_indices)
+        if not ncols:
             continue
-        sub = _block_matrix(phi, block)
-        rk = (
-            exactalg.rank_certified(sub)
-            if sub.ncols > 48
-            else exactalg.rank(sub)
-        )
+        if ncols == 1:
+            # one column with a nonzero entry (weights are 1/p > 0) has rank 1
+            rk = int(any(v for (_, v) in phi.columns[block.col_indices[0]]))
+        else:
+            sub = _block_matrix(phi, block)
+            rk = (
+                exactalg.rank_certified(sub)
+                if ncols > 48
+                else exactalg.rank(sub)
+            )
         total += rk
-        ranks.append(BlockRank(block.key, sub.nrows, sub.ncols, rk))
+        ranks.append(BlockRank(block.key, len(block.row_indices), ncols, rk))
     return InjectivityReport(ell, k, tuple(ranks), total, len(phi.col_pairs))
 
 
-def _matching_perms(
-    t: MatchingTable, group: AutomorphismGroup, sizes: tuple[int, ...]
-) -> dict:
-    """Per automorphism and level: array mapping matching position to image position."""
+def _matching_perms(t: MatchingTable, sigmas, sizes: tuple[int, ...]):
+    """Per automorphism, lazily: for each level, the image position of every matching position."""
     g = t.graph
     level_index = {
         s: {bits: i for i, bits in enumerate(t.level(s))} for s in sizes
     }
-    out = {}
-    for sigma in group:
+    for sigma in sigmas:
         eperm = edge_action(sigma, g)
         per_size = {}
         for s in sizes:
@@ -228,8 +230,7 @@ def _matching_perms(
             per_size[s] = [
                 idx[apply_edge_perm(eperm, bits)] for bits in t.level(s)
             ]
-        out[sigma] = per_size
-    return out
+        yield sigma, per_size
 
 
 def _equivariance_witness(phi: PhiMatrix, pm: dict, ell: int, k: int, len_k: int, len_k1: int):
@@ -275,18 +276,23 @@ def verify_equivariant(
     Works on the index level: the column of the moved pair must equal the
     row-permuted column of the original pair, with identical weights.  This
     is simultaneously the matrix identity and the set-level neighbor-set
-    equality (uniform weights 1/p on both sides).
+    equality (uniform weights 1/p on both sides).  sigma -> P_sigma is a
+    homomorphism, so the identity holds for the group once it holds for each
+    generator; only when a generator fails are the elements scanned, in
+    lexicographic order, to list every failing element with its witness.
     """
     t = table or matching_table(g)
     grp = group or automorphisms(g)
     if k + 1 > t.r:
         return EquivarianceReport(ell, k, grp.order, 0, ())
     phi = phi or build_phi(g, ell, k, table=t, budget=budget)
+    ncols = len(phi.col_pairs)
+    if not grp.generators:
+        return EquivarianceReport(ell, k, grp.order, ncols, ())
     len_k1 = t.m(k + 1)
     len_k = t.m(k)
     nrows = len(phi.row_pairs)
-    ncols = len(phi.col_pairs)
-    perms = _matching_perms(t, grp, (ell - 1, ell, k, k + 1))
+    sizes = (ell - 1, ell, k, k + 1)
     # sparse pattern as column-major (col, row) codes; uniform 1/p weights
     # make pattern equality equivalent to matrix equality
     col_of_nz = np.repeat(
@@ -303,20 +309,27 @@ def verify_equivariant(
     i2 = np.arange(ncols, dtype=np.int64) % len_k1
     r1 = row_of_nz // len_k
     r2 = row_of_nz % len_k
-    failures = []
-    for sigma in grp:
-        pm = perms[sigma]
+
+    def commutes(pm: dict) -> bool:
         col_a = np.asarray(pm[ell - 1], dtype=np.int64)
         col_b = np.asarray(pm[k + 1], dtype=np.int64)
         row_a = np.asarray(pm[ell], dtype=np.int64)
         row_b = np.asarray(pm[k], dtype=np.int64)
         cimg = col_a[i1] * len_k1 + col_b[i2]
         moved = np.sort(cimg[col_of_nz] * nrows + row_a[r1] * len_k + row_b[r2])
-        if not np.array_equal(moved, base_codes):
+        return np.array_equal(moved, base_codes)
+
+    failures = []
+    if not all(commutes(pm) for _, pm in _matching_perms(t, grp.generators, sizes)):
+        for sigma, pm in _matching_perms(t, grp, sizes):
+            if commutes(pm):
+                continue
             pair = _equivariance_witness(phi, pm, ell, k, len_k, len_k1)
             if pair is None:
                 raise InternalError("pattern mismatch without an offending column")
             failures.append((sigma, pair))
+        if not failures:
+            raise InternalError("a generator fails but no element does")
     return EquivarianceReport(ell, k, grp.order, ncols, tuple(failures))
 
 

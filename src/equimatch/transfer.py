@@ -207,15 +207,15 @@ def f_equivariance_counterexample(
 ):
     """First (sigma, pair) with f(sigma.pair) != sigma.f(pair), or None.
 
-    Scans automorphisms in sorted order and column pairs in sorted basis
-    order, so the witness is deterministic.  The identity can never be a
-    witness and is skipped, and f is applied only to the pairs the scan
-    reaches: a trivial group costs nothing, and the scan of a symmetric
-    graph stops at its first witness.
+    First in lexicographic order of the automorphisms, then in sorted basis
+    order of the column pairs, so the witness is deterministic.  The
+    automorphisms that commute with f form a subgroup, and the
+    lexicographically first one outside a subgroup is a generator (see
+    `autgroup.automorphisms`), so scanning the sorted generators finds the
+    witness, and generators that all commute leave none.  f is applied only
+    to the pairs the scan reaches: a trivial group costs nothing.
     """
-    identity = tuple(range(g.n))
-    sigmas = [sigma for sigma in group if sigma != identity]
-    if not sigmas:
+    if not group.generators:
         return None
     t = table or matching_table(g)
     blues, pinks = t.level(ell - 1), t.level(k + 1)
@@ -229,7 +229,7 @@ def f_equivariance_counterexample(
             image = images[(blue, pink)] = krattenthaler_f(g, MatchingPair(blue, pink))
         return image
 
-    for sigma in sigmas:
+    for sigma in group.generators:
         eperm = edge_action(sigma, g)
         moved_pinks = [apply_edge_perm(eperm, pink) for pink in pinks]
         for blue in blues:

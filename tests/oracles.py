@@ -311,6 +311,21 @@ def inverse(sigma: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def group_closure(generators, n: int) -> set[tuple[int, ...]]:
+    """Every product of the generators, by a graph search from the identity."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        s = frontier.pop()
+        for gen in generators:
+            p = compose(gen, s)
+            if p not in seen:
+                seen.add(p)
+                frontier.append(p)
+    return seen
+
+
 # --- the f-equivariance scan and the part map, computed eagerly and directly ---
 
 
@@ -366,6 +381,47 @@ def f_counterexample_eager(g: Graph, group, ell: int, k: int):
             if images[moved] != moved_f:
                 return (sigma, pair)
     return None
+
+
+def equivariance_failures_full(g: Graph, phi, elements) -> tuple:
+    """(sigma, first column pair where Phi(sigma.x) != sigma.Phi(x)) per failing element.
+
+    Scans every given element in sorted order and compares whole columns as
+    maps from row pairs to weights, acting edge by edge.
+    """
+    col_index = {pair: j for j, pair in enumerate(phi.col_pairs)}
+    failures = []
+    for sigma in sorted(elements):
+
+        def move(pair):
+            return (act_matching(sigma, g, pair[0]), act_matching(sigma, g, pair[1]))
+
+        for j, pair in enumerate(phi.col_pairs):
+            phi_moved = {phi.row_pairs[r]: v for (r, v) in phi.columns[col_index[move(pair)]]}
+            moved_phi = {move(phi.row_pairs[r]): v for (r, v) in phi.columns[j]}
+            if phi_moved != moved_phi:
+                failures.append((sigma, pair))
+                break
+    return tuple(failures)
+
+
+def block_submatrix(phi, block) -> ExactMatrix:
+    """The block's columns restricted to the block's rows, in index order."""
+    local = {r: i for i, r in enumerate(block.row_indices)}
+    cols = tuple(
+        tuple((local[r], v) for (r, v) in phi.columns[j]) for j in block.col_indices
+    )
+    return ExactMatrix(len(block.row_indices), len(block.col_indices), cols)
+
+
+def atlas_graphs(max_n: int):
+    """Every graph of the networkx atlas on 1..max_n vertices, in atlas order."""
+    from networkx.generators.atlas import graph_atlas_g
+
+    for G in graph_atlas_g():
+        if 0 < G.number_of_nodes() <= max_n:
+            edges = tuple(sorted(tuple(sorted(e)) for e in G.edges()))
+            yield Graph(G.number_of_nodes(), edges)
 
 
 def part_map_is_bijective(g: Graph, ell: int, k: int) -> bool:

@@ -10,12 +10,11 @@ from math import comb
 
 import networkx as nx
 import pytest
-from networkx.generators.atlas import graph_atlas_g
 
 from equimatch import boollattice, phimap, polyring
 from equimatch.autgroup import automorphisms
 from equimatch.cli import run
-from equimatch.graph import Graph, edge_bits, generate
+from equimatch.graph import edge_bits, generate
 from equimatch.matchings import (
     check_numeric_logconcavity,
     enumerate_matchings,
@@ -29,7 +28,7 @@ from equimatch.transfer import (
     neighbor_set,
     subset_inject,
 )
-from oracles import brute_force_matchings, rank_gauss_sparse, weighted_matching_poly
+from oracles import atlas_graphs, brute_force_matchings, rank_gauss_sparse, weighted_matching_poly
 
 
 def _line(num, ok, detail):
@@ -63,19 +62,11 @@ def test_criterion_1_c6_fixture(c6):
     _line(1, ok, f"C6 fixture checks (rank 12/12, |Aut|=12, 2 neighbors, f witness) in {elapsed:.2f}s")
 
 
-def _atlas_graphs():
-    for G in graph_atlas_g():
-        if G.number_of_nodes() == 0:
-            continue
-        n = G.number_of_nodes()
-        yield Graph(n, tuple(sorted(tuple(sorted(e)) for e in G.edges())))
-
-
 @pytest.mark.slow
 def test_criterion_2_small_graph_sweep():
     started = time.monotonic()
     graphs = checked_slots = checked_pairs = 0
-    for g in _atlas_graphs():
+    for g in atlas_graphs(7):
         graphs += 1
         t = matching_table(g)
         grp = automorphisms(g)
@@ -170,7 +161,7 @@ def test_criterion_5_oracle_equivalences(c6, path4, petersen):
     started = time.monotonic()
     ok = True
     # matching enumeration vs subset-filter brute force on <= 7 vertices
-    for g in _atlas_graphs():
+    for g in atlas_graphs(7):
         k = 0
         while True:
             ours = enumerate_matchings(g, k)
@@ -182,7 +173,7 @@ def test_criterion_5_oracle_equivalences(c6, path4, petersen):
     # block-decomposed rank vs rational-elimination rank on every Phi
     # with <= 2000 columns over the acceptance corpora
     compared = 0
-    corpora = [g for g in _atlas_graphs() if g.n <= 6] + [c6, path4, petersen]
+    corpora = list(atlas_graphs(6)) + [c6, path4, petersen]
     for g in corpora:
         t = matching_table(g)
         for (ell, k) in _slots(t):

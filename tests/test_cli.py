@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -204,3 +205,45 @@ def test_unexpected_exception_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(polyring, "verify_nonneg", broken)
     assert run(["verify", "--gen", "path:4", "--check", "nonneg"]) == 4
     assert "KeyError" in capsys.readouterr().err
+
+
+# sha256 of the all-check `verify` JSON on stdout and of the `aut` stdout,
+# taken while the checks still walked every group element; checking the
+# generators only must leave every report byte-identical
+PINNED_DIGESTS = {
+    ("verify", "--gen", "cycle:6"): "ba68e27c2ae2c7fce727aea6a28403a3e4f413c9970d58b77023e400744b0f32",
+    ("verify", "--gen", "complete:6"): "14053a41afba2db1bd2b8757f1f9c56bc0eda4af6b7ee95d59de0eba04fdabdb",
+    ("verify", "--gen", "kbipartite:4:4"): "efef58948cb4a6bece8b0341a7fb77a92a2a90b306411dd3db425b0ce30ab47f",
+    ("aut", "--gen", "kbipartite:3:3"): "0e1911df7cdfd115192759c2b00bf0876e9eb0a5559f7adea67e8a42377615bb",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_DIGESTS), ids=" ".join)
+def test_report_bytes_are_pinned(argv, capsys):
+    assert run(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[argv]
+
+
+def test_group_size_goes_to_stderr_not_the_report(tmp_path, capsys):
+    assert run(["verify", "--gen", "complete:6", "--ell", "1", "--k", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "|Aut| 720 from 5 generators" in captured.err
+    assert "generators" not in captured.out
+    assert run(["verify", "--gen", "path:4", "--check", "equivariant"]) == 0
+    assert "|Aut| 2 from 1 generator," in capsys.readouterr().err
+    # no group check, no group, nothing to say about it
+    assert run(["verify", "--gen", "cycle:6", "--check", "nonneg"]) == 0
+    assert "|Aut|" not in capsys.readouterr().err
+
+    specs = tmp_path / "specs.txt"
+    specs.write_text("cycle:6\ngnp:8:1:2:7\n")
+    outdir = tmp_path / "reports"
+    assert run(["batch", "--specs", str(specs), "--json", str(outdir)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("verify gen:cycle:6: pass (36 records, |Aut| 12 from 2 generators, ")
+    assert err[1].startswith("verify gen:gnp:8:1:2:7: pass (")
+    assert "|Aut| 1 from 0 generators" in err[1]
+    for path in outdir.iterdir():
+        assert "generators" not in path.read_text()

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equimatch import exactalg
 from equimatch.exactalg import equals, multiply, permutation_matrix, BasisIndex
 from equimatch.autgroup import apply_edge_perm, automorphisms, edge_action
 from equimatch.graph import InternalError, edge_bits, generate
@@ -17,7 +18,17 @@ from equimatch.phimap import (
     verify_equivariant,
     verify_injective,
 )
-from oracles import direct_even_part, part_map_is_bijective, rank_gauss_sparse
+from oracles import (
+    act_matching,
+    atlas_graphs,
+    block_submatrix,
+    brute_force_automorphisms,
+    compose,
+    direct_even_part,
+    equivariance_failures_full,
+    part_map_is_bijective,
+    rank_gauss_sparse,
+)
 
 
 def test_build_phi_path4(path4):
@@ -121,7 +132,7 @@ def test_equivariance_as_explicit_matrix_identity(c6):
     grp = automorphisms(c6)
     col_basis = BasisIndex(phi.col_pairs)
     row_basis = BasisIndex(phi.row_pairs)
-    for sigma in grp.perms[:4]:
+    for sigma in list(grp)[:4]:
         ep = edge_action(sigma, c6)
 
         def move(pair):
@@ -205,3 +216,102 @@ def test_entry_outside_its_block_is_an_internal_error(c6):
     bad = PhiMatrix(c6, 2, 2, phi.row_pairs, phi.col_pairs, columns)
     with pytest.raises(InternalError):
         block_partition(bad)
+
+
+def _slots_with_columns(t):
+    return [(l, k) for k in range(1, t.r) for l in range(1, k + 1)]
+
+
+def test_generator_check_agrees_with_full_group_scan():
+    """On every atlas graph with n <= 6 the generator check reports what a scan of every element does."""
+    slots = 0
+    for g in atlas_graphs(6):
+        t = matching_table(g)
+        grp = automorphisms(g)
+        elements = brute_force_automorphisms(g)
+        for (ell, k) in _slots_with_columns(t):
+            phi = build_phi(g, ell, k, table=t)
+            rep = verify_equivariant(g, ell, k, table=t, group=grp, phi=phi)
+            assert rep.failures == equivariance_failures_full(g, phi, elements)
+            assert rep.group_order == len(elements)
+            slots += 1
+    assert slots > 300
+
+
+def _doctored(phi: PhiMatrix, sigma) -> PhiMatrix:
+    """Phi with one entry moved to a free row of its block, and moved alike in its orbit under <sigma>.
+
+    The moves form a <sigma>-invariant set, so the result still commutes
+    with sigma but not, in general, with the rest of the group.
+    """
+    g = phi.graph
+    powers = [tuple(range(g.n))]
+    while compose(sigma, powers[-1]) != powers[0]:
+        powers.append(compose(sigma, powers[-1]))
+    col_index = {pair: j for j, pair in enumerate(phi.col_pairs)}
+    row_index = {pair: i for i, pair in enumerate(phi.row_pairs)}
+
+    def move(tau, pair):
+        return (act_matching(tau, g, pair[0]), act_matching(tau, g, pair[1]))
+
+    for j, (key, column) in enumerate(zip(phi.col_keys, phi.columns)):
+        taken = {r for (r, _) in column}
+        free = [r for r, rk in enumerate(phi.row_keys) if rk == key and r not in taken]
+        if not free:
+            continue
+        r0, r1 = column[0][0], free[0]
+        moves = {}
+        for tau in powers:
+            jj = col_index[move(tau, phi.col_pairs[j])]
+            rows = (row_index[move(tau, phi.row_pairs[r0])], row_index[move(tau, phi.row_pairs[r1])])
+            moves.setdefault(jj, set()).add(rows)
+        if any(len(rows) > 1 for rows in moves.values()):
+            continue  # sigma fixes the column but not the move
+        columns = list(phi.columns)
+        for jj, ((old, new),) in moves.items():
+            weight = columns[jj][0][1]
+            columns[jj] = tuple(sorted([(r, v) for (r, v) in columns[jj] if r != old] + [(new, weight)]))
+        return PhiMatrix(g, phi.ell, phi.k, phi.row_pairs, phi.col_pairs, tuple(columns))
+    raise ValueError("no entry can be moved")
+
+
+@pytest.mark.parametrize("spec", ["cycle:8", "path:8", "cycle:9"])
+def test_doctored_phi_fails_as_the_full_scan_says(spec):
+    """A moved entry fails the check for the elements a full scan names; for
+    each generator in turn, a move that commutes with it fails all the same."""
+    g = generate(spec)
+    t = matching_table(g)
+    grp = automorphisms(g)
+    elements = brute_force_automorphisms(g)
+    phi = build_phi(g, 2, 2, table=t)
+    for sigma in (grp.identity,) + grp.generators:
+        bad = _doctored(phi, sigma)
+        block_partition(bad)  # the moved entries stay inside their blocks
+        expected = equivariance_failures_full(g, bad, elements)
+        rep = verify_equivariant(g, 2, 2, table=t, group=grp, phi=bad)
+        assert rep.failures == expected
+        assert sigma not in {s for (s, _) in expected}
+        if sigma == grp.identity or len(grp.generators) > 1:
+            assert expected and rep.failures[0][0] in grp.generators
+
+
+def _block_ranks_by_exact_rank(g):
+    t = matching_table(g)
+    for (ell, k) in _slots_with_columns(t):
+        phi = build_phi(g, ell, k, table=t)
+        rep = verify_injective(g, ell, k, table=t, phi=phi)
+        expected = [
+            (b.key, len(b.row_indices), len(b.col_indices), exactalg.rank(block_submatrix(phi, b)))
+            for b in block_partition(phi)
+            if b.col_indices
+        ]
+        assert [(b.key, b.nrows, b.ncols, b.rank) for b in rep.blocks] == expected
+        yield from rep.blocks
+
+
+def test_one_column_block_ranks_match_exact_rank():
+    blocks = list(_block_ranks_by_exact_rank(generate("gnp:8:1:2:7")))
+    assert sum(b.ncols == 1 for b in blocks) > 1000
+    for g in atlas_graphs(6):
+        for _ in _block_ranks_by_exact_rank(g):
+            pass

@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 from equimatch.autgroup import automorphisms, edge_action
-from equimatch.graph import Graph, edge_bits, generate
+from equimatch.graph import edge_bits, generate
 from equimatch.matchings import MatchingTable, check_numeric_logconcavity, matching_table
 from equimatch.phimap import PhiMatrix, build_phi
 from equimatch.polyring import verify_diagram, verify_nonneg
 from oracles import (
     Poly,
+    atlas_graphs,
     constant,
     diagram_failures_by_pi,
     nonneg_by_expansion,
@@ -125,12 +126,7 @@ def test_poly_arithmetic():
 
 def _corpus():
     """Every atlas graph on 1..6 vertices, then C6, path4 and Petersen."""
-    from networkx.generators.atlas import graph_atlas_g
-
-    for G in graph_atlas_g():
-        if 0 < G.number_of_nodes() <= 6:
-            edges = tuple(sorted(tuple(sorted(e)) for e in G.edges()))
-            yield Graph(G.number_of_nodes(), edges)
+    yield from atlas_graphs(6)
     yield from (generate("cycle:6"), generate("path:4"), generate("petersen"))
 
 

@@ -18,7 +18,7 @@ from equimatch.transfer import (
     subset_inject,
     swap_chain,
 )
-from oracles import chain_kinds, f_counterexample_eager
+from oracles import atlas_graphs, chain_kinds, f_counterexample_eager
 
 
 def test_decompose_perfect_matching_vs_empty(c6):
@@ -242,16 +242,19 @@ def test_f_counterexample_path4_reversal(path4):
 
 
 def test_no_counterexample_for_trivial_group():
-    # a small asymmetric tree: trivial automorphism group
-    g = generate("gnp:7:2:5:11")
+    # an asymmetric 7-vertex graph: its only automorphism is the identity
+    g = generate("gnp:7:2:5:2")
     grp = automorphisms(g)
-    if grp.order == 1:
-        t = matching_table(g)
-        if t.r >= 2:
-            assert f_equivariance_counterexample(g, grp, 1, 1) is None
+    assert grp.order == 1 and grp.generators == ()
+    t = matching_table(g)
+    slots = [(ell, k) for k in range(1, t.r) for ell in range(1, k + 1)]
+    assert len(slots) == 3
+    for (ell, k) in slots:
+        assert f_equivariance_counterexample(g, grp, ell, k, table=t) is None
+        assert f_counterexample_eager(g, grp, ell, k) is None
 
 
-@pytest.mark.parametrize("spec", ["cycle:6", "complete:4", "kbipartite:3:3"])
+@pytest.mark.parametrize("spec", ["cycle:6", "complete:4", "kbipartite:3:3", "path:5", "gnp:7:2:5:11"])
 def test_f_witness_matches_eager_scan(spec):
     g = generate(spec)
     t = matching_table(g)
@@ -264,6 +267,22 @@ def test_f_witness_matches_eager_scan(spec):
             assert f_equivariance_counterexample(g, grp, ell, k) == expected
             witnesses += expected is not None
     assert witnesses > 0
+
+
+def test_f_generator_scan_agrees_with_eager_scan_on_atlas():
+    """Every atlas graph with n <= 6: the same witness, or None where f commutes with the whole group."""
+    commuting = witnessed = 0
+    for g in atlas_graphs(6):
+        t = matching_table(g)
+        grp = automorphisms(g)
+        for k in range(1, t.r):
+            for ell in range(1, k + 1):
+                expected = f_counterexample_eager(g, grp, ell, k)
+                assert f_equivariance_counterexample(g, grp, ell, k, table=t) == expected
+                commuting += expected is None and grp.order > 1
+                witnessed += expected is not None
+    # both outcomes occur on nontrivial groups
+    assert commuting > 50 and witnessed > 200
 
 
 def test_f_scan_of_trivial_group_applies_f_to_nothing(monkeypatch):
