@@ -3,12 +3,12 @@
 The group is held by a strong generating set for the base 0, 1, ..., n-1
 (Sims 1970): for every i, the generators that fix 0..i-1 generate the
 pointwise stabiliser of 0..i-1.  A representation is a homomorphism, so a
-map commutes with the whole group once it commutes with each generator; the
-checks test the generators and walk the elements only to list every failing
-one.
+map commutes with the whole group once it commutes with each generator, and
+the checks test the generators only.
 One backtracking search over vertex images, with a degree prune, finds the
 generators and streams the elements in lexicographic order.  A vertex-count
-limit guards against factorial blowup where every element is walked.
+limit guards against factorial blowup where every element is walked (the
+`aut` listing).
 """
 
 from __future__ import annotations

@@ -405,15 +405,6 @@ def equivariance_failures_full(g: Graph, phi, elements) -> tuple:
     return tuple(failures)
 
 
-def block_submatrix(phi, block) -> ExactMatrix:
-    """The block's columns restricted to the block's rows, in index order."""
-    local = {r: i for i, r in enumerate(block.row_indices)}
-    cols = tuple(
-        tuple((local[r], v) for (r, v) in phi.columns[j]) for j in block.col_indices
-    )
-    return ExactMatrix(len(block.row_indices), len(block.col_indices), cols)
-
-
 def atlas_graphs(max_n: int):
     """Every graph of the networkx atlas on 1..max_n vertices, in atlas order."""
     from networkx.generators.atlas import graph_atlas_g

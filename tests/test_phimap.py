@@ -11,6 +11,7 @@ from equimatch.matchings import logconcavity_violations, matching_table
 from equimatch.phimap import (
     BudgetExceededError,
     PhiMatrix,
+    _block_matrix,
     block_partition,
     build_phi,
     count_parts,
@@ -21,7 +22,6 @@ from equimatch.phimap import (
 from oracles import (
     act_matching,
     atlas_graphs,
-    block_submatrix,
     brute_force_automorphisms,
     compose,
     direct_even_part,
@@ -223,7 +223,9 @@ def _slots_with_columns(t):
 
 
 def test_generator_check_agrees_with_full_group_scan():
-    """On every atlas graph with n <= 6 the generator check reports what a scan of every element does."""
+    """On every atlas graph with n <= 6 the generator check passes where a scan of
+    every element does, and otherwise reports that scan's first witness; it
+    lists each failing generator with its own first witness."""
     slots = 0
     for g in atlas_graphs(6):
         t = matching_table(g)
@@ -232,7 +234,10 @@ def test_generator_check_agrees_with_full_group_scan():
         for (ell, k) in _slots_with_columns(t):
             phi = build_phi(g, ell, k, table=t)
             rep = verify_equivariant(g, ell, k, table=t, group=grp, phi=phi)
-            assert rep.failures == equivariance_failures_full(g, phi, elements)
+            expected = equivariance_failures_full(g, phi, elements)
+            assert rep.passed == (not expected)
+            assert rep.failures[:1] == expected[:1]
+            assert rep.failures == equivariance_failures_full(g, phi, grp.generators)
             assert rep.group_order == len(elements)
             slots += 1
     assert slots > 300
@@ -277,8 +282,8 @@ def _doctored(phi: PhiMatrix, sigma) -> PhiMatrix:
 
 @pytest.mark.parametrize("spec", ["cycle:8", "path:8", "cycle:9"])
 def test_doctored_phi_fails_as_the_full_scan_says(spec):
-    """A moved entry fails the check for the elements a full scan names; for
-    each generator in turn, a move that commutes with it fails all the same."""
+    """A moved entry fails the check with the first witness a full scan names;
+    for each generator in turn, a move that commutes with it fails all the same."""
     g = generate(spec)
     t = matching_table(g)
     grp = automorphisms(g)
@@ -289,10 +294,11 @@ def test_doctored_phi_fails_as_the_full_scan_says(spec):
         block_partition(bad)  # the moved entries stay inside their blocks
         expected = equivariance_failures_full(g, bad, elements)
         rep = verify_equivariant(g, 2, 2, table=t, group=grp, phi=bad)
-        assert rep.failures == expected
         assert sigma not in {s for (s, _) in expected}
         if sigma == grp.identity or len(grp.generators) > 1:
-            assert expected and rep.failures[0][0] in grp.generators
+            assert expected and not rep.passed
+        assert rep.failures[:1] == expected[:1]
+        assert rep.failures == equivariance_failures_full(g, bad, grp.generators)
 
 
 def _block_ranks_by_exact_rank(g):
@@ -301,7 +307,7 @@ def _block_ranks_by_exact_rank(g):
         phi = build_phi(g, ell, k, table=t)
         rep = verify_injective(g, ell, k, table=t, phi=phi)
         expected = [
-            (b.key, len(b.row_indices), len(b.col_indices), exactalg.rank(block_submatrix(phi, b)))
+            (b.key, len(b.row_indices), len(b.col_indices), exactalg.rank(_block_matrix(phi, b)))
             for b in block_partition(phi)
             if b.col_indices
         ]
