@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 from .graph import Graph
 
@@ -33,10 +32,6 @@ class AutomorphismGroup:
     graph: Graph
     generators: tuple[Permutation, ...]  # sorted; never the identity
     order: int
-
-    @cached_property
-    def identity(self) -> Permutation:
-        return tuple(range(self.graph.n))
 
     def __iter__(self) -> Iterator[Permutation]:
         """Every element, lexicographically, found anew on each pass."""

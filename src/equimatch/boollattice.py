@@ -16,6 +16,7 @@ from math import comb
 
 from . import exactalg
 from .exactalg import ExactMatrix
+from .graph import InternalError
 from .transfer import bracket_successor
 
 
@@ -124,7 +125,7 @@ def symmetric_chains(n: int, i: int) -> ChainFamily:
         while len(members) < n - i:
             nxt = bracket_successor(n, frozenset(members))
             if nxt is None:
-                raise AssertionError("bracket successor exhausted below level n-i")
+                raise InternalError("bracket successor exhausted below level n-i")
             members = nxt
             chain.append(set_to_bits(members))
         chains.append(tuple(chain))

@@ -19,6 +19,7 @@ import sys
 import time
 import traceback
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__, boollattice, phimap, polyring
 from .autgroup import SizeLimitError, automorphisms
@@ -31,17 +32,19 @@ from .graph import (
     generate,
     parse_graph,
 )
-from .matchings import check_numeric_logconcavity, matching_table
+from .matchings import logconcavity_violations, matching_table
 from .phimap import BudgetExceededError, build_phi
 from .transfer import MatchingPair, decompose, f_equivariance_counterexample, krattenthaler_f, neighbor_set
 
-ALL_CHECKS = ("diagram", "equivariant", "f-equivariance", "injective", "nonneg", "parts")
-GROUP_CHECKS = frozenset({"equivariant", "f-equivariance"})
 SCHEMA_VERSION = 1
 
 
 def _edge_token(g: Graph, bits: int) -> str:
     return ",".join(f"{u}-{v}" for (u, v) in bits_to_edges(g, bits))
+
+
+def _witness(g: Graph, sigma, blue: int, pink: int) -> dict:
+    return {"sigma": list(sigma), "blue": _edge_token(g, blue), "pink": _edge_token(g, pink)}
 
 
 def _parse_matching_tokens(g: Graph, text: str) -> int:
@@ -70,154 +73,115 @@ def _add_source(parser):
     src.add_argument("--file", help="edge-list file")
 
 
-def _check_record(check: str, ell: int, k: int, status: str, details: dict) -> dict:
-    return {"check": check, "ell": ell, "k": k, "status": status, "details": details}
+class Check(NamedTuple):
+    """One `verify` check and what it reads besides the matching table.
+
+    `run(g, ell, k, table, group, phi, budget)` returns (passed, details),
+    or None when the check's own work would exceed the budget.
+    """
+
+    reads_phi: bool
+    reads_group: bool
+    run: Callable
+
+
+def _injective(g, ell, k, t, group, phi, budget):
+    rep = phimap.verify_injective(g, ell, k, table=t, phi=phi)
+    return rep.passed, {"rank": rep.total_rank, "columns": rep.expected, "blocks": len(rep.blocks)}
+
+
+def _equivariant(g, ell, k, t, group, phi, budget):
+    rep = phimap.verify_equivariant(g, ell, k, table=t, group=group, phi=phi)
+    details = {"group_order": rep.group_order, "columns": rep.columns}
+    if rep.failures:
+        sigma, (blue, pink) = rep.failures[0]
+        details["witness"] = _witness(g, sigma, blue, pink)
+    return rep.passed, details
+
+
+def _diagram(g, ell, k, t, group, phi, budget):
+    rep = polyring.verify_diagram(g, ell, k, table=t, phi=phi)
+    return rep.passed, {"columns": rep.columns}
+
+
+def _nonneg(g, ell, k, t, group, phi, budget):
+    rep = polyring.verify_nonneg(g, ell, k, table=t)
+    details = {"terms": rep.term_count}
+    if rep.violations:
+        exps, coeff = rep.violations[0]
+        details["violating_monomial"] = {"exponents": list(exps), "coefficient": str(coeff)}
+    return rep.passed, details
+
+
+def _parts(g, ell, k, t, group, phi, budget):
+    recs = phimap.count_parts(g, ell, k, table=t, phi=phi)
+    return all(r.counts_equal for r in recs), {
+        "unions": len(recs),
+        "all_match_pow_edges": all(r.matches_pow_edges for r in recs),
+        "all_match_pow_components": all(r.matches_pow_components for r in recs),
+    }
+
+
+def _f_equivariance(g, ell, k, t, group, phi, budget):
+    """Expected failure: the single-output map is order dependent, so a
+    counterexample on a graph with nontrivial symmetry counts as a pass."""
+    if t.m(ell - 1) * t.m(k + 1) * max(group.order, 1) > budget:
+        return None
+    witness = f_equivariance_counterexample(g, group, ell, k, table=t)
+    details = {"counterexample": None, "group_order": group.order}
+    if witness is not None:
+        sigma, pair = witness
+        details["counterexample"] = _witness(g, sigma, pair.blue, pair.pink)
+        details["note"] = "expected failure of the order-dependent map, witnessed"
+    return True, details
+
+
+CHECKS = {
+    "diagram": Check(reads_phi=True, reads_group=False, run=_diagram),
+    "equivariant": Check(reads_phi=True, reads_group=True, run=_equivariant),
+    "f-equivariance": Check(reads_phi=False, reads_group=True, run=_f_equivariance),
+    "injective": Check(reads_phi=True, reads_group=False, run=_injective),
+    "nonneg": Check(reads_phi=False, reads_group=False, run=_nonneg),
+    "parts": Check(reads_phi=True, reads_group=False, run=_parts),
+}
+ALL_CHECKS = tuple(sorted(CHECKS))
 
 
 def _run_checks(g: Graph, ell: int, k: int, checks, budget: int, group, t) -> list[dict]:
-    """Records of one (l, k) slot; `t` is the graph's matching table, shared by every slot."""
-    records = []
+    """Records of one (l, k) slot; `t` is the graph's matching table, shared by every slot.
+
+    Φ is built once, and only if a requested check reads it.  A check whose
+    Φ or own work exceeds the budget gets a `skipped` record.
+    """
     phi = None
-    phi_state = "unbuilt"
-    if k + 1 <= t.r:
+    phi_over_budget = False
+    if k + 1 <= t.r and any(CHECKS[c].reads_phi for c in checks):
         try:
             phi = build_phi(g, ell, k, table=t, budget=budget)
-            phi_state = "built"
         except BudgetExceededError:
-            phi_state = "budget"
-
-    def need_phi(name):
-        if phi_state == "budget":
-            records.append(
-                _check_record(name, ell, k, "skipped", {"reason": f"budget {budget} exceeded"})
-            )
-            return False
-        return True
-
-    for check in checks:
-        if check == "injective":
-            if not need_phi(check):
-                continue
-            rep = phimap.verify_injective(g, ell, k, table=t, phi=phi)
-            records.append(
-                _check_record(
-                    check,
-                    ell,
-                    k,
-                    "pass" if rep.passed else "fail",
-                    {
-                        "rank": rep.total_rank,
-                        "columns": rep.expected,
-                        "blocks": len(rep.blocks),
-                    },
-                )
-            )
-        elif check == "equivariant":
-            if not need_phi(check):
-                continue
-            rep = phimap.verify_equivariant(g, ell, k, table=t, group=group, phi=phi)
-            details = {"group_order": rep.group_order, "columns": rep.columns}
-            if rep.failures:
-                sigma, pair = rep.failures[0]
-                details["witness"] = {
-                    "sigma": list(sigma),
-                    "blue": _edge_token(g, pair[0]),
-                    "pink": _edge_token(g, pair[1]),
-                }
-            records.append(
-                _check_record(check, ell, k, "pass" if rep.passed else "fail", details)
-            )
-        elif check == "diagram":
-            if not need_phi(check):
-                continue
-            rep = polyring.verify_diagram(g, ell, k, table=t, phi=phi)
-            records.append(
-                _check_record(
-                    check,
-                    ell,
-                    k,
-                    "pass" if rep.passed else "fail",
-                    {"columns": rep.columns},
-                )
-            )
-        elif check == "nonneg":
-            rep = polyring.verify_nonneg(g, ell, k, table=t)
-            details = {"terms": rep.term_count}
-            if rep.violations:
-                exps, coeff = rep.violations[0]
-                details["violating_monomial"] = {
-                    "exponents": list(exps),
-                    "coefficient": str(coeff),
-                }
-            records.append(
-                _check_record(check, ell, k, "pass" if rep.passed else "fail", details)
-            )
-        elif check == "parts":
-            if not need_phi(check):
-                continue
-            recs = phimap.count_parts(g, ell, k, table=t, phi=phi)
-            bad = [r for r in recs if not r.counts_equal]
-            records.append(
-                _check_record(
-                    check,
-                    ell,
-                    k,
-                    "fail" if bad else "pass",
-                    {
-                        "unions": len(recs),
-                        "all_match_pow_edges": all(r.matches_pow_edges for r in recs),
-                        "all_match_pow_components": all(
-                            r.matches_pow_components for r in recs
-                        ),
-                    },
-                )
-            )
-        elif check == "f-equivariance":
-            # expected-failure check: the single-output map is order dependent,
-            # so a counterexample on a graph with nontrivial symmetry is the
-            # expected outcome and counts as a pass
-            cols = t.m(ell - 1) * t.m(k + 1)
-            if cols * max(group.order, 1) > budget:
-                records.append(
-                    _check_record(check, ell, k, "skipped", {"reason": f"budget {budget} exceeded"})
-                )
-                continue
-            witness = f_equivariance_counterexample(g, group, ell, k, table=t)
-            if witness is None:
-                details = {
-                    "counterexample": None,
-                    "group_order": group.order,
-                }
-            else:
-                sigma, pair = witness
-                details = {
-                    "counterexample": {
-                        "sigma": list(sigma),
-                        "blue": _edge_token(g, pair.blue),
-                        "pink": _edge_token(g, pair.pink),
-                    },
-                    "group_order": group.order,
-                    "note": "expected failure of the order-dependent map, witnessed",
-                }
-            records.append(_check_record(check, ell, k, "pass", details))
+            phi_over_budget = True
+    records = []
+    for name in checks:
+        check = CHECKS[name]
+        skip = check.reads_phi and phi_over_budget
+        result = None if skip else check.run(g, ell, k, t, group, phi, budget)
+        if result is None:
+            status, details = "skipped", {"reason": f"budget {budget} exceeded"}
         else:
-            raise ValueError(f"unknown check {check!r}")
+            status, details = ("pass" if result[0] else "fail"), result[1]
+        records.append({"check": name, "ell": ell, "k": k, "status": status, "details": details})
     return records
 
 
 def _verify_report(g: Graph, descriptor: str, slots, checks, budget: int, t):
     """The report of `checks` over `slots`, and the group, built only if a check needs it (else None)."""
-    group = automorphisms(g) if GROUP_CHECKS.intersection(checks) else None
+    group = automorphisms(g) if any(CHECKS[c].reads_group for c in checks) else None
     records = []
     for (ell, k) in slots:
         records.extend(_run_checks(g, ell, k, checks, budget, group, t))
     records.sort(key=lambda r: (r["check"], r["ell"], r["k"]))
     statuses = {r["status"] for r in records}
-    overall = (
-        "fail"
-        if "fail" in statuses
-        else ("skipped" if statuses == {"skipped"} else "pass")
-    )
+    overall = "fail" if "fail" in statuses else ("skipped" if statuses == {"skipped"} else "pass")
     return {
         "schema": SCHEMA_VERSION,
         "tool": "equimatch",
@@ -270,13 +234,12 @@ def cmd_count(args) -> int:
     t = matching_table(g)
     print(f"m = {list(t.counts)}")
     print(f"r = {t.r}")
-    triples = check_numeric_logconcavity(t)
-    bad = [trip for trip in triples if trip[2] < 0]
+    bad = logconcavity_violations(t)
+    for (ell, k, slack) in bad:
+        print(f"log-concavity VIOLATED at (l, k) = ({ell}, {k}): slack {slack}")
     if bad:
-        for (ell, k, slack) in bad:
-            print(f"log-concavity VIOLATED at (l, k) = ({ell}, {k}): slack {slack}")
         return 1
-    print(f"log-concavity: all {len(triples)} slacks nonnegative")
+    print(f"log-concavity: all {t.r * (t.r + 1) // 2} slacks nonnegative")
     return 0
 
 
@@ -320,9 +283,7 @@ def cmd_boolean(args) -> int:
     rep = boollattice.verify_lemma(n)
     records = []
     for lv in rep.levels:
-        ok = lv.rank == min(lv.dim_src, lv.dim_dst) and (
-            lv.injective == lv.injectivity_expected
-        )
+        ok = lv.rank == min(lv.dim_src, lv.dim_dst) and lv.injective == lv.injectivity_expected
         records.append(
             {
                 "check": "lemma-rank",
@@ -401,9 +362,7 @@ def cmd_batch(args) -> int:
         report, group = _verify_report(g, descriptor, slots, list(ALL_CHECKS), args.budget, t)
         print(_progress(descriptor, report, group, time.monotonic() - started), file=sys.stderr)
         safe = re.sub(r"[^A-Za-z0-9_.-]", "_", spec)
-        (outdir / f"{safe}.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+        _emit(report, str(outdir / f"{safe}.json"))
         codes.append(_report_exit(report))
     if 1 in codes:
         return 1

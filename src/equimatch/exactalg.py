@@ -15,31 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 import numpy as np
 
 _CERT_PRIME = 2_147_483_647  # fits in int64 with safe products
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    """Bijection between sorted basis labels and 0-based positions."""
-
-    labels: tuple
-
-    def __post_init__(self):
-        if list(self.labels) != sorted(set(self.labels)):
-            raise ValueError("labels must be strictly sorted and distinct")
-
-    @cached_property
-    def position(self) -> dict:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-    def __len__(self):
-        return len(self.labels)
-
 
 Column = tuple[tuple[int, Fraction], ...]
 
@@ -63,89 +43,6 @@ class ExactMatrix:
                 if v == 0:
                     raise ValueError("stored zero entry")
                 prev = r
-
-    @property
-    def nnz(self) -> int:
-        return sum(len(c) for c in self.cols)
-
-    def entry(self, r: int, c: int) -> Fraction:
-        for (row, v) in self.cols[c]:
-            if row == r:
-                return v
-        return Fraction(0)
-
-    def to_dense(self) -> list[list[Fraction]]:
-        dense = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
-        for c, col in enumerate(self.cols):
-            for (r, v) in col:
-                dense[r][c] = v
-        return dense
-
-    def transpose(self) -> "ExactMatrix":
-        rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.nrows)]
-        for c, col in enumerate(self.cols):
-            for (r, v) in col:
-                rows[r].append((c, v))
-        return ExactMatrix(self.ncols, self.nrows, tuple(tuple(r) for r in rows))
-
-
-def from_entries(nrows: int, ncols: int, entries) -> ExactMatrix:
-    """Build from (row, col, value) triples; values are coerced to Fraction."""
-    cols: list[dict[int, Fraction]] = [dict() for _ in range(ncols)]
-    for (r, c, v) in entries:
-        v = Fraction(v)
-        if v == 0:
-            continue
-        acc = cols[c].get(r, Fraction(0)) + v
-        if acc == 0:
-            cols[c].pop(r, None)
-        else:
-            cols[c][r] = acc
-    return ExactMatrix(
-        nrows, ncols, tuple(tuple(sorted(col.items())) for col in cols)
-    )
-
-
-def identity(n: int) -> ExactMatrix:
-    return ExactMatrix(n, n, tuple(((i, Fraction(1)),) for i in range(n)))
-
-
-def multiply(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if a.ncols != b.nrows:
-        raise ValueError("inner dimensions do not conform")
-    cols = []
-    for bc in b.cols:
-        acc: dict[int, Fraction] = {}
-        for (i, v) in bc:
-            for (r, w) in a.cols[i]:
-                s = acc.get(r, Fraction(0)) + w * v
-                if s == 0:
-                    acc.pop(r, None)
-                else:
-                    acc[r] = s
-        cols.append(tuple(sorted(acc.items())))
-    return ExactMatrix(a.nrows, b.ncols, tuple(cols))
-
-
-def equals(a: ExactMatrix, b: ExactMatrix) -> bool:
-    return a.nrows == b.nrows and a.ncols == b.ncols and a.cols == b.cols
-
-
-def permutation_matrix(basis: BasisIndex, mapping) -> ExactMatrix:
-    """0/1 matrix sending the column of label x to the row of mapping(x)."""
-    pos = basis.position
-    get = mapping.__getitem__ if hasattr(mapping, "__getitem__") else mapping
-    cols = []
-    seen = set()
-    for lab in basis.labels:
-        img = get(lab)
-        if img not in pos:
-            raise ValueError(f"image {img!r} is not a basis label")
-        if img in seen:
-            raise ValueError("mapping is not a bijection on the labels")
-        seen.add(img)
-        cols.append(((pos[img], Fraction(1)),))
-    return ExactMatrix(len(basis), len(basis), tuple(cols))
 
 
 def _integer_columns(m: ExactMatrix) -> list[list[tuple[int, int]]]:

@@ -59,18 +59,6 @@ class PhiMatrix:
     columns: tuple[tuple[tuple[int, Fraction], ...], ...]
 
     @cached_property
-    def matrix(self) -> ExactMatrix:
-        return ExactMatrix(len(self.row_pairs), len(self.col_pairs), self.columns)
-
-    @cached_property
-    def row_index(self) -> dict[PairBits, int]:
-        return {p: i for i, p in enumerate(self.row_pairs)}
-
-    @cached_property
-    def col_index(self) -> dict[PairBits, int]:
-        return {p: i for i, p in enumerate(self.col_pairs)}
-
-    @cached_property
     def col_keys(self) -> tuple[BlockKey, ...]:
         g = self.graph
         return tuple(block_key(g, b, p) for (b, p) in self.col_pairs)
@@ -186,14 +174,13 @@ def verify_injective(
     k: int,
     table: MatchingTable | None = None,
     phi: PhiMatrix | None = None,
-    budget: int | None = None,
 ) -> InjectivityReport:
     """Rank, block by block; passes iff every block has full column rank."""
     t = table or matching_table(g)
     if k + 1 > t.r:
         # no columns at all: vacuously injective
         return InjectivityReport(ell, k, (), 0, 0)
-    phi = phi or build_phi(g, ell, k, table=t, budget=budget)
+    phi = phi or build_phi(g, ell, k, table=t)
     blocks = block_partition(phi)
     ranks = []
     total = 0
@@ -269,7 +256,6 @@ def verify_equivariant(
     table: MatchingTable | None = None,
     group: AutomorphismGroup | None = None,
     phi: PhiMatrix | None = None,
-    budget: int | None = None,
 ) -> EquivarianceReport:
     """Check P_sigma . Phi = Phi . P_sigma for every automorphism.
 
@@ -288,7 +274,7 @@ def verify_equivariant(
     grp = group or automorphisms(g)
     if k + 1 > t.r:
         return EquivarianceReport(ell, k, grp.order, 0, ())
-    phi = phi or build_phi(g, ell, k, table=t, budget=budget)
+    phi = phi or build_phi(g, ell, k, table=t)
     ncols = len(phi.col_pairs)
     if not grp.generators:
         return EquivarianceReport(ell, k, grp.order, ncols, ())

@@ -5,12 +5,16 @@ matchings by subset filtering, automorphisms by filtering all permutations,
 rank by naive rational Gaussian elimination (dense and sparse-dict forms),
 the edge-variable identities by expanding polynomials over Fractions,
 components by union-find and even parts by a fresh search per union, and
-the f-equivariance scan eagerly over every group element.
+the f-equivariance scan eagerly over every group element.  It also holds
+the literal exact-matrix helpers (dense form, products, permutation
+matrices, the whole of Φ as one matrix) that tests state identities with.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 
 from equimatch.exactalg import ExactMatrix
@@ -61,9 +65,110 @@ def brute_force_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+# --- exact-matrix helpers: literal matrices for the tests' identities ---
+
+
+@dataclass(frozen=True)
+class BasisIndex:
+    """Bijection between sorted basis labels and 0-based positions."""
+
+    labels: tuple
+
+    def __post_init__(self):
+        if list(self.labels) != sorted(set(self.labels)):
+            raise ValueError("labels must be strictly sorted and distinct")
+
+    @cached_property
+    def position(self) -> dict:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
+    def __len__(self):
+        return len(self.labels)
+
+
+def to_dense(m: ExactMatrix) -> list[list[Fraction]]:
+    dense = [[Fraction(0)] * m.ncols for _ in range(m.nrows)]
+    for c, col in enumerate(m.cols):
+        for (r, v) in col:
+            dense[r][c] = v
+    return dense
+
+
+def transpose(m: ExactMatrix) -> ExactMatrix:
+    rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(m.nrows)]
+    for c, col in enumerate(m.cols):
+        for (r, v) in col:
+            rows[r].append((c, v))
+    return ExactMatrix(m.ncols, m.nrows, tuple(tuple(r) for r in rows))
+
+
+def from_entries(nrows: int, ncols: int, entries) -> ExactMatrix:
+    """Build from (row, col, value) triples; values are coerced to Fraction."""
+    cols: list[dict[int, Fraction]] = [dict() for _ in range(ncols)]
+    for (r, c, v) in entries:
+        v = Fraction(v)
+        if v == 0:
+            continue
+        acc = cols[c].get(r, Fraction(0)) + v
+        if acc == 0:
+            cols[c].pop(r, None)
+        else:
+            cols[c][r] = acc
+    return ExactMatrix(
+        nrows, ncols, tuple(tuple(sorted(col.items())) for col in cols)
+    )
+
+
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix(n, n, tuple(((i, Fraction(1)),) for i in range(n)))
+
+
+def multiply(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    if a.ncols != b.nrows:
+        raise ValueError("inner dimensions do not conform")
+    cols = []
+    for bc in b.cols:
+        acc: dict[int, Fraction] = {}
+        for (i, v) in bc:
+            for (r, w) in a.cols[i]:
+                s = acc.get(r, Fraction(0)) + w * v
+                if s == 0:
+                    acc.pop(r, None)
+                else:
+                    acc[r] = s
+        cols.append(tuple(sorted(acc.items())))
+    return ExactMatrix(a.nrows, b.ncols, tuple(cols))
+
+
+def equals(a: ExactMatrix, b: ExactMatrix) -> bool:
+    return a.nrows == b.nrows and a.ncols == b.ncols and a.cols == b.cols
+
+
+def permutation_matrix(basis: BasisIndex, mapping) -> ExactMatrix:
+    """0/1 matrix sending the column of label x to the row of mapping(x)."""
+    pos = basis.position
+    get = mapping.__getitem__ if hasattr(mapping, "__getitem__") else mapping
+    cols = []
+    seen = set()
+    for lab in basis.labels:
+        img = get(lab)
+        if img not in pos:
+            raise ValueError(f"image {img!r} is not a basis label")
+        if img in seen:
+            raise ValueError("mapping is not a bijection on the labels")
+        seen.add(img)
+        cols.append(((pos[img], Fraction(1)),))
+    return ExactMatrix(len(basis), len(basis), tuple(cols))
+
+
+def phi_matrix(phi) -> ExactMatrix:
+    """The whole of Φ as one exact matrix, rows and columns in pair order."""
+    return ExactMatrix(len(phi.row_pairs), len(phi.col_pairs), phi.columns)
+
+
 def rank_gauss_dense(m: ExactMatrix) -> int:
     """Naive dense Gaussian elimination over Fractions (first-nonzero pivot)."""
-    rows = m.to_dense()
+    rows = to_dense(m)
     nr, nc = m.nrows, m.ncols
     rank = 0
     for c in range(nc):

@@ -28,7 +28,7 @@ from equimatch.transfer import (
     neighbor_set,
     subset_inject,
 )
-from oracles import atlas_graphs, brute_force_matchings, rank_gauss_sparse, weighted_matching_poly
+from oracles import atlas_graphs, brute_force_matchings, phi_matrix, rank_gauss_sparse, weighted_matching_poly
 
 
 def _line(num, ok, detail):
@@ -183,7 +183,7 @@ def test_criterion_5_oracle_equivalences(c6, path4, petersen):
             if len(phi.col_pairs) > 2000:
                 continue
             rep = phimap.verify_injective(g, ell, k, table=t, phi=phi)
-            ok &= rep.total_rank == rank_gauss_sparse(phi.matrix)
+            ok &= rep.total_rank == rank_gauss_sparse(phi_matrix(phi))
             compared += 1
     # evaluation at ones of the weighted difference equals the numeric slack
     for g in (c6, path4, petersen):

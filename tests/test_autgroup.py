@@ -35,7 +35,7 @@ def test_group_orders(c6, petersen):
 def test_group_axioms(c6):
     grp = automorphisms(c6)
     perms = set(grp)
-    assert grp.identity in perms
+    assert tuple(range(c6.n)) in perms
     for s in perms:
         assert inverse(s) in perms
         for t in perms:
@@ -58,7 +58,7 @@ def test_against_permutation_filter(n, num, seed):
     assert list(grp) == elements
     assert grp.order == len(elements)
     # a strong generating set: automorphisms, never the identity, generating the group
-    assert grp.identity not in grp.generators
+    assert tuple(range(g.n)) not in grp.generators
     assert list(grp.generators) == sorted(set(grp.generators))
     assert all(is_automorphism(g, s) for s in grp.generators)
     assert group_closure(grp.generators, g.n) == set(elements)

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from equimatch import boollattice
 from equimatch.boollattice import (
     bits_to_set,
     chains_are_valid,
@@ -12,6 +13,8 @@ from equimatch.boollattice import (
     up_map,
     verify_lemma,
 )
+from equimatch.cli import run
+from equimatch.graph import InternalError
 from oracles import rank_gauss_dense
 
 
@@ -83,6 +86,16 @@ def test_chains_valid_all_levels(n):
         fam = symmetric_chains(n, i)
         assert chains_are_valid(fam)
         assert len(fam.chains) == comb(n, i)
+
+
+def test_exhausted_successor_is_an_internal_error(monkeypatch, capsys):
+    # a chain that stops below level n-i breaks an invariant: a real raise,
+    # kept under `python -O`, and exit code 4 from the CLI
+    monkeypatch.setattr(boollattice, "bracket_successor", lambda n, members: None)
+    with pytest.raises(InternalError):
+        symmetric_chains(4, 1)
+    assert run(["boolean", "--n", "4"]) == 4
+    assert "InternalError" in capsys.readouterr().err
 
 
 def test_chain_steps_are_matrix_entries():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from equimatch import phimap, polyring
+from equimatch import cli, phimap, polyring
 from equimatch.cli import run
 
 
@@ -92,6 +92,19 @@ def test_verify_budget_skips_are_reported_not_dropped(capsys):
     assert statuses[(2, 2)] == "skipped"
     assert statuses[(3, 3)] == "pass"
     assert report["overall"] == "pass"
+
+
+def test_phi_is_built_only_for_checks_that_read_it(monkeypatch, capsys):
+    def unwanted(*args, **kwargs):
+        raise RuntimeError("Φ built for a check that does not read it")
+
+    monkeypatch.setattr(cli, "build_phi", unwanted)
+    assert run(["verify", "--gen", "petersen", "--check", "nonneg"]) == 0
+    assert run(["verify", "--gen", "cycle:6", "--check", "f-equivariance"]) == 0
+    capsys.readouterr()
+    # a check that reads Φ still asks for it
+    assert run(["verify", "--gen", "cycle:6", "--check", "nonneg,parts"]) == 4
+    assert "Φ built for a check" in capsys.readouterr().err
 
 
 def test_verify_deterministic_json(tmp_path):

@@ -4,19 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equimatch.exactalg import (
+from equimatch.exactalg import ExactMatrix, rank, rank_certified, rank_mod
+from oracles import (
     BasisIndex,
-    ExactMatrix,
     equals,
     from_entries,
     identity,
     multiply,
     permutation_matrix,
-    rank,
-    rank_certified,
-    rank_mod,
+    rank_gauss_dense,
+    rank_gauss_sparse,
+    to_dense,
+    transpose,
 )
-from oracles import rank_gauss_dense, rank_gauss_sparse
 
 
 def test_rank_identity():
@@ -76,6 +76,8 @@ def test_rank_invariant_under_scaling_and_permutation(seed):
     rng.shuffle(perm)
     permuted = ExactMatrix(m.nrows, m.ncols, tuple(m.cols[j] for j in perm))
     assert rank(permuted) == base
+    # rank eliminates over the smaller dimension: both orientations agree
+    assert rank(transpose(m)) == base
 
 
 def test_rank_defect_certified_falls_back():
@@ -94,7 +96,7 @@ def test_permutation_matrix_basics():
     # matrix composition matches bijection composition p2 after p1
     assert equals(multiply(p2, p1), composed)
     # doubly stochastic 0/1
-    dense = p1.to_dense()
+    dense = to_dense(p1)
     assert all(sum(row) == 1 for row in dense)
     assert all(sum(col) == 1 for col in zip(*dense))
 
