@@ -69,6 +69,14 @@ class LevelRank:
         # injectivity is impossible by dimension count; flag, don't assert
         return self.dim_src <= self.dim_dst
 
+    @property
+    def passed(self) -> bool:
+        """Full rank, and injective exactly where the dimensions allow it."""
+        return (
+            self.injective == self.injectivity_expected
+            and self.rank == min(self.dim_src, self.dim_dst)
+        )
+
 
 @dataclass(frozen=True)
 class LemmaReport:
@@ -77,11 +85,7 @@ class LemmaReport:
 
     @property
     def passed(self) -> bool:
-        return all(
-            lv.injective == lv.injectivity_expected
-            and lv.rank == min(lv.dim_src, lv.dim_dst)
-            for lv in self.levels
-        )
+        return all(lv.passed for lv in self.levels)
 
     @property
     def flagged(self) -> tuple[LevelRank, ...]:

@@ -283,13 +283,12 @@ def cmd_boolean(args) -> int:
     rep = boollattice.verify_lemma(n)
     records = []
     for lv in rep.levels:
-        ok = lv.rank == min(lv.dim_src, lv.dim_dst) and lv.injective == lv.injectivity_expected
         records.append(
             {
                 "check": "lemma-rank",
                 "ell": lv.i,
                 "k": lv.i + 1,
-                "status": "pass" if ok else "fail",
+                "status": "pass" if lv.passed else "fail",
                 "details": {
                     "dim_src": lv.dim_src,
                     "dim_dst": lv.dim_dst,

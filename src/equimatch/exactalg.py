@@ -8,7 +8,10 @@ arbitrary-precision integers, with pivoting by minimal absolute value.
 `rank_certified` adds a fast path: a single modular elimination over a large
 prime field lower-bounds the rational rank, so whenever it reaches
 min(rows, cols) the exact rank is certified without big-integer work; any
-shortfall falls back to Bareiss.
+shortfall falls back to Bareiss.  The modular elimination runs in numpy on a
+dense int64 array with the shorter side as rows, and each pivot step updates
+only the rows that are nonzero in the pivot column.  numpy is imported there,
+not at module load, so callers that never certify a rank never load it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-import numpy as np
 
 _CERT_PRIME = 2_147_483_647  # fits in int64 with safe products
 
@@ -118,33 +119,53 @@ def _bareiss_rank(rows: list[list[int]], nr: int, nc: int) -> int:
     return rk
 
 
-def rank_mod(m: ExactMatrix, prime: int = _CERT_PRIME) -> int:
-    """Rank of the denominator-cleared matrix over F_prime (vectorized)."""
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    cols = _integer_columns(m)
+def _residues(m: ExactMatrix, prime: int):
+    """Dense int64 residues of the denominator-cleared matrix mod prime.
+
+    The shorter side becomes the rows (the columns of m on a tie): the
+    elimination then stops after at most that many pivots.
+    """
+    import numpy as np
+
     a = np.zeros((m.nrows, m.ncols), dtype=np.int64)
-    for c, col in enumerate(cols):
+    for c, col in enumerate(_integer_columns(m)):
         for (r, v) in col:
             a[r, c] = v % prime
+    return np.ascontiguousarray(a.T) if m.ncols >= m.nrows else a
+
+
+def rank_mod(m: ExactMatrix, prime: int = _CERT_PRIME) -> int:
+    """Rank of the denominator-cleared matrix over F_prime (vectorized).
+
+    Residues are below prime < 2**31, so every product fits in int64.  Rows
+    with a zero in the pivot column would be updated by a zero multiple of
+    the pivot row, so only the nonzero ones are touched.
+    """
+    if m.nrows == 0 or m.ncols == 0:
+        return 0
+    import numpy as np
+
+    a = _residues(m, prime)
+    nr, nc = a.shape
     rk = 0
-    for c in range(m.ncols):
-        sub = a[rk:, c]
-        nz = np.nonzero(sub)[0]
+    for c in range(nc):
+        nz = np.flatnonzero(a[rk:, c])
         if nz.size == 0:
             continue
-        i = rk + int(nz[0])
+        nz += rk
+        i = int(nz[0])
         if i != rk:
+            # row rk is zero in column c, so the rows to update stay nz[1:]
             a[[rk, i]] = a[[i, rk]]
         inv = pow(int(a[rk, c]), prime - 2, prime)
         a[rk, c:] = (a[rk, c:] * inv) % prime
-        factors = a[rk + 1 :, c].copy()
-        if factors.size:
-            a[rk + 1 :, c:] = (
-                a[rk + 1 :, c:] - np.outer(factors, a[rk, c:])
+        below = nz[1:]
+        if below.size:
+            a[below, c:] = (
+                a[below, c:] - np.outer(a[below, c], a[rk, c:])
             ) % prime
         rk += 1
-        if rk == m.nrows:
+        if rk == nr:
             break
     return rk
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from . import exactalg
 from . import graph as graphlib
 from .autgroup import AutomorphismGroup, apply_edge_perm, automorphisms, edge_action
@@ -278,6 +276,9 @@ def verify_equivariant(
     ncols = len(phi.col_pairs)
     if not grp.generators:
         return EquivarianceReport(ell, k, grp.order, ncols, ())
+    # imported here so a trivial group never loads numpy
+    import numpy as np
+
     len_k1 = t.m(k + 1)
     len_k = t.m(k)
     nrows = len(phi.row_pairs)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the algorithms of the package under test:
 matchings by subset filtering, automorphisms by filtering all permutations,
-rank by naive rational Gaussian elimination (dense and sparse-dict forms),
+rank by naive rational Gaussian elimination (dense and sparse-dict forms)
+and by dense elimination over F_p in pure Python integers,
 the edge-variable identities by expanding polynomials over Fractions,
 components by union-find and even parts by a fresh search per union, and
 the f-equivariance scan eagerly over every group element.  It also holds
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 from equimatch.exactalg import ExactMatrix
 from equimatch.graph import Graph
@@ -221,6 +223,39 @@ def rank_gauss_sparse(m: ExactMatrix) -> int:
                     cur.pop(rr, None)
                 else:
                     cur[rr] = s
+    return rank
+
+
+def rank_mod_p(m: ExactMatrix, p: int) -> int:
+    """Dense Gaussian elimination over F_p in pure Python integers.
+
+    The matrix is first made integral column by column, as `rank_mod`
+    specifies: multiply by the lcm of the column's denominators, then divide
+    by the gcd of the resulting entries.
+    """
+    rows = [[0] * m.ncols for _ in range(m.nrows)]
+    for c, col in enumerate(m.cols):
+        scale = lcm(*(v.denominator for (_, v) in col))
+        ints = [(r, int(v * scale)) for (r, v) in col]
+        g = gcd(*(v for (_, v) in ints))
+        for (r, v) in ints:
+            rows[r][c] = v // g % p
+    nr, nc = m.nrows, m.ncols
+    rank = 0
+    for c in range(nc):
+        piv = next((i for i in range(rank, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        inv = pow(pr[c], -1, p)
+        for i in range(rank + 1, nr):
+            f = rows[i][c] * inv % p
+            if f:
+                ri = rows[i]
+                for j in range(c, nc):
+                    ri[j] = (ri[j] - f * pr[j]) % p
+        rank += 1
     return rank
 
 

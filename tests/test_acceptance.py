@@ -8,13 +8,12 @@ import time
 from itertools import combinations
 from math import comb
 
-import networkx as nx
 import pytest
 
 from equimatch import boollattice, phimap, polyring
 from equimatch.autgroup import automorphisms
 from equimatch.cli import run
-from equimatch.graph import edge_bits, generate
+from equimatch.graph import edge_bits
 from equimatch.matchings import (
     check_numeric_logconcavity,
     enumerate_matchings,

@@ -60,6 +60,17 @@ def test_lemma_ranks_match_oracle(n):
         assert lv.rank == rank_gauss_dense(up_map(n, lv.i))
 
 
+def test_every_level_is_certified_mod_p(monkeypatch):
+    # the Bareiss fallback must not run: each level's mod-p rank reaches
+    # min(dim_src, dim_dst) on its own
+    def no_fallback(m):
+        raise AssertionError("Bareiss fallback ran")
+
+    monkeypatch.setattr(boollattice.exactalg, "rank", no_fallback)
+    for n in range(1, 13):
+        assert verify_lemma(n).passed
+
+
 def test_surjective_above_middle():
     # transpose symmetry: above the middle the up map has full row rank
     for n in range(2, 7):

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -260,3 +264,21 @@ def test_group_size_goes_to_stderr_not_the_report(tmp_path, capsys):
     assert "|Aut| 1 from 0 generators" in err[1]
     for path in outdir.iterdir():
         assert "generators" not in path.read_text()
+
+
+def test_verify_with_trivial_group_never_loads_numpy():
+    # gnp:7:2:5:2 has |Aut| = 1 and no block wider than 48 columns, so
+    # neither numpy path (equivariance, mod-p rank) runs
+    code = (
+        "import sys\n"
+        "from equimatch import cli\n"
+        "rc = cli.run(['verify', '--gen', 'gnp:7:2:5:2'])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equimatch import exactalg
 from equimatch.exactalg import ExactMatrix, rank, rank_certified, rank_mod
 from oracles import (
     BasisIndex,
@@ -14,6 +15,7 @@ from oracles import (
     permutation_matrix,
     rank_gauss_dense,
     rank_gauss_sparse,
+    rank_mod_p,
     to_dense,
     transpose,
 )
@@ -84,6 +86,53 @@ def test_rank_defect_certified_falls_back():
     # two proportional columns: modular rank 1 < min dim, Bareiss decides
     m = from_entries(3, 2, [(0, 0, 1), (1, 0, 2), (0, 1, 2), (1, 1, 4)])
     assert rank_certified(m) == 1
+
+
+_CERT_PRIME = exactalg._CERT_PRIME  # 2**31 - 1
+
+
+@pytest.mark.parametrize("prime", [11, _CERT_PRIME])
+@pytest.mark.parametrize(
+    "shape", [(30, 12), (12, 30), (20, 20)], ids=["tall", "wide", "square"]
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_mod_matches_mod_p_oracle(seed, shape, prime):
+    # sparse, so most rows are zero in a pivot column; the product has rank
+    # at most `inner`, so it also covers pivot columns with no nonzero
+    rng = random.Random(300 + seed)
+    nrows, ncols = shape
+    inner = rng.randint(1, min(shape) - 3)
+    deficient = multiply(
+        _random_sparse(rng, nrows, inner, density=0.3),
+        _random_sparse(rng, inner, ncols, density=0.3),
+    )
+    for m in (_random_sparse(rng, nrows, ncols, density=0.15), deficient):
+        assert rank_mod(m, prime) == rank_mod_p(m, prime)
+    assert rank_mod(deficient, prime) <= inner
+
+
+def test_rank_mod_below_rank_at_the_prime():
+    # columns (p, 1) and (0, 1): determinant p, so rank 2 over Q and 1 mod p
+    m = from_entries(2, 2, [(0, 0, _CERT_PRIME), (1, 0, 1), (1, 1, 1)])
+    assert rank_mod(m) == rank_mod_p(m, _CERT_PRIME) == 1
+    assert rank(m) == 2
+    assert rank_certified(m) == 2
+
+
+def test_residues_put_the_shorter_side_in_rows():
+    # on a tie the columns of m become the rows
+    rng = random.Random(7)
+    for nrows, ncols in [(9, 4), (4, 9), (6, 6)]:
+        m = _random_sparse(rng, nrows, ncols, density=0.5)
+        a = exactalg._residues(m, 11)
+        if ncols >= nrows:
+            a = a.T
+        assert a.shape == (nrows, ncols)
+        pattern = [[False] * ncols for _ in range(nrows)]
+        for c, col in enumerate(m.cols):
+            for (r, _) in col:
+                pattern[r][c] = True
+        assert (a != 0).tolist() == pattern
 
 
 def test_permutation_matrix_basics():
