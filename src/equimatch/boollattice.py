@@ -10,12 +10,11 @@ full symmetric chain decomposition to levels [i, n-i].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from . import exactalg
-from .exactalg import ExactMatrix
+from .exactalg import IntMatrix, pattern_matrix
 from .graph import InternalError
 from .transfer import bracket_successor
 
@@ -36,20 +35,21 @@ def set_to_bits(members) -> int:
     return sum(1 << (i - 1) for i in members)
 
 
-def up_map(n: int, i: int) -> ExactMatrix:
-    """Level-raising average: an i-subset goes to its covers with weight 1/(n-i)."""
+def up_map(n: int, i: int) -> IntMatrix:
+    """Level-raising map as a 0/1 pattern: column s has a 1 at each cover of s.
+
+    The averaging map gives each cover weight 1/(n-i); scaling a column
+    changes no rank, so the pattern stands for it.
+    """
     if not (0 <= i < n):
         raise ValueError("need 0 <= i < n")
     src = level_subsets(n, i)
     dst = level_subsets(n, i + 1)
     dst_index = {s: j for j, s in enumerate(dst)}
-    w = Fraction(1, n - i)
-    cols = []
-    for s in src:
-        rows = sorted(dst_index[s | (1 << (x - 1))] for x in range(1, n + 1)
-                      if not s >> (x - 1) & 1)
-        cols.append(tuple((r, w) for r in rows))
-    return ExactMatrix(len(dst), len(src), tuple(cols))
+    return pattern_matrix(len(dst), [
+        sorted(dst_index[s | (1 << (x - 1))] for x in range(1, n + 1) if not s >> (x - 1) & 1)
+        for s in src
+    ])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the integers.
 
-Matrices are stored column-major as sorted (row, Fraction) coordinate lists.
-Rank is computed by clearing each column's denominators (column scaling never
-changes rank) and running fraction-free Bareiss elimination over
-arbitrary-precision integers, with pivoting by minimal absolute value.
+Matrices are stored column-major as sorted (row, int) coordinate lists.  The
+library's maps average over 0/1 patterns (a column of Φ or of a Boolean up
+map has weight 1/len on each entry), and scaling a column never changes
+rank, so callers pass the 0/1 pattern itself.  Rank is computed by
+fraction-free Bareiss elimination over arbitrary-precision integers, with
+pivoting by minimal absolute value.
 
 `rank_certified` adds a fast path: a single modular elimination over a large
 prime field lower-bounds the rational rank, so whenever it reaches
@@ -17,16 +19,14 @@ not at module load, so callers that never certify a rank never load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 
 _CERT_PRIME = 2_147_483_647  # fits in int64 with safe products
 
-Column = tuple[tuple[int, Fraction], ...]
+Column = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
-class ExactMatrix:
+class IntMatrix:
     nrows: int
     ncols: int
     cols: tuple[Column, ...]  # per column, sorted by row, no zeros
@@ -46,37 +46,24 @@ class ExactMatrix:
                 prev = r
 
 
-def _integer_columns(m: ExactMatrix) -> list[list[tuple[int, int]]]:
-    """Clear each column's denominators; returns integer sparse columns."""
-    out = []
-    for col in m.cols:
-        if not col:
-            out.append([])
-            continue
-        mult = lcm(*(v.denominator for (_, v) in col)) if col else 1
-        scaled = [(r, int(v * mult)) for (r, v) in col]
-        g = 0
-        for (_, v) in scaled:
-            g = gcd(g, abs(v))
-        if g > 1:
-            scaled = [(r, v // g) for (r, v) in scaled]
-        out.append(scaled)
-    return out
+def pattern_matrix(nrows: int, patterns) -> IntMatrix:
+    """The 0/1 matrix whose column j has a 1 in each row of `patterns[j]` (sorted)."""
+    cols = tuple(tuple((r, 1) for r in rows) for rows in patterns)
+    return IntMatrix(nrows, len(cols), cols)
 
 
-def rank(m: ExactMatrix) -> int:
-    """Exact rational rank via integer fraction-free Bareiss elimination."""
-    cols = _integer_columns(m)
+def rank(m: IntMatrix) -> int:
+    """Exact rank via integer fraction-free Bareiss elimination."""
     # eliminate over the smaller dimension for speed; rank is transpose-invariant
     if m.nrows < m.ncols:
         rows: list[list[int]] = [[0] * m.nrows for _ in range(m.ncols)]
-        for c, col in enumerate(cols):
+        for c, col in enumerate(m.cols):
             for (r, v) in col:
                 rows[c][r] = v
         nr, nc = m.ncols, m.nrows
     else:
         rows = [[0] * m.ncols for _ in range(m.nrows)]
-        for c, col in enumerate(cols):
+        for c, col in enumerate(m.cols):
             for (r, v) in col:
                 rows[r][c] = v
         nr, nc = m.nrows, m.ncols
@@ -119,8 +106,8 @@ def _bareiss_rank(rows: list[list[int]], nr: int, nc: int) -> int:
     return rk
 
 
-def _residues(m: ExactMatrix, prime: int):
-    """Dense int64 residues of the denominator-cleared matrix mod prime.
+def _residues(m: IntMatrix, prime: int):
+    """Dense int64 residues of the matrix mod prime.
 
     The shorter side becomes the rows (the columns of m on a tie): the
     elimination then stops after at most that many pivots.
@@ -128,14 +115,14 @@ def _residues(m: ExactMatrix, prime: int):
     import numpy as np
 
     a = np.zeros((m.nrows, m.ncols), dtype=np.int64)
-    for c, col in enumerate(_integer_columns(m)):
-        for (r, v) in col:
-            a[r, c] = v % prime
+    rows = [r for col in m.cols for (r, _) in col]
+    cols = [c for c, col in enumerate(m.cols) for _ in col]
+    a[rows, cols] = [v % prime for col in m.cols for (_, v) in col]
     return np.ascontiguousarray(a.T) if m.ncols >= m.nrows else a
 
 
-def rank_mod(m: ExactMatrix, prime: int = _CERT_PRIME) -> int:
-    """Rank of the denominator-cleared matrix over F_prime (vectorized).
+def rank_mod(m: IntMatrix, prime: int = _CERT_PRIME) -> int:
+    """Rank of the matrix over F_prime (vectorized).
 
     Residues are below prime < 2**31, so every product fits in int64.  Rows
     with a zero in the pivot column would be updated by a zero multiple of
@@ -170,7 +157,7 @@ def rank_mod(m: ExactMatrix, prime: int = _CERT_PRIME) -> int:
     return rk
 
 
-def rank_certified(m: ExactMatrix) -> int:
+def rank_certified(m: IntMatrix) -> int:
     """Exact rank; modular certificate when full, Bareiss otherwise.
 
     rank over F_p never exceeds the rational rank, so hitting the trivial

@@ -86,6 +86,11 @@ class Graph:
         """Memo of `even_part`, filled as supports are asked for."""
         return {}
 
+    @cached_property
+    def _chain_memo(self) -> dict[int, tuple[tuple[tuple[int, int], ...], int]]:
+        """Memo of `transfer.odd_chains`, filled as one-colored sets are asked for."""
+        return {}
+
     def index_of(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u

@@ -1,26 +1,33 @@
 """The equivariant injection between tensor products of matching spaces.
 
 The map sends the basis pair (M, M') of an (l-1)-matching and a
-(k+1)-matching to the average of the pairs in its neighbor set, i.e. each
-column has p entries of value 1/p.  Columns and rows are grouped into blocks
-by (union, intersection, blue part of the even components of the union);
-chain swaps preserve all three, so the matrix is block diagonal and rank can
-be certified block by block.
+(k+1)-matching to the average of the pairs in its neighbor set.  A column is
+stored as the sorted indices of those rows; each entry weighs 1/len, so the
+weights of a column sum to 1 by construction.
+
+Chain swaps keep a pair's union, its intersection and the blue part of the
+even components of the union, so Φ is block diagonal under that block key.
+All pairs of a block share one one-colored set and so one chain
+decomposition; only the color of each odd chain differs between them.  The
+build therefore decomposes each one-colored set once (`transfer.odd_chains`,
+memoised on the graph), reads a chain's color off one end edge, computes a
+swapped pair's row index arithmetically, and groups the columns by block key
+as it goes.  A block's rows are the rows its columns reach; a row no column
+reaches is a zero row and changes no rank.  Rank is certified block by block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import exactalg
 from . import graph as graphlib
 from .autgroup import AutomorphismGroup, apply_edge_perm, automorphisms, edge_action
-from .exactalg import ExactMatrix
+from .exactalg import IntMatrix, pattern_matrix
 from .graph import Graph, InternalError
 from .matchings import MatchingTable, matching_table
-from .transfer import MatchingPair, neighbor_set
+from .transfer import odd_chains
 
 DEFAULT_BUDGET = 10**6
 
@@ -42,38 +49,82 @@ def even_part(g: Graph, union: int) -> int:
     return graphlib.even_part(g, union)[0]
 
 
-def block_key(g: Graph, blue: int, pink: int) -> BlockKey:
-    union = blue | pink
-    return (union, blue & pink, blue & even_part(g, union))
+def _tensor_pairs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[PairBits, ...]:
+    # both factors sorted, so the nested product is sorted by (blue, pink)
+    return tuple((x, y) for x in a for y in b)
+
+
+@dataclass(frozen=True)
+class Block:
+    key: BlockKey
+    col_indices: tuple[int, ...]
+    row_indices: tuple[int, ...]  # the rows its columns reach
 
 
 @dataclass(frozen=True)
 class PhiMatrix:
-    graph: Graph
+    """Φ on one (l, k) slot of a matching table.
+
+    Column j is the pair `col_pairs[j]` and row i the pair `row_pairs[i]`,
+    both in sorted (blue, pink) order.  `columns[j]` lists the sorted row
+    indices of column j's neighbor set; `col_groups` maps each block key to
+    its columns, in column order.
+    """
+
+    table: MatchingTable
     ell: int
     k: int
-    row_pairs: tuple[PairBits, ...]
-    col_pairs: tuple[PairBits, ...]
-    columns: tuple[tuple[tuple[int, Fraction], ...], ...]
+    columns: tuple[tuple[int, ...], ...]
+    col_groups: dict[BlockKey, list[int]]
+
+    @property
+    def graph(self) -> Graph:
+        return self.table.graph
 
     @cached_property
-    def col_keys(self) -> tuple[BlockKey, ...]:
-        g = self.graph
-        return tuple(block_key(g, b, p) for (b, p) in self.col_pairs)
+    def col_pairs(self) -> tuple[PairBits, ...]:
+        return _tensor_pairs(self.table.level(self.ell - 1), self.table.level(self.k + 1))
 
     @cached_property
-    def row_keys(self) -> tuple[BlockKey, ...]:
-        g = self.graph
-        return tuple(block_key(g, b, p) for (b, p) in self.row_pairs)
+    def row_pairs(self) -> tuple[PairBits, ...]:
+        return _tensor_pairs(self.table.level(self.ell), self.table.level(self.k))
+
+    @cached_property
+    def _row_levels(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        pinks = self.table.level(self.k)
+        return self.table.level(self.ell), pinks, len(pinks)
+
+    def row_pairs_at(self, rows) -> list[PairBits]:
+        """The row pairs of the given row indices, without building `row_pairs`."""
+        blues, pinks, m_k = self._row_levels
+        return [(blues[r // m_k], pinks[r % m_k]) for r in rows]
 
     @property
     def nnz(self) -> int:
         return sum(len(c) for c in self.columns)
 
-
-def _tensor_pairs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[PairBits, ...]:
-    # both factors sorted, so the nested product is sorted by (blue, pink)
-    return tuple((x, y) for x in a for y in b)
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        """The column blocks, sorted by key; see `block_partition`."""
+        g = self.graph
+        columns = self.columns
+        blues, pinks, m_k = self._row_levels
+        out = []
+        for key in sorted(self.col_groups):
+            cols = self.col_groups[key]
+            if len(cols) == 1:
+                rows = columns[cols[0]]
+            else:
+                rows = tuple(sorted({r for j in cols for r in columns[j]}))
+            # the key of every row, with the union's even part looked up once
+            union, inter, blue_even = key
+            h = even_part(g, union)
+            for r in rows:
+                b, p = blues[r // m_k], pinks[r % m_k]
+                if b | p != union or b & p != inter or b & h != blue_even:
+                    raise InternalError("nonzero entry escapes its block")
+            out.append(Block(key, tuple(cols), rows))
+        return tuple(out)
 
 
 def build_phi(
@@ -83,66 +134,59 @@ def build_phi(
     table: MatchingTable | None = None,
     budget: int | None = None,
 ) -> PhiMatrix:
-    """Matrix of the averaged chain-swap map for one (l, k) slot."""
+    """Matrix of the averaged chain-swap map for one (l, k) slot.
+
+    Swapping a pink chain c of (blue, pink) gives (blue ^ c, pink ^ c), whose
+    row index is position(blue ^ c) * m_k + position(pink ^ c).
+    """
     t = table or matching_table(g)
     if not (1 <= ell <= k <= t.r):
         raise ValueError(f"(ell, k) = ({ell}, {k}) out of range for r = {t.r}")
-    col_pairs = _tensor_pairs(t.level(ell - 1), t.level(k + 1))
-    row_pairs = _tensor_pairs(t.level(ell), t.level(k))
-    row_index = {p: i for i, p in enumerate(row_pairs)}
+    m_k = t.m(k)
+    row_of_blue = {bits: i * m_k for i, bits in enumerate(t.level(ell))}
+    row_of_pink = {bits: i for i, bits in enumerate(t.level(k))}
+    forced = k - ell + 2  # p - b for every column pair
     columns = []
+    groups: dict[BlockKey, list[int]] = {}
     nnz = 0
-    for (blue, pink) in col_pairs:
-        nbrs = neighbor_set(g, MatchingPair(blue, pink))
-        p = len(nbrs)
-        if p < k - ell + 2:
-            raise InternalError("pink-chain count below the forced minimum")
-        nnz += p
-        if budget is not None and nnz > budget:
-            raise BudgetExceededError(
-                f"nonzero count exceeds budget {budget} at ({ell}, {k})"
+    for blue in t.level(ell - 1):
+        for pink in t.level(k + 1):
+            chains, even = odd_chains(g, blue ^ pink)
+            rows = sorted(
+                row_of_blue[blue ^ c] + row_of_pink[pink ^ c]
+                for (c, end) in chains
+                if pink & end
             )
-        w = Fraction(1, p)
-        entries = sorted((row_index[(q.blue, q.pink)], w) for q in nbrs)
-        columns.append(tuple(entries))
-    return PhiMatrix(g, ell, k, row_pairs, col_pairs, tuple(columns))
-
-
-@dataclass(frozen=True)
-class Block:
-    key: BlockKey
-    col_indices: tuple[int, ...]
-    row_indices: tuple[int, ...]
+            if len(rows) < forced:
+                raise InternalError("pink-chain count below the forced minimum")
+            nnz += len(rows)
+            if budget is not None and nnz > budget:
+                raise BudgetExceededError(
+                    f"nonzero count exceeds budget {budget} at ({ell}, {k})"
+                )
+            groups.setdefault((blue | pink, blue & pink, blue & even), []).append(len(columns))
+            columns.append(tuple(rows))
+    return PhiMatrix(t, ell, k, tuple(columns), groups)
 
 
 def block_partition(phi: PhiMatrix) -> list[Block]:
-    """Group columns and rows by block key, sorted by key.
+    """Group the columns by block key, with the rows they reach, sorted by key.
 
-    Every nonzero entry lies in the (column, row) block of its shared key;
-    rows whose key is not realized by any column still appear (with no
-    columns) so the row grouping is a partition too.
+    Every block has a column.  Raises `InternalError` if a reached row's
+    key differs from its column's: the key of a column comes from its chain
+    decomposition, the key of a row from `even_part` of its union, a
+    component search kept apart from the chain memo.  Computed once per Φ.
     """
-    by_key: dict[BlockKey, tuple[list[int], list[int]]] = {}
-    for j, key in enumerate(phi.col_keys):
-        by_key.setdefault(key, ([], []))[0].append(j)
-    for i, key in enumerate(phi.row_keys):
-        by_key.setdefault(key, ([], []))[1].append(i)
-    row_keys = phi.row_keys
-    for key, column in zip(phi.col_keys, phi.columns):
-        if any(row_keys[r] != key for (r, _) in column):
-            raise InternalError("nonzero entry escapes its block")
-    return [
-        Block(key, tuple(cols), tuple(rows))
-        for key, (cols, rows) in sorted(by_key.items())
-    ]
+    return list(phi.blocks)
 
 
-def _block_matrix(phi: PhiMatrix, block: Block) -> ExactMatrix:
+def _block_matrix(phi: PhiMatrix, block: Block) -> IntMatrix:
+    """The 0/1 pattern of a block; it has the rank of Φ's block (columns scale by len)."""
     row_map = {r: i for i, r in enumerate(block.row_indices)}
-    cols = []
-    for j in block.col_indices:
-        cols.append(tuple((row_map[r], v) for (r, v) in phi.columns[j]))
-    return ExactMatrix(len(block.row_indices), len(block.col_indices), tuple(cols))
+    return pattern_matrix(
+        len(block.row_indices),
+        [[row_map[r] for r in phi.columns[j]] for j in block.col_indices],
+    )
 
 
 @dataclass(frozen=True)
@@ -179,16 +223,13 @@ def verify_injective(
         # no columns at all: vacuously injective
         return InjectivityReport(ell, k, (), 0, 0)
     phi = phi or build_phi(g, ell, k, table=t)
-    blocks = block_partition(phi)
     ranks = []
     total = 0
-    for block in blocks:
+    for block in block_partition(phi):
         ncols = len(block.col_indices)
-        if not ncols:
-            continue
         if ncols == 1:
-            # one column with a nonzero entry (weights are 1/p > 0) has rank 1
-            rk = int(any(v for (_, v) in phi.columns[block.col_indices[0]]))
+            # one column with an entry (weights are 1/len > 0) has rank 1
+            rk = int(bool(phi.columns[block.col_indices[0]]))
         else:
             sub = _block_matrix(phi, block)
             rk = (
@@ -198,7 +239,7 @@ def verify_injective(
             )
         total += rk
         ranks.append(BlockRank(block.key, len(block.row_indices), ncols, rk))
-    return InjectivityReport(ell, k, tuple(ranks), total, len(phi.col_pairs))
+    return InjectivityReport(ell, k, tuple(ranks), total, len(phi.columns))
 
 
 def _matching_perms(t: MatchingTable, sigmas, sizes: tuple[int, ...]):
@@ -222,13 +263,10 @@ def _equivariance_witness(phi: PhiMatrix, pm: dict, ell: int, k: int, len_k: int
     """Slow per-column scan; returns the first offending column pair or None."""
     col_a, col_b = pm[ell - 1], pm[k + 1]
     row_a, row_b = pm[ell], pm[k]
-    for j in range(len(phi.col_pairs)):
+    for j, column in enumerate(phi.columns):
         i1, i2 = divmod(j, len_k1)
         j_img = col_a[i1] * len_k1 + col_b[i2]
-        moved = sorted(
-            (row_a[r // len_k] * len_k + row_b[r % len_k], v)
-            for (r, v) in phi.columns[j]
-        )
+        moved = sorted(row_a[r // len_k] * len_k + row_b[r % len_k] for r in column)
         if tuple(moved) != phi.columns[j_img]:
             return phi.col_pairs[j]
     return None
@@ -258,9 +296,9 @@ def verify_equivariant(
     """Check P_sigma . Phi = Phi . P_sigma for every automorphism.
 
     Works on the index level: the column of the moved pair must equal the
-    row-permuted column of the original pair, with identical weights.  This
-    is simultaneously the matrix identity and the set-level neighbor-set
-    equality (uniform weights 1/p on both sides).  sigma -> P_sigma is a
+    row-permuted column of the original pair.  A column is its row set with
+    weight 1/len on each row, so this is simultaneously the matrix identity
+    and the set-level neighbor-set equality.  sigma -> P_sigma is a
     homomorphism, so the identity holds for the group once it holds for each
     generator, and only the generators are checked.  `failures` lists the
     failing generators in sorted order, each with its first offending column
@@ -273,7 +311,7 @@ def verify_equivariant(
     if k + 1 > t.r:
         return EquivarianceReport(ell, k, grp.order, 0, ())
     phi = phi or build_phi(g, ell, k, table=t)
-    ncols = len(phi.col_pairs)
+    ncols = len(phi.columns)
     if not grp.generators:
         return EquivarianceReport(ell, k, grp.order, ncols, ())
     # imported here so a trivial group never loads numpy
@@ -281,16 +319,16 @@ def verify_equivariant(
 
     len_k1 = t.m(k + 1)
     len_k = t.m(k)
-    nrows = len(phi.row_pairs)
+    nrows = t.m(ell) * len_k
     sizes = (ell - 1, ell, k, k + 1)
-    # sparse pattern as column-major (col, row) codes; uniform 1/p weights
+    # sparse pattern as column-major (col, row) codes; uniform 1/len weights
     # make pattern equality equivalent to matrix equality
     col_of_nz = np.repeat(
         np.arange(ncols, dtype=np.int64),
         np.fromiter((len(c) for c in phi.columns), dtype=np.int64, count=ncols),
     )
     row_of_nz = np.fromiter(
-        (r for col in phi.columns for (r, _) in col),
+        (r for col in phi.columns for r in col),
         dtype=np.int64,
         count=len(col_of_nz),
     )
@@ -353,32 +391,35 @@ def count_parts(
     Two pairs with the same union are equivalent when they agree on the even
     part of the union.  Reports the class counts on both sides together with
     the even part's edge and component counts; callers may compare against
-    either power-of-two candidate.
+    either power-of-two candidate.  Both sides are scanned from the table's
+    levels, keyed by union, so every (l, k) pair with a realized union
+    counts, reached by Φ or not; `phi` is accepted like the other checks'
+    and not read.  A slot with no columns realizes no union.
     """
     t = table or matching_table(g)
-    phi = phi or build_phi(g, ell, k, table=t)
+    if k + 1 > t.r:
+        return []
+    evens: dict[int, int] = {}
     sources: dict[int, set] = {}
-    for (blue, pink) in phi.col_pairs:
-        u = blue | pink
-        h = even_part(g, u)
-        sources.setdefault(u, set()).add((blue & h, pink & h))
-    targets: dict[int, set] = {}
-    for (blue, pink) in phi.row_pairs:
-        u = blue | pink
-        if u not in sources:
-            continue
-        h = even_part(g, u)
-        targets.setdefault(u, set()).add((blue & h, pink & h))
+    for blue in t.level(ell - 1):
+        for pink in t.level(k + 1):
+            u = blue | pink
+            h = evens.get(u)
+            if h is None:
+                h = evens[u] = even_part(g, u)
+                sources[u] = set()
+            sources[u].add((blue & h, pink & h))
+    targets: dict[int, set] = {u: set() for u in sources}
+    for blue in t.level(ell):
+        for pink in t.level(k):
+            u = blue | pink
+            h = evens.get(u)
+            if h is not None:
+                targets[u].add((blue & h, pink & h))
     out = []
     for u in sorted(sources):
         h, comps = graphlib.even_part(g, u)
         out.append(
-            PartRecord(
-                u,
-                len(sources[u]),
-                len(targets.get(u, set())),
-                h.bit_count(),
-                comps,
-            )
+            PartRecord(u, len(sources[u]), len(targets[u]), h.bit_count(), comps)
         )
     return out

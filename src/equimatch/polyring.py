@@ -90,17 +90,16 @@ def verify_diagram(
 
     With monomials as (union, intersection) keys this holds exactly when
     every neighbor row of a column keeps the column's key and the column's
-    weights sum to 1.
+    weights sum to 1.  A column's weights are 1/len on each of its rows, so
+    they sum to 1 whenever the column has a row.
     """
     t = table or matching_table(g)
     if k + 1 > t.r:
         return DiagramReport(ell, k, 0, ())
     phi = phi or build_phi(g, ell, k, table=t)
-    rows = phi.row_pairs
     failures = []
     for (blue, pink), column in zip(phi.col_pairs, phi.columns):
         key = _key(blue, pink)
-        kept = all(_key(*rows[r]) == key for (r, _) in column)
-        if not (kept and sum(v for (_, v) in column) == 1):
+        if not (column and all(_key(b, p) == key for (b, p) in phi.row_pairs_at(column))):
             failures.append((blue, pink))
-    return DiagramReport(ell, k, len(phi.col_pairs), tuple(failures))
+    return DiagramReport(ell, k, len(phi.columns), tuple(failures))

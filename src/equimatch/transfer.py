@@ -6,6 +6,12 @@ chains whose end edges are blue (resp. pink) are the swappable currency: the
 neighbor set of a pair swaps the colors inside one pink chain at a time,
 while the single-output map `krattenthaler_f` picks one pink chain through a
 vertex-order-dependent subset injection (bracket matching).
+
+`decompose` checks that both sides are matchings and classifies every
+component; it serves the `transfer` command and the single-output map.
+`odd_chains` serves the build of Φ, whose pairs come from the matching
+table: it keeps each odd chain with one end edge, unchecked and memoised
+per one-colored set.
 """
 
 from __future__ import annotations
@@ -108,6 +114,50 @@ def _classify(g: Graph, comp: int, blue: int) -> ChainComponent:
         raise ValueError("odd chain with mixed end colors; inputs are not matchings")
     kind = BLUE_CHAIN if end_colors.pop() else PINK_CHAIN
     return ChainComponent(comp, kind, min_vertex)
+
+
+def _end_edge(g: Graph, chain: int) -> int:
+    """One end edge of a path, as a single-bit edge set."""
+    if not chain & (chain - 1):
+        return chain
+    ends = g.ends
+    seen = twice = 0
+    rest = chain
+    while rest:
+        vm = ends[(rest & -rest).bit_length() - 1]
+        twice |= seen & vm
+        seen |= vm
+        rest &= rest - 1
+    endpoints = seen & ~twice
+    rest = chain
+    while rest:
+        low = rest & -rest
+        if ends[low.bit_length() - 1] & endpoints:
+            return low
+        rest ^= low
+    raise InternalError("odd component without an end vertex")
+
+
+def odd_chains(g: Graph, one_colored: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The odd chains of a one-colored set, and the union of its even components.
+
+    Each chain is (edges, end) with `end` one of its end edges, so a pair
+    with this one-colored set colors the chain pink iff `pink & end`.  The
+    set must be the symmetric difference of two matchings; that is not
+    checked here (`decompose` checks it).  Memoised on `g` per set, so all
+    pairs sharing a union and an intersection search its components once.
+    """
+    hit = g._chain_memo.get(one_colored)
+    if hit is None:
+        chains = []
+        even = 0
+        for comp in graphlib.components(g, one_colored):
+            if comp.bit_count() % 2:
+                chains.append((comp, _end_edge(g, comp)))
+            else:
+                even |= comp
+        hit = g._chain_memo[one_colored] = (tuple(chains), even)
+    return hit
 
 
 def decompose(g: Graph, pair: MatchingPair) -> ChainDecomposition:

@@ -5,10 +5,13 @@ matchings by subset filtering, automorphisms by filtering all permutations,
 rank by naive rational Gaussian elimination (dense and sparse-dict forms)
 and by dense elimination over F_p in pure Python integers,
 the edge-variable identities by expanding polynomials over Fractions,
-components by union-find and even parts by a fresh search per union, and
+components by union-find and even parts by a fresh search per union, Φ by
+one neighbor set per column pair with a row index over every row pair, and
 the f-equivariance scan eagerly over every group element.  It also holds
-the literal exact-matrix helpers (dense form, products, permutation
-matrices, the whole of Φ as one matrix) that tests state identities with.
+the rational matrices that Φ and the up maps stand for (`ExactMatrix`, with
+the column clearing that turns one into integers) and the literal
+exact-matrix helpers (dense form, products, permutation matrices, the whole
+of Φ as one averaging matrix) that tests state identities with.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd, lcm
 
-from equimatch.exactalg import ExactMatrix
-from equimatch.graph import Graph
+from equimatch.exactalg import IntMatrix, pattern_matrix
+from equimatch.graph import Graph, InternalError
 from equimatch.matchings import matching_table
 from equimatch.phimap import build_phi
 from equimatch.transfer import MatchingPair, krattenthaler_f, neighbor_set
@@ -67,7 +70,56 @@ def brute_force_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-# --- exact-matrix helpers: literal matrices for the tests' identities ---
+# --- rational matrices, their integer clearing, and literal helpers ---
+
+
+Column = tuple[tuple[int, Fraction], ...]
+
+
+@dataclass(frozen=True)
+class ExactMatrix:
+    nrows: int
+    ncols: int
+    cols: tuple[Column, ...]  # per column, sorted by row, no zeros
+
+    def __post_init__(self):
+        if len(self.cols) != self.ncols:
+            raise ValueError("column count mismatch")
+        for col in self.cols:
+            prev = -1
+            for (r, v) in col:
+                if not (0 <= r < self.nrows):
+                    raise ValueError("row index out of range")
+                if r <= prev:
+                    raise ValueError("column entries not strictly sorted by row")
+                if v == 0:
+                    raise ValueError("stored zero entry")
+                prev = r
+
+
+def integer_matrix(m: ExactMatrix) -> IntMatrix:
+    """Clear each column's denominators (lcm), then divide out the gcd of its entries.
+
+    Column scaling never changes rank, so the result has the rank of m.
+    """
+    cols = []
+    for col in m.cols:
+        if not col:
+            cols.append(())
+            continue
+        mult = lcm(*(v.denominator for (_, v) in col))
+        scaled = [(r, int(v * mult)) for (r, v) in col]
+        g = gcd(*(v for (_, v) in scaled))
+        cols.append(tuple((r, v // g) for (r, v) in scaled))
+    return IntMatrix(m.nrows, m.ncols, tuple(cols))
+
+
+def averaging_matrix(m: IntMatrix) -> ExactMatrix:
+    """The averaging map a 0/1 pattern stands for: column j weighs 1/len on each of its rows."""
+    return ExactMatrix(m.nrows, m.ncols, tuple(
+        tuple((r, Fraction(1, len(col))) for (r, _) in col) for col in m.cols
+    ))
+
 
 
 @dataclass(frozen=True)
@@ -165,7 +217,65 @@ def permutation_matrix(basis: BasisIndex, mapping) -> ExactMatrix:
 
 def phi_matrix(phi) -> ExactMatrix:
     """The whole of Φ as one exact matrix, rows and columns in pair order."""
-    return ExactMatrix(len(phi.row_pairs), len(phi.col_pairs), phi.columns)
+    return averaging_matrix(pattern_matrix(len(phi.row_pairs), phi.columns))
+
+
+# --- Φ built pair by pair: the oracle for the block-by-block build ---
+
+
+@dataclass(frozen=True)
+class PairPhi:
+    """Φ as one neighbor set per column pair, with Fraction weights over every row pair."""
+
+    row_pairs: tuple[tuple[int, int], ...]
+    col_pairs: tuple[tuple[int, int], ...]
+    columns: tuple[Column, ...]
+
+
+def phi_by_neighbor_sets(g: Graph, ell: int, k: int, table=None) -> PairPhi:
+    """Φ on one slot: `neighbor_set` per column, rows looked up in a dict of all row pairs."""
+    t = table or matching_table(g)
+    col_pairs = tuple((b, p) for b in t.level(ell - 1) for p in t.level(k + 1))
+    row_pairs = tuple((b, p) for b in t.level(ell) for p in t.level(k))
+    row_index = {pair: i for i, pair in enumerate(row_pairs)}
+    columns = []
+    for (blue, pink) in col_pairs:
+        nbrs = neighbor_set(g, MatchingPair(blue, pink))
+        w = Fraction(1, len(nbrs))
+        columns.append(tuple(sorted((row_index[(q.blue, q.pink)], w) for q in nbrs)))
+    return PairPhi(row_pairs, col_pairs, tuple(columns))
+
+
+def pair_phi_blocks(g: Graph, phi: PairPhi) -> list[tuple[tuple, tuple[int, ...], tuple[int, ...]]]:
+    """(key, columns, rows) of every block with a column, sorted by key.
+
+    Keys every row pair, reached or not, so a block's rows are all the rows
+    of its key; an entry outside its column's block is an InternalError.
+    """
+    col_keys = [block_key(g, b, p) for (b, p) in phi.col_pairs]
+    row_keys = [block_key(g, b, p) for (b, p) in phi.row_pairs]
+    by_key: dict[tuple, tuple[list[int], list[int]]] = {}
+    for j, ck in enumerate(col_keys):
+        by_key.setdefault(ck, ([], []))[0].append(j)
+    for i, rk in enumerate(row_keys):
+        if rk in by_key:
+            by_key[rk][1].append(i)
+    for ck, column in zip(col_keys, phi.columns):
+        if any(row_keys[r] != ck for (r, _) in column):
+            raise InternalError("nonzero entry escapes its block")
+    return [(ck, tuple(cols), tuple(rows)) for ck, (cols, rows) in sorted(by_key.items())]
+
+
+def pair_phi_block_ranks(g: Graph, phi: PairPhi) -> list[tuple[tuple, int, int]]:
+    """(key, columns, rank) per block, each rank by sparse rational elimination."""
+    out = []
+    for key, cols, rows in pair_phi_blocks(g, phi):
+        row_map = {r: i for i, r in enumerate(rows)}
+        block = ExactMatrix(len(rows), len(cols), tuple(
+            tuple((row_map[r], v) for (r, v) in phi.columns[j]) for j in cols
+        ))
+        out.append((key, len(cols), rank_gauss_sparse(block)))
+    return out
 
 
 def rank_gauss_dense(m: ExactMatrix) -> int:
@@ -410,10 +520,11 @@ def diagram_failures_by_pi(g: Graph, phi) -> list[tuple[int, int]]:
     failures = []
     for j, (blue, pink) in enumerate(phi.col_pairs):
         direct = pi_map(g, [(blue, pink)], [Fraction(1)])
+        column = phi.columns[j]
         through = pi_map(
             g,
-            [phi.row_pairs[r] for (r, _) in phi.columns[j]],
-            [v for (_, v) in phi.columns[j]],
+            [phi.row_pairs[r] for r in column],
+            [Fraction(1, len(column)) for _ in column],
         )
         if direct != through:
             failures.append((blue, pink))
@@ -499,6 +610,12 @@ def direct_even_part(g: Graph, union: int) -> tuple[int, int]:
     return bits, count
 
 
+def block_key(g: Graph, blue: int, pink: int) -> tuple[int, int, int]:
+    """(union, intersection, blue part of the union's even components): the block of a pair."""
+    u = blue | pink
+    return (u, blue & pink, blue & direct_even_part(g, u)[0])
+
+
 def f_counterexample_eager(g: Graph, group, ell: int, k: int):
     """First (sigma, pair) with f(sigma.pair) != sigma.f(pair), or None.
 
@@ -527,7 +644,7 @@ def equivariance_failures_full(g: Graph, phi, elements) -> tuple:
     """(sigma, first column pair where Phi(sigma.x) != sigma.Phi(x)) per failing element.
 
     Scans every given element in sorted order and compares whole columns as
-    maps from row pairs to weights, acting edge by edge.
+    maps from row pairs to weights (1/len each), acting edge by edge.
     """
     col_index = {pair: j for j, pair in enumerate(phi.col_pairs)}
     failures = []
@@ -537,8 +654,9 @@ def equivariance_failures_full(g: Graph, phi, elements) -> tuple:
             return (act_matching(sigma, g, pair[0]), act_matching(sigma, g, pair[1]))
 
         for j, pair in enumerate(phi.col_pairs):
-            phi_moved = {phi.row_pairs[r]: v for (r, v) in phi.columns[col_index[move(pair)]]}
-            moved_phi = {move(phi.row_pairs[r]): v for (r, v) in phi.columns[j]}
+            image = phi.columns[col_index[move(pair)]]
+            phi_moved = {phi.row_pairs[r]: Fraction(1, len(image)) for r in image}
+            moved_phi = {move(phi.row_pairs[r]): Fraction(1, len(phi.columns[j])) for r in phi.columns[j]}
             if phi_moved != moved_phi:
                 failures.append((sigma, pair))
                 break

@@ -15,19 +15,21 @@ from equimatch.boollattice import (
 )
 from equimatch.cli import run
 from equimatch.graph import InternalError
-from oracles import rank_gauss_dense
+from oracles import averaging_matrix, rank_gauss_dense
 
 
 def test_up_map_n2():
     m = up_map(2, 0)
     assert m.nrows == 2 and m.ncols == 1
-    assert [v for (_, v) in m.cols[0]] == [Fraction(1, 2), Fraction(1, 2)]
+    assert m.cols[0] == ((0, 1), (1, 1))
+    assert [v for (_, v) in averaging_matrix(m).cols[0]] == [Fraction(1, 2), Fraction(1, 2)]
 
 
 def test_up_map_n3_level1():
     m = up_map(3, 1)
     assert m.nrows == 3 and m.ncols == 3
-    for col in m.cols:
+    # the averaging map puts 1/(n - i) on each cover
+    for col in averaging_matrix(m).cols:
         assert len(col) == 2 and all(v == Fraction(1, 2) for (_, v) in col)
         assert sum(v for (_, v) in col) == 1
 
@@ -57,7 +59,7 @@ def test_verify_lemma_small():
 def test_lemma_ranks_match_oracle(n):
     for lv in verify_lemma(n).levels:
         assert lv.rank == min(lv.dim_src, lv.dim_dst)
-        assert lv.rank == rank_gauss_dense(up_map(n, lv.i))
+        assert lv.rank == rank_gauss_dense(averaging_matrix(up_map(n, lv.i)))
 
 
 def test_every_level_is_certified_mod_p(monkeypatch):
@@ -75,7 +77,7 @@ def test_surjective_above_middle():
     # transpose symmetry: above the middle the up map has full row rank
     for n in range(2, 7):
         for i in range(n // 2 + 1, n):
-            m = up_map(n, i)
+            m = averaging_matrix(up_map(n, i))
             assert rank_gauss_dense(m) == comb(n, i + 1) == m.nrows
 
 

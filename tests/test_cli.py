@@ -179,6 +179,12 @@ def test_transfer_bad_token(capsys):
     assert run(["transfer", "--gen", "cycle:6", "--blue", "xx", "--pink", "0-1"]) == 2
 
 
+def test_transfer_rejects_a_side_that_is_no_matching(capsys):
+    # 0-1 and 1-2 share vertex 1; Φ's build trusts its table, the command does not
+    assert run(["transfer", "--gen", "cycle:6", "--blue", "0-1,1-2", "--pink", "3-4"]) == 2
+    assert "must be matchings" in capsys.readouterr().err
+
+
 def test_batch(tmp_path):
     specs = tmp_path / "specs.txt"
     specs.write_text("cycle:6\npath:4\n# comment\n")
@@ -206,10 +212,10 @@ def test_group_check_past_the_vertex_limit_is_an_input_error(capsys):
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):
-    # a neighbor set below the forced pink-chain minimum breaks an invariant
-    # of build_phi, which must surface as an internal error, not as a failed
+    # a pink-chain count below the forced minimum breaks an invariant of
+    # build_phi, which must surface as an internal error, not as a failed
     # check (1) or an input error (2)
-    monkeypatch.setattr(phimap, "neighbor_set", lambda g, pair: ())
+    monkeypatch.setattr(phimap, "odd_chains", lambda g, one_colored: ((), 0))
     assert run(["verify", "--gen", "cycle:6", "--check", "injective"]) == 4
     err = capsys.readouterr().err
     assert "InternalError" in err and "internal error" in err
@@ -225,12 +231,16 @@ def test_unexpected_exception_exits_4(monkeypatch, capsys):
 
 
 # sha256 of the all-check `verify` JSON on stdout and of the `aut` stdout,
-# taken while the checks still walked every group element; checking the
-# generators only must leave every report byte-identical
+# taken while the checks still walked every group element (Petersen and
+# gnp:8:1:2:7 while Φ was still built one neighbor set per column); checking
+# the generators only, and building Φ block by block, must leave every
+# report byte-identical
 PINNED_DIGESTS = {
     ("verify", "--gen", "cycle:6"): "ba68e27c2ae2c7fce727aea6a28403a3e4f413c9970d58b77023e400744b0f32",
     ("verify", "--gen", "complete:6"): "14053a41afba2db1bd2b8757f1f9c56bc0eda4af6b7ee95d59de0eba04fdabdb",
     ("verify", "--gen", "kbipartite:4:4"): "efef58948cb4a6bece8b0341a7fb77a92a2a90b306411dd3db425b0ce30ab47f",
+    ("verify", "--gen", "petersen"): "7835d62b9024774b4c4819e203db4f16b26e2c6134a9836a392c76acfed442c9",
+    ("verify", "--gen", "gnp:8:1:2:7"): "324e937c6fcb2bc96d3298b83c1370882f5dfd8b1d3b5be2af05616f56b16865",
     ("aut", "--gen", "kbipartite:3:3"): "0e1911df7cdfd115192759c2b00bf0876e9eb0a5559f7adea67e8a42377615bb",
 }
 

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equimatch import exactalg
-from equimatch.exactalg import ExactMatrix, rank, rank_certified, rank_mod
+from equimatch.exactalg import IntMatrix, pattern_matrix, rank, rank_certified, rank_mod
 from oracles import (
     BasisIndex,
+    ExactMatrix,
     equals,
     from_entries,
     identity,
+    integer_matrix,
     multiply,
     permutation_matrix,
     rank_gauss_dense,
@@ -22,18 +24,20 @@ from oracles import (
 
 
 def test_rank_identity():
-    assert rank(identity(5)) == 5
+    assert rank(integer_matrix(identity(5))) == 5
 
 
 def test_rank_single_column():
     m = from_entries(2, 1, [(0, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2))])
-    assert rank(m) == 1
+    assert integer_matrix(m) == pattern_matrix(2, [[0, 1]])
+    assert rank(integer_matrix(m)) == 1
 
 
 def test_rank_zero_sizes():
-    assert rank(ExactMatrix(0, 0, ())) == 0
-    assert rank(ExactMatrix(3, 0, ())) == 0
-    assert rank(from_entries(0, 2, [])) == 0
+    assert rank(IntMatrix(0, 0, ())) == 0
+    assert rank(IntMatrix(3, 0, ())) == 0
+    assert rank(integer_matrix(from_entries(0, 2, []))) == 0
+    assert rank_certified(pattern_matrix(3, [[], []])) == 0
 
 
 def _random_sparse(rng, nrows, ncols, density=0.3):
@@ -54,17 +58,18 @@ def test_rank_matches_gaussian_oracles(seed):
     ncols = rng.randint(1, 50)
     m = _random_sparse(rng, nrows, ncols)
     expected = rank_gauss_dense(m)
-    assert rank(m) == expected
+    ints = integer_matrix(m)
+    assert rank(ints) == expected
     assert rank_gauss_sparse(m) == expected
-    assert rank_certified(m) == expected
-    assert rank_mod(m) <= expected
+    assert rank_certified(ints) == expected
+    assert rank_mod(ints) <= expected
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_rank_invariant_under_scaling_and_permutation(seed):
     rng = random.Random(100 + seed)
     m = _random_sparse(rng, 12, 9)
-    base = rank(m)
+    base = rank(integer_matrix(m))
     scales = [Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(m.ncols)]
     scaled = ExactMatrix(
         m.nrows,
@@ -73,18 +78,18 @@ def test_rank_invariant_under_scaling_and_permutation(seed):
             tuple((r, v * s) for (r, v) in col) for col, s in zip(m.cols, scales)
         ),
     )
-    assert rank(scaled) == base
+    assert rank(integer_matrix(scaled)) == base
     perm = list(range(m.ncols))
     rng.shuffle(perm)
     permuted = ExactMatrix(m.nrows, m.ncols, tuple(m.cols[j] for j in perm))
-    assert rank(permuted) == base
+    assert rank(integer_matrix(permuted)) == base
     # rank eliminates over the smaller dimension: both orientations agree
-    assert rank(transpose(m)) == base
+    assert rank(integer_matrix(transpose(m))) == base
 
 
 def test_rank_defect_certified_falls_back():
     # two proportional columns: modular rank 1 < min dim, Bareiss decides
-    m = from_entries(3, 2, [(0, 0, 1), (1, 0, 2), (0, 1, 2), (1, 1, 4)])
+    m = IntMatrix(3, 2, (((0, 1), (1, 2)), ((0, 2), (1, 4))))
     assert rank_certified(m) == 1
 
 
@@ -107,23 +112,24 @@ def test_rank_mod_matches_mod_p_oracle(seed, shape, prime):
         _random_sparse(rng, inner, ncols, density=0.3),
     )
     for m in (_random_sparse(rng, nrows, ncols, density=0.15), deficient):
-        assert rank_mod(m, prime) == rank_mod_p(m, prime)
-    assert rank_mod(deficient, prime) <= inner
+        assert rank_mod(integer_matrix(m), prime) == rank_mod_p(m, prime)
+    assert rank_mod(integer_matrix(deficient), prime) <= inner
 
 
 def test_rank_mod_below_rank_at_the_prime():
     # columns (p, 1) and (0, 1): determinant p, so rank 2 over Q and 1 mod p
     m = from_entries(2, 2, [(0, 0, _CERT_PRIME), (1, 0, 1), (1, 1, 1)])
-    assert rank_mod(m) == rank_mod_p(m, _CERT_PRIME) == 1
-    assert rank(m) == 2
-    assert rank_certified(m) == 2
+    ints = integer_matrix(m)
+    assert rank_mod(ints) == rank_mod_p(m, _CERT_PRIME) == 1
+    assert rank(ints) == 2
+    assert rank_certified(ints) == 2
 
 
 def test_residues_put_the_shorter_side_in_rows():
     # on a tie the columns of m become the rows
     rng = random.Random(7)
     for nrows, ncols in [(9, 4), (4, 9), (6, 6)]:
-        m = _random_sparse(rng, nrows, ncols, density=0.5)
+        m = integer_matrix(_random_sparse(rng, nrows, ncols, density=0.5))
         a = exactalg._residues(m, 11)
         if ncols >= nrows:
             a = a.T
@@ -172,12 +178,15 @@ def test_multiply_and_equals():
 
 
 def test_matrix_invariants_enforced():
-    with pytest.raises(ValueError):
-        ExactMatrix(2, 1, (((0, Fraction(0)),),))  # stored zero
-    with pytest.raises(ValueError):
-        ExactMatrix(2, 1, (((1, Fraction(1)), (0, Fraction(1))),))  # unsorted
-    with pytest.raises(ValueError):
-        ExactMatrix(2, 1, (((2, Fraction(1)),),))  # out of range
+    for matrix, one, zero in ((ExactMatrix, Fraction(1), Fraction(0)), (IntMatrix, 1, 0)):
+        with pytest.raises(ValueError):
+            matrix(2, 1, (((0, zero),),))  # stored zero
+        with pytest.raises(ValueError):
+            matrix(2, 1, (((1, one), (0, one)),))  # unsorted
+        with pytest.raises(ValueError):
+            matrix(2, 1, (((2, one),),))  # out of range
+        with pytest.raises(ValueError):
+            matrix(2, 2, (((0, one),),))  # column count
     with pytest.raises(ValueError):
         BasisIndex((2, 1))
 
@@ -187,6 +196,6 @@ def test_matrix_invariants_enforced():
 def test_rank_bounds(seed):
     rng = random.Random(seed)
     m = _random_sparse(rng, rng.randint(1, 12), rng.randint(1, 12), density=0.4)
-    rk = rank(m)
+    rk = rank(integer_matrix(m))
     assert 0 <= rk <= min(m.nrows, m.ncols)
     assert rk == rank_gauss_dense(m)

@@ -1,9 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equimatch import exactalg
+from equimatch import exactalg, phimap
 from equimatch.autgroup import apply_edge_perm, automorphisms, edge_action
 from equimatch.graph import InternalError, edge_bits, generate
 from equimatch.matchings import logconcavity_violations, matching_table
@@ -22,14 +23,18 @@ from oracles import (
     BasisIndex,
     act_matching,
     atlas_graphs,
+    block_key,
     brute_force_automorphisms,
     compose,
     direct_even_part,
     equals,
     equivariance_failures_full,
     multiply,
+    pair_phi_block_ranks,
+    pair_phi_blocks,
     part_map_is_bijective,
     permutation_matrix,
+    phi_by_neighbor_sets,
     phi_matrix,
     rank_gauss_sparse,
 )
@@ -42,9 +47,9 @@ def test_build_phi_path4(path4):
     e3 = edge_bits(path4, [(2, 3)])
     col = phi.columns[0]
     assert len(col) == 2
-    rows = {phi.row_pairs[r] for (r, _) in col}
+    rows = {phi.row_pairs[r] for r in col}
     assert rows == {(e1, e3), (e3, e1)}
-    assert all(v == Fraction(1, 2) for (_, v) in col)
+    assert all(v == Fraction(1, 2) for (_, v) in phi_matrix(phi).cols[0])
 
 
 def test_build_phi_c6_dimensions_and_fig4_column(c6):
@@ -53,13 +58,17 @@ def test_build_phi_c6_dimensions_and_fig4_column(c6):
     blue = edge_bits(c6, [(0, 1)])
     pink = edge_bits(c6, [(0, 1), (2, 3), (4, 5)])
     j = phi.col_pairs.index((blue, pink))
-    col = phi.columns[j]
+    col = phi_matrix(phi).cols[j]
     assert len(col) == 2 and all(v == Fraction(1, 2) for (_, v) in col)
 
 
 def test_columns_sum_to_one(c6):
+    # a column is a nonempty sorted row set with weight 1/len on each row
     phi = build_phi(c6, 2, 2)
     for col in phi.columns:
+        assert col and list(col) == sorted(set(col))
+        assert phi.row_pairs_at(col) == [phi.row_pairs[r] for r in col]
+    for col in phi_matrix(phi).cols:
         assert sum(v for (_, v) in col) == 1
 
 
@@ -81,12 +90,13 @@ def test_block_partition_c6(c6):
     phi = build_phi(c6, 2, 2)
     blocks = block_partition(phi)
     assert sum(len(b.col_indices) for b in blocks) == 12
-    assert sum(len(b.row_indices) for b in blocks) == 81
+    # a block's rows are the rows its columns reach
+    assert sum(len(b.row_indices) for b in blocks) == len({r for col in phi.columns for r in col})
     # the three sub-matchings of one perfect matching give three singleton blocks
     pm = edge_bits(c6, [(0, 1), (2, 3), (4, 5)])
     keys = {
-        phi.col_keys[j]
-        for j, (b, p) in enumerate(phi.col_pairs)
+        block_key(c6, b, p)
+        for (b, p) in phi.col_pairs
         if p == pm and b & pm == b and b.bit_count() == 1
     }
     assert len(keys) == 3
@@ -190,9 +200,9 @@ def test_nonzero_entries_respect_blocks(path4, c6):
                 if t.m(k + 1) == 0:
                     continue
                 phi = build_phi(g, ell, k, table=t)
-                for j, col in enumerate(phi.columns):
-                    for (r, _) in col:
-                        assert phi.row_keys[r] == phi.col_keys[j]
+                for pair, col in zip(phi.col_pairs, phi.columns):
+                    for r in col:
+                        assert block_key(g, *phi.row_pairs[r]) == block_key(g, *pair)
 
 
 @settings(max_examples=25, deadline=None)
@@ -204,10 +214,12 @@ def test_memoised_block_keys_match_direct_components(n, num, seed):
     for k in range(1, t.r):
         for ell in range(1, k + 1):
             phi = build_phi(g, ell, k, table=t)
-            for pairs, keys in ((phi.col_pairs, phi.col_keys), (phi.row_pairs, phi.row_keys)):
-                for (b, p), key in zip(pairs, keys):
+            for block in block_partition(phi):
+                pairs = [phi.col_pairs[j] for j in block.col_indices]
+                pairs += [phi.row_pairs[r] for r in block.row_indices]
+                for (b, p) in pairs:
                     u = b | p
-                    assert key == (u, b & p, b & direct_even_part(g, u)[0])
+                    assert block.key == (u, b & p, b & direct_even_part(g, u)[0])
             for rec in count_parts(g, ell, k, table=t, phi=phi):
                 h, comps = direct_even_part(g, rec.union)
                 assert (rec.even_edges, rec.even_components) == (h.bit_count(), comps)
@@ -215,12 +227,59 @@ def test_memoised_block_keys_match_direct_components(n, num, seed):
 
 def test_entry_outside_its_block_is_an_internal_error(c6):
     phi = build_phi(c6, 2, 2)
-    key = phi.col_keys[0]
-    stray = next(r for r, row_key in enumerate(phi.row_keys) if row_key != key)
-    columns = (((stray, phi.columns[0][0][1]),) + phi.columns[0][1:],) + phi.columns[1:]
-    bad = PhiMatrix(c6, 2, 2, phi.row_pairs, phi.col_pairs, columns)
+    key = block_key(c6, *phi.col_pairs[0])
+    stray = next(r for r, pair in enumerate(phi.row_pairs) if block_key(c6, *pair) != key)
+    columns = (tuple(sorted((stray,) + phi.columns[0][1:])),) + phi.columns[1:]
+    bad = replace(phi, columns=columns)
     with pytest.raises(InternalError):
         block_partition(bad)
+    with pytest.raises(InternalError):
+        verify_injective(c6, 2, 2, phi=bad)
+
+
+def test_pink_chains_below_the_forced_minimum_are_an_internal_error(c6, monkeypatch):
+    monkeypatch.setattr(phimap, "odd_chains", lambda g, one_colored: ((), 0))
+    with pytest.raises(InternalError):
+        build_phi(c6, 2, 2)
+
+
+def _assert_block_build_matches_pair_oracle(g, t, ell, k):
+    phi = build_phi(g, ell, k, table=t)
+    oracle = phi_by_neighbor_sets(g, ell, k, table=t)
+    assert (phi.row_pairs, phi.col_pairs) == (oracle.row_pairs, oracle.col_pairs)
+    for col, ocol in zip(phi.columns, oracle.columns):
+        assert phi.row_pairs_at(col) == [oracle.row_pairs[r] for (r, _) in ocol]
+    assert phi_matrix(phi).cols == oracle.columns
+    # the oracle keys every row pair; the block build keys the rows a column reaches
+    blocks = block_partition(phi)
+    expected = pair_phi_blocks(g, oracle)
+    assert [(b.key, b.col_indices) for b in blocks] == [(key, cols) for key, cols, _ in expected]
+    for b, (_, cols, rows) in zip(blocks, expected):
+        assert b.row_indices == tuple(sorted({r for j in cols for (r, _) in oracle.columns[j]}))
+        assert set(b.row_indices) <= set(rows)
+    rep = verify_injective(g, ell, k, table=t, phi=phi)
+    assert [(b.key, b.ncols, b.rank) for b in rep.blocks] == pair_phi_block_ranks(g, oracle)
+
+
+def test_block_build_matches_pair_oracle_on_atlas():
+    """Columns as row pairs, blocks and block ranks agree with the per-pair build on
+    every slot with columns of every atlas graph with n <= 6."""
+    slots = 0
+    for g in atlas_graphs(6):
+        t = matching_table(g)
+        for (ell, k) in _slots_with_columns(t):
+            _assert_block_build_matches_pair_oracle(g, t, ell, k)
+            slots += 1
+    assert slots > 300
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 5), st.integers(0, 2**31 - 1))
+def test_block_build_matches_pair_oracle_on_gnp(n, num, seed):
+    g = generate(f"gnp:{n}:{num}:6:{seed}")
+    t = matching_table(g)
+    for (ell, k) in _slots_with_columns(t):
+        _assert_block_build_matches_pair_oracle(g, t, ell, k)
 
 
 def _slots_with_columns(t):
@@ -252,9 +311,11 @@ def _doctored(phi: PhiMatrix, sigma) -> PhiMatrix:
     """Phi with one entry moved to a free row of its block, and moved alike in its orbit under <sigma>.
 
     The moves form a <sigma>-invariant set, so the result still commutes
-    with sigma but not, in general, with the rest of the group.
+    with sigma but not, in general, with the rest of the group.  A free row
+    has the column's block key and is not in the column.
     """
     g = phi.graph
+    row_keys = [block_key(g, *pair) for pair in phi.row_pairs]
     powers = [tuple(range(g.n))]
     while compose(sigma, powers[-1]) != powers[0]:
         powers.append(compose(sigma, powers[-1]))
@@ -264,12 +325,12 @@ def _doctored(phi: PhiMatrix, sigma) -> PhiMatrix:
     def move(tau, pair):
         return (act_matching(tau, g, pair[0]), act_matching(tau, g, pair[1]))
 
-    for j, (key, column) in enumerate(zip(phi.col_keys, phi.columns)):
-        taken = {r for (r, _) in column}
-        free = [r for r, rk in enumerate(phi.row_keys) if rk == key and r not in taken]
+    for j, column in enumerate(phi.columns):
+        key = block_key(g, *phi.col_pairs[j])
+        free = [r for r, rk in enumerate(row_keys) if rk == key and r not in column]
         if not free:
             continue
-        r0, r1 = column[0][0], free[0]
+        r0, r1 = column[0], free[0]
         moves = {}
         for tau in powers:
             jj = col_index[move(tau, phi.col_pairs[j])]
@@ -279,9 +340,8 @@ def _doctored(phi: PhiMatrix, sigma) -> PhiMatrix:
             continue  # sigma fixes the column but not the move
         columns = list(phi.columns)
         for jj, ((old, new),) in moves.items():
-            weight = columns[jj][0][1]
-            columns[jj] = tuple(sorted([(r, v) for (r, v) in columns[jj] if r != old] + [(new, weight)]))
-        return PhiMatrix(g, phi.ell, phi.k, phi.row_pairs, phi.col_pairs, tuple(columns))
+            columns[jj] = tuple(sorted([r for r in columns[jj] if r != old] + [new]))
+        return replace(phi, columns=tuple(columns))
     raise ValueError("no entry can be moved")
 
 
@@ -315,7 +375,6 @@ def _block_ranks_by_exact_rank(g):
         expected = [
             (b.key, len(b.row_indices), len(b.col_indices), exactalg.rank(_block_matrix(phi, b)))
             for b in block_partition(phi)
-            if b.col_indices
         ]
         assert [(b.key, b.nrows, b.ncols, b.rank) for b in rep.blocks] == expected
         yield from rep.blocks

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,12 @@ import pytest
 from equimatch.autgroup import automorphisms, edge_action
 from equimatch.graph import edge_bits, generate
 from equimatch.matchings import MatchingTable, check_numeric_logconcavity, matching_table
-from equimatch.phimap import PhiMatrix, build_phi
+from equimatch.phimap import build_phi
 from equimatch.polyring import verify_diagram, verify_nonneg
 from oracles import (
     Poly,
     atlas_graphs,
+    block_key,
     constant,
     diagram_failures_by_pi,
     nonneg_by_expansion,
@@ -57,8 +59,8 @@ def test_pi_map_zero_and_linearity(path4):
     col = phi.columns[0]
     through = pi_map(
         path4,
-        [phi.row_pairs[r] for (r, _) in col],
-        [v for (_, v) in col],
+        [phi.row_pairs[r] for r in col],
+        [Fraction(1, len(col))] * len(col),
     )
     direct = pi_map(path4, [phi.col_pairs[0]], [Fraction(1)])
     assert through == direct
@@ -169,12 +171,13 @@ def test_nonneg_violations_match_expansion(c6):
 
 def test_diagram_flags_the_columns_the_oracle_flags(c6):
     phi = build_phi(c6, 2, 2)
-    # column 0 loses weight, column 1 sends an entry to a row of another key
-    # a block key starts with the (union, intersection) key
-    other = next(r for r, key in enumerate(phi.row_keys) if key[:2] != phi.col_keys[1][:2])
+    # column 0 loses its entries (weight sum 0), column 1 sends an entry to a
+    # row of another (union, intersection) key
+    key = block_key(c6, *phi.col_pairs[1])
+    other = next(r for r, pair in enumerate(phi.row_pairs) if block_key(c6, *pair)[:2] != key[:2])
     columns = list(phi.columns)
-    columns[0] = tuple((r, v / 2) for (r, v) in columns[0])
-    columns[1] = ((other, columns[1][0][1]),) + columns[1][1:]
-    bad = PhiMatrix(c6, 2, 2, phi.row_pairs, phi.col_pairs, tuple(columns))
+    columns[0] = ()
+    columns[1] = tuple(sorted((other,) + columns[1][1:]))
+    bad = replace(phi, columns=tuple(columns))
     rep = verify_diagram(c6, 2, 2, phi=bad)
     assert list(rep.failures) == diagram_failures_by_pi(c6, bad) == list(phi.col_pairs[:2])

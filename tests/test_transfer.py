@@ -15,6 +15,7 @@ from equimatch.transfer import (
     f_equivariance_counterexample,
     krattenthaler_f,
     neighbor_set,
+    odd_chains,
     subset_inject,
     swap_chain,
 )
@@ -307,3 +308,24 @@ def test_decompose_matches_degree_oracle(n, num, seed, rnd):
         dec = decompose(g, MatchingPair(blue, pink))
         got = [(c.edges, c.kind, c.min_vertex) for c in dec.components]
         assert got == chain_kinds(g, blue, pink)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 5), st.integers(0, 2**31 - 1), st.randoms(use_true_random=False))
+def test_odd_chains_match_degree_oracle(n, num, seed, rnd):
+    """Each odd chain's stored edge is an end edge, so `pink & end` gives its color."""
+    g = generate(f"gnp:{n}:{num}:6:{seed}")
+    matchings = [m for level in matching_table(g).by_size for m in level]
+    for _ in range(30):
+        blue, pink = rnd.choice(matchings), rnd.choice(matchings)
+        chains, even = odd_chains(g, blue ^ pink)
+        kinds = chain_kinds(g, blue, pink)
+        odd = [(edges, kind) for (edges, kind, _) in kinds if kind in (BLUE_CHAIN, PINK_CHAIN)]
+        assert [(c, PINK_CHAIN if pink & end else BLUE_CHAIN) for (c, end) in chains] == odd
+        for (c, end) in chains:
+            assert end & c and not end & (end - 1)
+            others = c & ~end
+            touching = {v for i in range(g.num_edges) if others >> i & 1 for v in g.edges[i]}
+            assert len(set(g.edges[end.bit_length() - 1]) - touching) >= 1
+        assert even == sum(edges for (edges, kind, _) in kinds if kind not in (BLUE_CHAIN, PINK_CHAIN))
+    assert odd_chains(g, blue ^ pink) is odd_chains(g, blue ^ pink)  # memoised
