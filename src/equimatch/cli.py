@@ -344,11 +344,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    specs = [
-        line.strip()
-        for line in Path(args.specs).read_text().splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
+    lines = (line.strip() for line in Path(args.specs).read_text().splitlines())
+    specs = [line for line in lines if line and not line.startswith("#")]
     outdir = Path(args.json)
     outdir.mkdir(parents=True, exist_ok=True)
     codes = []

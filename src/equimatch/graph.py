@@ -123,7 +123,7 @@ def graph_from_edges(n: int, edges) -> Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse an edge-list document: first line "n m", then m lines "u v"."""
+    """Parse an edge-list document: first line "n m", then m lines "u v", then only blank lines."""
     lines = text.split("\n")
     if not lines or not lines[0].strip():
         raise GraphFormatError("missing header line", 1)
@@ -159,6 +159,9 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
         seen.add((u, v))
         edges.append((u, v))
+    for lineno, raw in enumerate(lines[m + 1:], start=m + 2):
+        if raw.strip():
+            raise GraphFormatError(f"unexpected line after the edges: {raw!r}", lineno)
     edges.sort()
     return Graph(n, tuple(edges))
 

@@ -30,6 +30,8 @@ from .matchings import MatchingTable, matching_table
 from .transfer import odd_chains
 
 DEFAULT_BUDGET = 10**6
+# nonzeros x generators from which numpy's equivariance test repays its import
+EQUIVARIANCE_SCAN_LIMIT = 1 << 16
 
 BlockKey = tuple[int, int, int]  # (union, intersection, even-part blue edges)
 
@@ -259,8 +261,11 @@ def _matching_perms(t: MatchingTable, sigmas, sizes: tuple[int, ...]):
         yield sigma, per_size
 
 
-def _equivariance_witness(phi: PhiMatrix, pm: dict, ell: int, k: int, len_k: int, len_k1: int):
-    """Slow per-column scan; returns the first offending column pair or None."""
+def _noncommuting_column(phi: PhiMatrix, pm: dict, ell: int, k: int, len_k: int, len_k1: int):
+    """The first column pair whose moved rows are not its moved pair's column, or None.
+
+    The move is a bijection on columns, so None means it commutes with Phi.
+    """
     col_a, col_b = pm[ell - 1], pm[k + 1]
     row_a, row_b = pm[ell], pm[k]
     for j, column in enumerate(phi.columns):
@@ -305,6 +310,11 @@ def verify_equivariant(
     pair.  The elements commuting with Phi form a subgroup, so the first
     entry is also the first failing element of the whole group in
     lexicographic order (see `autgroup.automorphisms`).
+
+    On a slot with fewer than `EQUIVARIANCE_SCAN_LIMIT` nonzeros times
+    generators, `_noncommuting_column` is the check itself.  Larger slots
+    load numpy and compare sorted (col, row) codes first, scanning only a
+    failing generator for its witness.
     """
     t = table or matching_table(g)
     grp = group or automorphisms(g)
@@ -314,47 +324,50 @@ def verify_equivariant(
     ncols = len(phi.columns)
     if not grp.generators:
         return EquivarianceReport(ell, k, grp.order, ncols, ())
-    # imported here so a trivial group never loads numpy
-    import numpy as np
-
     len_k1 = t.m(k + 1)
     len_k = t.m(k)
-    nrows = t.m(ell) * len_k
     sizes = (ell - 1, ell, k, k + 1)
-    # sparse pattern as column-major (col, row) codes; uniform 1/len weights
-    # make pattern equality equivalent to matrix equality
-    col_of_nz = np.repeat(
-        np.arange(ncols, dtype=np.int64),
-        np.fromiter((len(c) for c in phi.columns), dtype=np.int64, count=ncols),
-    )
-    row_of_nz = np.fromiter(
-        (r for col in phi.columns for r in col),
-        dtype=np.int64,
-        count=len(col_of_nz),
-    )
-    base_codes = np.sort(col_of_nz * nrows + row_of_nz)
-    i1 = np.arange(ncols, dtype=np.int64) // len_k1
-    i2 = np.arange(ncols, dtype=np.int64) % len_k1
-    r1 = row_of_nz // len_k
-    r2 = row_of_nz % len_k
+    commutes = None
+    if phi.nnz * len(grp.generators) >= EQUIVARIANCE_SCAN_LIMIT:
+        # imported here so small slots and trivial groups never load numpy
+        import numpy as np
 
-    def commutes(pm: dict) -> bool:
-        col_a = np.asarray(pm[ell - 1], dtype=np.int64)
-        col_b = np.asarray(pm[k + 1], dtype=np.int64)
-        row_a = np.asarray(pm[ell], dtype=np.int64)
-        row_b = np.asarray(pm[k], dtype=np.int64)
-        cimg = col_a[i1] * len_k1 + col_b[i2]
-        moved = np.sort(cimg[col_of_nz] * nrows + row_a[r1] * len_k + row_b[r2])
-        return np.array_equal(moved, base_codes)
+        nrows = t.m(ell) * len_k
+        # sparse pattern as column-major (col, row) codes; uniform 1/len
+        # weights make pattern equality equivalent to matrix equality
+        col_of_nz = np.repeat(
+            np.arange(ncols, dtype=np.int64),
+            np.fromiter((len(c) for c in phi.columns), dtype=np.int64, count=ncols),
+        )
+        row_of_nz = np.fromiter(
+            (r for col in phi.columns for r in col),
+            dtype=np.int64,
+            count=len(col_of_nz),
+        )
+        base_codes = np.sort(col_of_nz * nrows + row_of_nz)
+        i1 = np.arange(ncols, dtype=np.int64) // len_k1
+        i2 = np.arange(ncols, dtype=np.int64) % len_k1
+        r1 = row_of_nz // len_k
+        r2 = row_of_nz % len_k
+
+        def commutes(pm: dict) -> bool:
+            col_a = np.asarray(pm[ell - 1], dtype=np.int64)
+            col_b = np.asarray(pm[k + 1], dtype=np.int64)
+            row_a = np.asarray(pm[ell], dtype=np.int64)
+            row_b = np.asarray(pm[k], dtype=np.int64)
+            cimg = col_a[i1] * len_k1 + col_b[i2]
+            moved = np.sort(cimg[col_of_nz] * nrows + row_a[r1] * len_k + row_b[r2])
+            return np.array_equal(moved, base_codes)
 
     failures = []
     for sigma, pm in _matching_perms(t, grp.generators, sizes):
-        if commutes(pm):
+        if commutes and commutes(pm):
             continue
-        pair = _equivariance_witness(phi, pm, ell, k, len_k, len_k1)
-        if pair is None:
+        pair = _noncommuting_column(phi, pm, ell, k, len_k, len_k1)
+        if pair is not None:
+            failures.append((sigma, pair))
+        elif commutes:
             raise InternalError("pattern mismatch without an offending column")
-        failures.append((sigma, pair))
     return EquivarianceReport(ell, k, grp.order, ncols, tuple(failures))
 
 

@@ -187,7 +187,7 @@ def test_transfer_rejects_a_side_that_is_no_matching(capsys):
 
 def test_batch(tmp_path):
     specs = tmp_path / "specs.txt"
-    specs.write_text("cycle:6\npath:4\n# comment\n")
+    specs.write_text("cycle:6\npath:4\n# comment\n  # indented note\n")
     outdir = tmp_path / "reports"
     assert run(["batch", "--specs", str(specs), "--json", str(outdir)]) == 0
     names = sorted(p.name for p in outdir.iterdir())
@@ -276,13 +276,12 @@ def test_group_size_goes_to_stderr_not_the_report(tmp_path, capsys):
         assert "generators" not in path.read_text()
 
 
-def test_verify_with_trivial_group_never_loads_numpy():
-    # gnp:7:2:5:2 has |Aut| = 1 and no block wider than 48 columns, so
-    # neither numpy path (equivariance, mod-p rank) runs
+def _numpy_loaded_after(argv: list[str]) -> tuple[int, bool]:
+    """Exit code of `argv` in a fresh interpreter, and whether it loaded numpy."""
     code = (
         "import sys\n"
         "from equimatch import cli\n"
-        "rc = cli.run(['verify', '--gen', 'gnp:7:2:5:2'])\n"
+        f"rc = cli.run({argv!r})\n"
         "print(rc, 'numpy' in sys.modules)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -291,4 +290,24 @@ def test_verify_with_trivial_group_never_loads_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    rc, loaded = proc.stdout.splitlines()[-1].split()
+    return int(rc), loaded == "True"
+
+
+def test_verify_with_trivial_group_never_loads_numpy():
+    # gnp:7:2:5:2 has |Aut| = 1 and no block wider than 48 columns, so
+    # neither numpy path (equivariance, mod-p rank) runs
+    assert _numpy_loaded_after(["verify", "--gen", "gnp:7:2:5:2"]) == (0, False)
+
+
+@pytest.mark.parametrize("command", ["verify", "batch"])
+def test_small_symmetric_graph_never_loads_numpy(command, tmp_path):
+    # K6 (|Aut| = 720, 5 generators) has at most 2,250 nonzeros x generators
+    # in a slot, under the limit from which equivariance uses numpy
+    if command == "verify":
+        argv = ["verify", "--gen", "complete:6"]
+    else:
+        specs = tmp_path / "specs.txt"
+        specs.write_text("complete:6\n")
+        argv = ["batch", "--specs", str(specs), "--json", str(tmp_path / "reports")]
+    assert _numpy_loaded_after(argv) == (0, False)

@@ -40,12 +40,18 @@ def test_parse_input_order_irrelevant():
         ("3 1\n0 5\n", 2),  # out of range
         ("3 1\nx y\n", 2),  # malformed
         ("3 2\n0 1\n", 3),  # truncated
+        ("3 1\n0 1\n1 2\n", 3),  # a line after the m edges
+        ("3 1\n0 1\n\n  \n# note\n", 5),  # non-blank after blank lines
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):
     with pytest.raises(GraphFormatError) as exc:
         parse_graph(text)
     assert exc.value.line == lineno
+
+
+def test_blank_lines_after_the_edges_parse():
+    assert parse_graph("3 1\n0 1\n\n \n") == parse_graph("3 1\n0 1")
 
 
 def test_roundtrip_idempotence(c6, path4, petersen):

@@ -286,10 +286,22 @@ def _slots_with_columns(t):
     return [(l, k) for k in range(1, t.r) for l in range(1, k + 1)]
 
 
-def test_generator_check_agrees_with_full_group_scan():
+# EQUIVARIANCE_SCAN_LIMIT values that force each path of verify_equivariant
+EQUIVARIANCE_PATHS = {"numpy": 0, "scan": 1 << 62}
+
+
+def _each_equivariance_path(monkeypatch):
+    """Yield each path's name with verify_equivariant forced onto that path."""
+    for path, limit in EQUIVARIANCE_PATHS.items():
+        monkeypatch.setattr(phimap, "EQUIVARIANCE_SCAN_LIMIT", limit)
+        yield path
+
+
+def test_generator_check_agrees_with_full_group_scan(monkeypatch):
     """On every atlas graph with n <= 6 the generator check passes where a scan of
     every element does, and otherwise reports that scan's first witness; it
-    lists each failing generator with its own first witness."""
+    lists each failing generator with its own first witness.  Both paths, the
+    numpy pattern test and the column scan alone, are held to the oracle."""
     slots = 0
     for g in atlas_graphs(6):
         t = matching_table(g)
@@ -297,22 +309,25 @@ def test_generator_check_agrees_with_full_group_scan():
         elements = brute_force_automorphisms(g)
         for (ell, k) in _slots_with_columns(t):
             phi = build_phi(g, ell, k, table=t)
-            rep = verify_equivariant(g, ell, k, table=t, group=grp, phi=phi)
             expected = equivariance_failures_full(g, phi, elements)
-            assert rep.passed == (not expected)
-            assert rep.failures[:1] == expected[:1]
-            assert rep.failures == equivariance_failures_full(g, phi, grp.generators)
-            assert rep.group_order == len(elements)
+            by_generators = equivariance_failures_full(g, phi, grp.generators)
+            for path in _each_equivariance_path(monkeypatch):
+                rep = verify_equivariant(g, ell, k, table=t, group=grp, phi=phi)
+                assert rep.passed == (not expected), path
+                assert rep.failures[:1] == expected[:1], path
+                assert rep.failures == by_generators, path
+                assert rep.group_order == len(elements), path
             slots += 1
     assert slots > 300
 
 
-def _doctored(phi: PhiMatrix, sigma) -> PhiMatrix:
+def _doctored(phi: PhiMatrix, sigma, columns=None) -> PhiMatrix:
     """Phi with one entry moved to a free row of its block, and moved alike in its orbit under <sigma>.
 
     The moves form a <sigma>-invariant set, so the result still commutes
     with sigma but not, in general, with the rest of the group.  A free row
-    has the column's block key and is not in the column.
+    has the column's block key and is not in the column.  The entry is in
+    the first of `columns` (default: all, in order) that has a free row.
     """
     g = phi.graph
     row_keys = [block_key(g, *pair) for pair in phi.row_pairs]
@@ -325,7 +340,8 @@ def _doctored(phi: PhiMatrix, sigma) -> PhiMatrix:
     def move(tau, pair):
         return (act_matching(tau, g, pair[0]), act_matching(tau, g, pair[1]))
 
-    for j, column in enumerate(phi.columns):
+    for j in range(len(phi.columns)) if columns is None else columns:
+        column = phi.columns[j]
         key = block_key(g, *phi.col_pairs[j])
         free = [r for r, rk in enumerate(row_keys) if rk == key and r not in column]
         if not free:
@@ -346,9 +362,10 @@ def _doctored(phi: PhiMatrix, sigma) -> PhiMatrix:
 
 
 @pytest.mark.parametrize("spec", ["cycle:8", "path:8", "cycle:9"])
-def test_doctored_phi_fails_as_the_full_scan_says(spec):
+def test_doctored_phi_fails_as_the_full_scan_says(spec, monkeypatch):
     """A moved entry fails the check with the first witness a full scan names;
-    for each generator in turn, a move that commutes with it fails all the same."""
+    for each generator in turn, a move that commutes with it fails all the
+    same.  Both paths of the check are held to the scan."""
     g = generate(spec)
     t = matching_table(g)
     grp = automorphisms(g)
@@ -359,12 +376,37 @@ def test_doctored_phi_fails_as_the_full_scan_says(spec):
         bad = _doctored(phi, sigma)
         block_partition(bad)  # the moved entries stay inside their blocks
         expected = equivariance_failures_full(g, bad, elements)
-        rep = verify_equivariant(g, 2, 2, table=t, group=grp, phi=bad)
+        by_generators = equivariance_failures_full(g, bad, grp.generators)
         assert sigma not in {s for (s, _) in expected}
-        if sigma == identity or len(grp.generators) > 1:
-            assert expected and not rep.passed
-        assert rep.failures[:1] == expected[:1]
-        assert rep.failures == equivariance_failures_full(g, bad, grp.generators)
+        for path in _each_equivariance_path(monkeypatch):
+            rep = verify_equivariant(g, 2, 2, table=t, group=grp, phi=bad)
+            if sigma == identity or len(grp.generators) > 1:
+                assert expected and not rep.passed, path
+            assert rep.failures[:1] == expected[:1], path
+            assert rep.failures == by_generators, path
+
+
+def test_a_moved_entry_in_any_column_fails_as_the_scan_says(monkeypatch):
+    """Each column of cycle:8's (2, 2) map doctored alone: both paths report
+    the generators' failures as the full scan does, wherever the column is."""
+    g = generate("cycle:8")
+    t = matching_table(g)
+    grp = automorphisms(g)
+    phi = build_phi(g, 2, 2, table=t)
+    identity = tuple(range(g.n))
+    failing = set()
+    for j in range(len(phi.columns)):
+        try:
+            bad = _doctored(phi, identity, columns=[j])
+        except ValueError:
+            continue
+        expected = equivariance_failures_full(g, bad, grp.generators)
+        for path in _each_equivariance_path(monkeypatch):
+            rep = verify_equivariant(g, 2, 2, table=t, group=grp, phi=bad)
+            assert rep.failures == expected, (path, j)
+        witnesses = {pair for (_, pair) in expected}
+        failing.update(i for i, pair in enumerate(phi.col_pairs) if pair in witnesses)
+    assert max(failing) >= len(phi.columns) // 2  # so a scan must not stop halfway
 
 
 def _block_ranks_by_exact_rank(g):
