@@ -330,6 +330,8 @@ def cmd_transfer(args) -> int:
     pink = _parse_matching_tokens(g, args.pink)
     pair = MatchingPair(blue, pink)
     dec = decompose(g, pair)
+    if args.kratt and blue.bit_count() >= pink.bit_count():
+        raise ValueError("--kratt needs |blue| < |pink|: f maps (l-1, k+1) pairs")
     print(f"blue = [{_edge_token(g, blue)}]  pink = [{_edge_token(g, pink)}]")
     print(f"two-colored = [{_edge_token(g, pair.intersection)}]")
     for comp in dec.components:
@@ -348,10 +350,11 @@ def cmd_batch(args) -> int:
     specs = [line for line in lines if line and not line.startswith("#")]
     outdir = Path(args.json)
     outdir.mkdir(parents=True, exist_ok=True)
+    # a bad spec is refused before the first report is written
+    graphs = [generate(spec) for spec in specs]
     codes = []
-    for spec in specs:
+    for spec, g in zip(specs, graphs):
         started = time.monotonic()
-        g = generate(spec)
         t = matching_table(g)
         slots = [(l, k) for k in range(1, t.r + 1) for l in range(1, k + 1)]
         descriptor = f"gen:{spec}"

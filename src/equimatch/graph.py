@@ -94,7 +94,10 @@ class Graph:
     def index_of(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u
-        return self.edge_index[(u, v)]
+        try:
+            return self.edge_index[(u, v)]
+        except KeyError:
+            raise ValueError(f"{(u, v)} is not an edge") from None
 
     def serialize(self) -> str:
         lines = [f"{self.n} {self.num_edges}"]

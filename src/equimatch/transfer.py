@@ -7,17 +7,15 @@ neighbor set of a pair swaps the colors inside one pink chain at a time,
 while the single-output map `krattenthaler_f` picks one pink chain through a
 vertex-order-dependent subset injection (bracket matching).
 
-`decompose` checks that both sides are matchings and classifies every
-component; it serves the `transfer` command and the single-output map.
-`odd_chains` serves the build of Φ, whose pairs come from the matching
-table: it keeps each odd chain with one end edge, unchecked and memoised
-per one-colored set.
+`odd_chains` is the one chain decomposition: each odd chain with one end
+edge, memoised per one-colored set, so Φ's build, the neighbor sets and the
+single-output map share it.  None of them checks its pair; `decompose`
+does, for the `transfer` command, and names the kind of every component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import graph as graphlib
 from .autgroup import apply_edge_perm, edge_action
@@ -57,7 +55,6 @@ class MatchingPair:
 class ChainComponent:
     edges: int
     kind: str
-    min_vertex: int
 
 
 @dataclass(frozen=True)
@@ -73,76 +70,36 @@ class ChainDecomposition:
     def p(self) -> int:
         return sum(1 for c in self.components if c.kind == PINK_CHAIN)
 
-    @cached_property
-    def odd_chains(self) -> tuple[ChainComponent, ...]:
-        """Blue and pink chains ordered by ascending minimum vertex label."""
-        odd = [c for c in self.components if c.kind in (BLUE_CHAIN, PINK_CHAIN)]
-        odd.sort(key=lambda c: c.min_vertex)
-        return tuple(odd)
 
-
-def _classify(g: Graph, comp: int, blue: int) -> ChainComponent:
-    ends = g.ends
-    seen = twice = 0  # vertices of degree >= 1 and >= 2 inside the component
-    rest = comp
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        vm = ends[low.bit_length() - 1]
-        if twice & vm:
-            raise ValueError("component has a vertex of degree > 2; inputs are not matchings")
-        twice |= seen & vm
-        seen |= vm
-    count = comp.bit_count()
-    endpoints = seen & ~twice
-    min_vertex = (seen & -seen).bit_length() - 1
-    if not endpoints:
-        if count % 2 or count < 4:
-            raise ValueError("odd or degenerate cycle in one-colored subgraph")
-        return ChainComponent(comp, EVEN_CYCLE, min_vertex)
-    if count % 2 == 0:
-        return ChainComponent(comp, EVEN_PATH, min_vertex)
-    # odd path: alternation forces both end edges to carry the same color
-    end_colors = set()
-    rest = comp
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if ends[low.bit_length() - 1] & endpoints:
-            end_colors.add(bool(blue & low))
-    if len(end_colors) != 1:
-        raise ValueError("odd chain with mixed end colors; inputs are not matchings")
-    kind = BLUE_CHAIN if end_colors.pop() else PINK_CHAIN
-    return ChainComponent(comp, kind, min_vertex)
-
-
-def _end_edge(g: Graph, chain: int) -> int:
-    """One end edge of a path, as a single-bit edge set."""
-    if not chain & (chain - 1):
-        return chain
+def _end_edge(g: Graph, component: int) -> int:
+    """One end edge of a path component, as a single-bit edge set; 0 for a cycle."""
+    if not component & (component - 1):
+        return component
     ends = g.ends
     seen = twice = 0
-    rest = chain
+    rest = component
     while rest:
         vm = ends[(rest & -rest).bit_length() - 1]
         twice |= seen & vm
         seen |= vm
         rest &= rest - 1
     endpoints = seen & ~twice
-    rest = chain
+    rest = component
     while rest:
         low = rest & -rest
         if ends[low.bit_length() - 1] & endpoints:
             return low
         rest ^= low
-    raise InternalError("odd component without an end vertex")
+    return 0
 
 
 def odd_chains(g: Graph, one_colored: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """The odd chains of a one-colored set, and the union of its even components.
 
     Each chain is (edges, end) with `end` one of its end edges, so a pair
-    with this one-colored set colors the chain pink iff `pink & end`.  The
+    with this one-colored set colors the chain pink iff `pink & end`.
+    Chains come by minimum edge index; components share no vertex and edges
+    sort lexicographically, so that is also ascending minimum vertex.  The
     set must be the symmetric difference of two matchings; that is not
     checked here (`decompose` checks it).  Memoised on `g` per set, so all
     pairs sharing a union and an intersection search its components once.
@@ -153,7 +110,10 @@ def odd_chains(g: Graph, one_colored: int) -> tuple[tuple[tuple[int, int], ...],
         even = 0
         for comp in graphlib.components(g, one_colored):
             if comp.bit_count() % 2:
-                chains.append((comp, _end_edge(g, comp)))
+                end = _end_edge(g, comp)
+                if not end:
+                    raise InternalError("odd component without an end vertex")
+                chains.append((comp, end))
             else:
                 even |= comp
         hit = g._chain_memo[one_colored] = (tuple(chains), even)
@@ -161,38 +121,34 @@ def odd_chains(g: Graph, one_colored: int) -> tuple[tuple[tuple[int, int], ...],
 
 
 def decompose(g: Graph, pair: MatchingPair) -> ChainDecomposition:
-    """Split the one-colored subgraph into classified components.
+    """Check that both sides are matchings and name the kind of every component.
 
     Components are listed by minimum edge index; p - b always equals
-    |pink| - |blue|.
+    |pink| - |blue|.  Colors alternate along a component of two matchings,
+    so its cycles are even and both end edges of an odd chain share a color.
     """
     if not (is_matching(g, pair.blue) and is_matching(g, pair.pink)):
         raise ValueError("both sides of the pair must be matchings")
-    comps = [
-        _classify(g, comp, pair.blue)
-        for comp in graphlib.components(g, pair.one_colored)
-    ]
+    comps = []
+    for comp in graphlib.components(g, pair.one_colored):
+        end = _end_edge(g, comp)
+        if comp.bit_count() % 2:
+            kind = PINK_CHAIN if pair.pink & end else BLUE_CHAIN
+        else:
+            kind = EVEN_PATH if end else EVEN_CYCLE
+        comps.append(ChainComponent(comp, kind))
     return ChainDecomposition(pair, tuple(comps))
 
 
-def swap_chain(pair: MatchingPair, chain: ChainComponent) -> MatchingPair:
-    """Exchange blue and pink inside one pink chain; everything else fixed."""
-    if chain.kind != PINK_CHAIN:
-        raise ValueError("only pink chains may be swapped")
-    c = chain.edges
-    blue = (pair.blue & ~c) | (pair.pink & c & ~pair.blue)
-    pink = (pair.pink & ~c) | (pair.blue & c & ~pair.pink)
-    # two-colored edges never lie in a one-colored component, so the masks
-    # above only move single-colored edges
-    return MatchingPair(blue, pink)
-
-
 def neighbor_set(g: Graph, pair: MatchingPair) -> tuple[MatchingPair, ...]:
-    """All pairs obtained by swapping exactly one pink chain, sorted."""
-    dec = decompose(g, pair)
-    out = [
-        swap_chain(pair, c) for c in dec.components if c.kind == PINK_CHAIN
-    ]
+    """All pairs obtained by swapping exactly one pink chain, sorted.
+
+    Swapping chain c gives (blue ^ c, pink ^ c).  The pair is trusted to be
+    two matchings, as in `odd_chains`.
+    """
+    blue, pink = pair.blue, pair.pink
+    chains, _ = odd_chains(g, blue ^ pink)
+    out = [MatchingPair(blue ^ c, pink ^ c) for (c, end) in chains if pink & end]
     out.sort(key=lambda q: (q.blue, q.pink))
     return tuple(out)
 
@@ -235,21 +191,22 @@ def subset_inject(n: int, members) -> frozenset[int]:
 def krattenthaler_f(g: Graph, pair: MatchingPair) -> MatchingPair:
     """The vertex-order-dependent single-output transfer map.
 
-    Odd chains are ordered by minimum vertex label; the positions of the blue
-    chains form a subset of [b+p], and the element added by `subset_inject`
-    names the pink chain to swap.
+    Odd chains are ordered by minimum vertex label (the order of
+    `odd_chains`); the positions of the blue chains form a subset of [b+p],
+    and the element added by `subset_inject` names the pink chain to swap.
+    The pair is trusted to be two matchings with |blue| < |pink|.
     """
-    dec = decompose(g, pair)
-    odd = dec.odd_chains
+    blue, pink = pair.blue, pair.pink
+    chains, _ = odd_chains(g, blue ^ pink)
     blue_positions = frozenset(
-        i + 1 for i, c in enumerate(odd) if c.kind == BLUE_CHAIN
+        i + 1 for i, (c, end) in enumerate(chains) if not pink & end
     )
-    enlarged = subset_inject(len(odd), blue_positions)
+    enlarged = subset_inject(len(chains), blue_positions)
     (new_pos,) = enlarged - blue_positions
-    target = odd[new_pos - 1]
-    if target.kind != PINK_CHAIN:
+    c, end = chains[new_pos - 1]
+    if not pink & end:
         raise InternalError("the subset injection named a blue chain")
-    return swap_chain(pair, target)
+    return MatchingPair(blue ^ c, pink ^ c)
 
 
 def f_equivariance_counterexample(
@@ -263,7 +220,9 @@ def f_equivariance_counterexample(
     lexicographically first one outside a subgroup is a generator (see
     `autgroup.automorphisms`), so scanning the sorted generators finds the
     witness, and generators that all commute leave none.  f is applied only
-    to the pairs the scan reaches: a trivial group costs nothing.
+    to the pairs the scan reaches: a trivial group costs nothing.  Its
+    chains come from the memo that `phimap.build_phi` fills for the same
+    column pairs.
     """
     if not group.generators:
         return None

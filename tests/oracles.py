@@ -5,9 +5,12 @@ matchings by subset filtering, automorphisms by filtering all permutations,
 rank by naive rational Gaussian elimination (dense and sparse-dict forms)
 and by dense elimination over F_p in pure Python integers,
 the edge-variable identities by expanding polynomials over Fractions,
-components by union-find and even parts by a fresh search per union, Φ by
-one neighbor set per column pair with a row index over every row pair, and
-the f-equivariance scan eagerly over every group element.  It also holds
+components by union-find and even parts by a fresh search per union, chain
+kinds from vertex degrees, neighbor sets and the single-output map from
+those kinds (odd chains sorted by minimum vertex explicitly, the bracket
+injection read off segment counts), Φ by one neighbor set per column pair
+with a row index over every row pair, and the f-equivariance scan eagerly
+over every group element.  It also holds
 the rational matrices that Φ and the up maps stand for (`ExactMatrix`, with
 the column clearing that turns one into integers) and the literal
 exact-matrix helpers (dense form, products, permutation matrices, the whole
@@ -26,7 +29,7 @@ from equimatch.exactalg import IntMatrix, pattern_matrix
 from equimatch.graph import Graph, InternalError
 from equimatch.matchings import matching_table
 from equimatch.phimap import build_phi
-from equimatch.transfer import MatchingPair, krattenthaler_f, neighbor_set
+from equimatch.transfer import MatchingPair
 
 
 def brute_force_matchings(g: Graph, k: int) -> list[int]:
@@ -233,16 +236,16 @@ class PairPhi:
 
 
 def phi_by_neighbor_sets(g: Graph, ell: int, k: int, table=None) -> PairPhi:
-    """Φ on one slot: `neighbor_set` per column, rows looked up in a dict of all row pairs."""
+    """Φ on one slot: `neighbor_pairs` per column, rows looked up in a dict of all row pairs."""
     t = table or matching_table(g)
     col_pairs = tuple((b, p) for b in t.level(ell - 1) for p in t.level(k + 1))
     row_pairs = tuple((b, p) for b in t.level(ell) for p in t.level(k))
     row_index = {pair: i for i, pair in enumerate(row_pairs)}
     columns = []
     for (blue, pink) in col_pairs:
-        nbrs = neighbor_set(g, MatchingPair(blue, pink))
+        nbrs = neighbor_pairs(g, blue, pink)
         w = Fraction(1, len(nbrs))
-        columns.append(tuple(sorted((row_index[(q.blue, q.pink)], w) for q in nbrs)))
+        columns.append(tuple(sorted((row_index[q], w) for q in nbrs)))
     return PairPhi(row_pairs, col_pairs, tuple(columns))
 
 
@@ -624,19 +627,15 @@ def f_counterexample_eager(g: Graph, group, ell: int, k: int):
     """
     blues = brute_force_matchings(g, ell - 1)
     pinks = brute_force_matchings(g, k + 1)
-    pairs = [MatchingPair(b, p) for b in blues for p in pinks]
-    images = {pair: krattenthaler_f(g, pair) for pair in pairs}
+    pairs = [(b, p) for b in blues for p in pinks]
+    images = {pair: f_by_definition(g, *pair) for pair in pairs}
     for sigma in sorted(group):
         for pair in pairs:
-            moved = MatchingPair(
-                act_matching(sigma, g, pair.blue), act_matching(sigma, g, pair.pink)
-            )
+            moved = (act_matching(sigma, g, pair[0]), act_matching(sigma, g, pair[1]))
             fp = images[pair]
-            moved_f = MatchingPair(
-                act_matching(sigma, g, fp.blue), act_matching(sigma, g, fp.pink)
-            )
+            moved_f = (act_matching(sigma, g, fp[0]), act_matching(sigma, g, fp[1]))
             if images[moved] != moved_f:
-                return (sigma, pair)
+                return (sigma, MatchingPair(*pair))
     return None
 
 
@@ -693,8 +692,7 @@ def part_map_is_bijective(g: Graph, ell: int, k: int) -> bool:
     for key, part in src_parts.items():
         union_of_neighbors: set[tuple[int, int]] = set()
         for (blue, pink) in part:
-            for q in neighbor_set(g, MatchingPair(blue, pink)):
-                union_of_neighbors.add((q.blue, q.pink))
+            union_of_neighbors.update(neighbor_pairs(g, blue, pink))
         # the image must be exactly one target part
         matches = [
             tk
@@ -727,3 +725,36 @@ def chain_kinds(g: Graph, blue: int, pink: int) -> list[tuple[int, str, int]]:
             kind = "blue" if blue >> end_edge & 1 else "pink"
         out.append((comp, kind, min(deg)))
     return out
+
+
+def neighbor_pairs(g: Graph, blue: int, pink: int) -> list[tuple[int, int]]:
+    """The pairs obtained by swapping the colors of one pink chain, sorted."""
+    return sorted(
+        (blue ^ c, pink ^ c) for (c, kind, _) in chain_kinds(g, blue, pink) if kind == "pink"
+    )
+
+
+def f_by_definition(g: Graph, blue: int, pink: int) -> tuple[int, int]:
+    """The single-output map: sort the odd chains by minimum vertex; the blue
+    ones are closers ")" and the pink ones openers "(" of a bracket word; swap
+    the leftmost opener that no closer matches.
+
+    Opener i is unmatched iff every segment from i onwards holds more
+    openers than closers.  Needs fewer blue than pink chains.
+    """
+    odd = sorted(
+        (low, c, kind) for (c, kind, low) in chain_kinds(g, blue, pink) if kind in ("blue", "pink")
+    )
+    kinds = [kind for (_, _, kind) in odd]
+    for i, kind in enumerate(kinds):
+        if kind != "pink":
+            continue
+        height = 0
+        for later in kinds[i:]:
+            height += 1 if later == "pink" else -1
+            if height == 0:
+                break
+        else:
+            c = odd[i][1]
+            return (blue ^ c, pink ^ c)
+    raise ValueError("every pink chain is matched: need fewer blue than pink chains")

@@ -185,6 +185,23 @@ def test_transfer_rejects_a_side_that_is_no_matching(capsys):
     assert "must be matchings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side", ["--blue", "--pink"])
+def test_transfer_token_naming_a_non_edge_is_bad_input(side, capsys):
+    # C6 has no chord 0-3: bad input (2), not an internal error (4)
+    argv = {"--blue": "1-2", "--pink": "4-5"}
+    argv[side] = "0-3"
+    assert run(["transfer", "--gen", "cycle:6", *(x for kv in argv.items() for x in kv)]) == 2
+    assert "error: (0, 3) is not an edge" in capsys.readouterr().err
+
+
+def test_transfer_kratt_needs_fewer_blue_than_pink(capsys):
+    # f maps (l-1, k+1) pairs; an equal-size pair is refused before any output
+    assert run(["transfer", "--gen", "cycle:6", "--blue", "0-1", "--pink", "2-3", "--kratt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "|blue| < |pink|" in captured.err
+
+
 def test_batch(tmp_path):
     specs = tmp_path / "specs.txt"
     specs.write_text("cycle:6\npath:4\n# comment\n  # indented note\n")
@@ -194,6 +211,14 @@ def test_batch(tmp_path):
     assert names == ["cycle_6.json", "path_4.json"]
     for p in outdir.iterdir():
         assert json.loads(p.read_text())["overall"] == "pass"
+
+
+def test_batch_refuses_a_bad_spec_before_any_report(tmp_path):
+    specs = tmp_path / "specs.txt"
+    specs.write_text("cycle:6\npath:4\ncomplete:x\n")
+    outdir = tmp_path / "reports"
+    assert run(["batch", "--specs", str(specs), "--json", str(outdir)]) == 2
+    assert not list(outdir.glob("*.json"))
 
 
 def test_check_subset_without_group_checks_skips_the_group(capsys):

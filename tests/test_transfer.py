@@ -17,9 +17,8 @@ from equimatch.transfer import (
     neighbor_set,
     odd_chains,
     subset_inject,
-    swap_chain,
 )
-from oracles import atlas_graphs, chain_kinds, f_counterexample_eager
+from oracles import atlas_graphs, chain_kinds, f_by_definition, f_counterexample_eager, neighbor_pairs
 
 
 def test_decompose_perfect_matching_vs_empty(c6):
@@ -45,42 +44,24 @@ def test_decompose_shared_edge_excluded(c6):
     assert all(not (c.edges & shared) for c in dec.components)
 
 
-def test_swap_chain_examples(c6, path4):
-    pair = MatchingPair(0, edge_bits(path4, [(0, 1), (2, 3)]))
-    dec = decompose(path4, pair)
-    chain = next(c for c in dec.components if c.edges == edge_bits(path4, [(0, 1)]))
-    out = swap_chain(pair, chain)
-    assert out == MatchingPair(edge_bits(path4, [(0, 1)]), edge_bits(path4, [(2, 3)]))
-
-    pair6 = MatchingPair(
-        edge_bits(c6, [(0, 1)]), edge_bits(c6, [(0, 1), (2, 3), (4, 5)])
-    )
-    dec6 = decompose(c6, pair6)
-    chain6 = next(c for c in dec6.components if c.edges == edge_bits(c6, [(2, 3)]))
-    out6 = swap_chain(pair6, chain6)
-    assert out6 == MatchingPair(
-        edge_bits(c6, [(0, 1), (2, 3)]), edge_bits(c6, [(0, 1), (4, 5)])
-    )
-
-
-def test_swap_three_edge_chain():
+def test_neighbor_set_three_edge_chain():
     p6 = generate("path:6")
     # edges 0-1, 2-3 pink; 1-2 blue: a single odd pink chain a-b-c
     blue = edge_bits(p6, [(1, 2)])
     pink = edge_bits(p6, [(0, 1), (2, 3)])
     dec = decompose(p6, MatchingPair(blue, pink))
-    chains = [c for c in dec.components if c.kind == PINK_CHAIN]
-    assert len(chains) == 1 and chains[0].edges.bit_count() == 3
-    out = swap_chain(MatchingPair(blue, pink), chains[0])
-    assert out.blue == pink and out.pink == blue
+    assert [c.kind for c in dec.components] == [PINK_CHAIN]
+    assert dec.components[0].edges.bit_count() == 3
+    assert neighbor_set(p6, MatchingPair(blue, pink)) == (MatchingPair(pink, blue),)
 
 
-def test_swap_rejects_non_pink(c6):
+def test_neighbor_set_never_swaps_a_blue_chain(c6):
     pair = MatchingPair(edge_bits(c6, [(0, 1)]), edge_bits(c6, [(2, 3), (4, 5)]))
     dec = decompose(c6, pair)
-    blue_chain = next(c for c in dec.components if c.kind == BLUE_CHAIN)
-    with pytest.raises(ValueError):
-        swap_chain(pair, blue_chain)
+    assert [c.kind for c in dec.components] == [BLUE_CHAIN, PINK_CHAIN, PINK_CHAIN]
+    # each neighbor keeps the blue chain 0-1 blue
+    ns = neighbor_set(c6, pair)
+    assert len(ns) == 2 and all(q.blue & pair.blue == pair.blue for q in ns)
 
 
 def test_neighbor_set_figure_pair(c6):
@@ -286,6 +267,24 @@ def test_f_generator_scan_agrees_with_eager_scan_on_atlas():
     assert commuting > 50 and witnessed > 200
 
 
+def test_neighbor_set_and_f_match_oracle_on_atlas():
+    """Every column pair of every slot of the atlas graphs with n <= 6."""
+    pairs = 0
+    for g in atlas_graphs(6):
+        t = matching_table(g)
+        for k in range(1, t.r):
+            for ell in range(1, k + 1):
+                for blue in t.level(ell - 1):
+                    for pink in t.level(k + 1):
+                        pair = MatchingPair(blue, pink)
+                        got = [(q.blue, q.pink) for q in neighbor_set(g, pair)]
+                        assert got == neighbor_pairs(g, blue, pink)
+                        f = krattenthaler_f(g, pair)
+                        assert (f.blue, f.pink) == f_by_definition(g, blue, pink)
+                        pairs += 1
+    assert pairs > 1000
+
+
 def test_f_scan_of_trivial_group_applies_f_to_nothing(monkeypatch):
     g = generate("gnp:8:1:2:7")
     grp = automorphisms(g)
@@ -306,8 +305,11 @@ def test_decompose_matches_degree_oracle(n, num, seed, rnd):
     for _ in range(30):
         blue, pink = rnd.choice(matchings), rnd.choice(matchings)
         dec = decompose(g, MatchingPair(blue, pink))
-        got = [(c.edges, c.kind, c.min_vertex) for c in dec.components]
-        assert got == chain_kinds(g, blue, pink)
+        kinds = chain_kinds(g, blue, pink)
+        assert [(c.edges, c.kind) for c in dec.components] == [(e, kind) for (e, kind, _) in kinds]
+        # components by minimum edge come by minimum vertex too; f relies on it
+        lows = [low for (_, _, low) in kinds]
+        assert lows == sorted(lows)
 
 
 @settings(max_examples=40, deadline=None)
