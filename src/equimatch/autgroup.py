@@ -79,6 +79,12 @@ def _orbit(point: int, generators: list[Permutation]) -> set[int]:
     return orbit
 
 
+def check_vertex_limit(n: int, limit: int = DEFAULT_VERTEX_LIMIT) -> None:
+    """Raise SizeLimitError when a group search on n vertices is refused."""
+    if n > limit:
+        raise SizeLimitError(f"n={n} exceeds the vertex limit {limit}")
+
+
 def automorphisms(g: Graph, limit: int = DEFAULT_VERTEX_LIMIT) -> AutomorphismGroup:
     """A strong generating set for the base 0..n-1, and the group order.
 
@@ -96,8 +102,7 @@ def automorphisms(g: Graph, limit: int = DEFAULT_VERTEX_LIMIT) -> AutomorphismGr
     with a map) scans the sorted generators only.
     """
     n = g.n
-    if n > limit:
-        raise SizeLimitError(f"n={n} exceeds the vertex limit {limit}")
+    check_vertex_limit(n, limit)
     generators: list[Permutation] = []
     order = 1
     for i in range(n - 1, -1, -1):

@@ -2,7 +2,10 @@
 
 Subsets of [n] use positions 1..n; as bitsets (bit i-1 for element i) the
 numeric order of same-size subsets coincides with colex order, which is the
-basis ordering for the level matrices.  Chains are produced by iterating the
+basis ordering for the level matrices.  Each level's rank is certified by
+the sl₂ commutation identity DU − UD = (n − 2i)·I, checked in exact integers
+(Proctor 1982); exact elimination runs only where the identity fails, so the
+lemma never loads numpy.  Chains are produced by iterating the
 bracket-matching successor shared with the transfer module, truncating the
 full symmetric chain decomposition to levels [i, n-i].
 """
@@ -58,6 +61,7 @@ class LevelRank:
     dim_src: int
     dim_dst: int
     rank: int
+    path: str  # what certified the rank: "identity", "mod-p" or "bareiss"
 
     @property
     def injective(self) -> bool:
@@ -92,18 +96,39 @@ class LemmaReport:
         return tuple(lv for lv in self.levels if not lv.injectivity_expected)
 
 
+def _level_rank(n: int, i: int, ups: list[IntMatrix]) -> LevelRank:
+    """Rank of ups[i], certified by the commutation identity or else ranked exactly.
+
+    On level i, U_iᵀU_i = (n − 2i)·I + U_{i−1}U_{i−1}ᵀ (common covers minus
+    common subsets), so for 2i < n U_i has full column rank.  At i = n/2
+    the same identity one level up, U_iU_iᵀ = 2·I + U_{i+1}ᵀU_{i+1}, gives
+    U_iᵀ full column rank.  An identity that fails, as it would for a wrong
+    up map, leaves the rank to the exact elimination.
+    """
+    up = ups[i]
+    if 2 * i < n:
+        m, shift = up, n - 2 * i
+        w = ups[i - 1] if i else IntMatrix(up.ncols, 0, ())
+    else:
+        m, shift = exactalg.transpose(up), 2
+        w = exactalg.transpose(ups[i + 1]) if i + 1 < n else IntMatrix(up.nrows, 0, ())
+    if exactalg.gram_certifies(m, shift, w):
+        rk, path = m.ncols, "identity"
+    else:
+        rk, path = exactalg.rank_certified_path(up)
+    return LevelRank(i, comb(n, i), comb(n, i + 1), rk, path)
+
+
 def verify_lemma(n: int, limit: int = 14) -> LemmaReport:
     """Ranks of the up maps for all levels i <= floor(n/2)."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > limit:
         raise ValueError(f"n={n} exceeds the size budget {limit}")
-    levels = []
-    for i in range(min(n // 2, n - 1) + 1):
-        m = up_map(n, i)
-        rk = exactalg.rank_certified(m)
-        levels.append(LevelRank(i, comb(n, i), comb(n, i + 1), rk))
-    return LemmaReport(n, tuple(levels))
+    top = min(n // 2, n - 1)
+    # level n/2 (n even) reads the up map one level above it as its witness
+    ups = [up_map(n, i) for i in range(min(top + 2, n))]
+    return LemmaReport(n, tuple(_level_rank(n, i, ups) for i in range(top + 1)))
 
 
 @dataclass(frozen=True)

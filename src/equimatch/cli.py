@@ -21,8 +21,8 @@ import traceback
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import __version__, boollattice, phimap, polyring
-from .autgroup import SizeLimitError, automorphisms
+from . import __version__, phimap, polyring
+from .autgroup import SizeLimitError, automorphisms, check_vertex_limit
 from .graph import (
     Graph,
     GraphFormatError,
@@ -279,7 +279,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_boolean(args) -> int:
+    # imported here, so the start-up of every other command never compiles it
+    from . import boollattice
+
     n = args.n
+    started = time.monotonic()
     rep = boollattice.verify_lemma(n)
     records = []
     for lv in rep.levels:
@@ -321,6 +325,12 @@ def cmd_boolean(args) -> int:
         "overall": overall,
     }
     _emit(report, args.json)
+    paths = [lv.path for lv in rep.levels]
+    counts = " / ".join(f"{p} {paths.count(p)}" for p in ("identity", "mod-p", "bareiss"))
+    print(
+        f"boolean n={n}: {len(paths)} levels, {counts}, {time.monotonic() - started:.2f}s",
+        file=sys.stderr,
+    )
     return _report_exit(report)
 
 
@@ -350,8 +360,11 @@ def cmd_batch(args) -> int:
     specs = [line for line in lines if line and not line.startswith("#")]
     outdir = Path(args.json)
     outdir.mkdir(parents=True, exist_ok=True)
-    # a bad spec is refused before the first report is written
+    # a bad spec, or a graph too large for the group checks batch always
+    # runs, is refused before the first report is written
     graphs = [generate(spec) for spec in specs]
+    for g in graphs:
+        check_vertex_limit(g.n)
     codes = []
     for spec, g in zip(specs, graphs):
         started = time.monotonic()

@@ -14,6 +14,13 @@ shortfall falls back to Bareiss.  The modular elimination runs in numpy on a
 dense int64 array with the shorter side as rows, and each pivot step updates
 only the rows that are nonzero in the pivot column.  numpy is imported there,
 not at module load, so callers that never certify a rank never load it.
+`rank_certified_path` also says which of the two paths gave the rank.
+
+`gram_certifies` certifies full column rank with no elimination: given a
+witness w and a shift > 0, it checks mᵀm = shift·I + w·wᵀ entry by entry in
+exact integers, which forces |mx|² > 0 for every x ≠ 0.  The Boolean up maps
+satisfy such an identity (the sl₂ commutation relation DU − UD = (n − 2i)·I),
+so their ranks are certified without numpy.
 """
 
 from __future__ import annotations
@@ -50,6 +57,15 @@ def pattern_matrix(nrows: int, patterns) -> IntMatrix:
     """The 0/1 matrix whose column j has a 1 in each row of `patterns[j]` (sorted)."""
     cols = tuple(tuple((r, 1) for r in rows) for rows in patterns)
     return IntMatrix(nrows, len(cols), cols)
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    """mᵀ; its columns are the rows of m, each sorted by column index."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(m.nrows)]
+    for c, col in enumerate(m.cols):
+        for (r, v) in col:
+            rows[r].append((c, v))
+    return IntMatrix(m.ncols, m.nrows, tuple(map(tuple, rows)))
 
 
 def rank(m: IntMatrix) -> int:
@@ -157,15 +173,50 @@ def rank_mod(m: IntMatrix, prime: int = _CERT_PRIME) -> int:
     return rk
 
 
-def rank_certified(m: IntMatrix) -> int:
-    """Exact rank; modular certificate when full, Bareiss otherwise.
+def rank_certified_path(m: IntMatrix) -> tuple[int, str]:
+    """Exact rank, and the path that gave it: "mod-p" or "bareiss".
 
     rank over F_p never exceeds the rational rank, so hitting the trivial
     upper bound min(rows, cols) certifies the exact value.
     """
     ub = min(m.nrows, m.ncols)
-    if ub == 0:
-        return 0
     if rank_mod(m) == ub:
-        return ub
-    return rank(m)
+        return ub, "mod-p"
+    return rank(m), "bareiss"
+
+
+def rank_certified(m: IntMatrix) -> int:
+    """Exact rank; modular certificate when full, Bareiss otherwise."""
+    return rank_certified_path(m)[0]
+
+
+def _gram(vectors, n: int) -> dict[int, int]:
+    """Upper triangle of Σ v·vᵀ over sparse vectors sorted by index, keyed a·n + b (a <= b)."""
+    g: dict[int, int] = {}
+    get = g.get
+    for vec in vectors:
+        for j, (a, va) in enumerate(vec):
+            base = a * n
+            for (b, vb) in vec[j:]:
+                key = base + b
+                g[key] = get(key, 0) + va * vb
+    return g
+
+
+def gram_certifies(m: IntMatrix, shift: int, w: IntMatrix) -> bool:
+    """True iff shift > 0, w.nrows == m.ncols and mᵀm = shift·I + w·wᵀ exactly.
+
+    Then m has full column rank: for x ≠ 0,
+    |mx|² = xᵀmᵀmx = shift·|x|² + |wᵀx|² > 0, so mx ≠ 0.  mᵀm is summed over
+    the rows of m and w·wᵀ over the columns of w, both as sparse integer
+    counters.  False means only "not certified", never "rank deficient".
+    """
+    if shift <= 0 or w.nrows != m.ncols:
+        return False
+    n = m.ncols
+    lhs = _gram(transpose(m).cols, n)
+    rhs = _gram(w.cols, n)
+    for s in range(n):
+        key = s * n + s
+        rhs[key] = rhs.get(key, 0) + shift
+    return {k: v for k, v in lhs.items() if v} == {k: v for k, v in rhs.items() if v}

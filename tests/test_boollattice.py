@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from equimatch import boollattice
+from equimatch import boollattice, exactalg
 from equimatch.boollattice import (
     bits_to_set,
     chains_are_valid,
@@ -14,8 +14,9 @@ from equimatch.boollattice import (
     verify_lemma,
 )
 from equimatch.cli import run
+from equimatch.exactalg import IntMatrix
 from equimatch.graph import InternalError
-from oracles import averaging_matrix, rank_gauss_dense
+from oracles import averaging_matrix, rank_gauss_dense, rank_gauss_sparse
 
 
 def test_up_map_n2():
@@ -55,22 +56,96 @@ def test_verify_lemma_small():
     assert rep4.passed
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_lemma_ranks_match_oracle(n):
-    for lv in verify_lemma(n).levels:
+def _forbid_elimination(monkeypatch):
+    def no_elimination(m):
+        raise AssertionError("an elimination ran")
+
+    for name in ("rank_certified", "rank_certified_path", "rank_mod", "rank"):
+        monkeypatch.setattr(exactalg, name, no_elimination)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lemma_ranks_match_oracle(n, monkeypatch):
+    # every level is certified by the commutation identity alone; the dense
+    # oracle takes 8 s at n = 10 and minutes beyond, so n = 10, 11 use the
+    # sparse one and n = 12 the lemma's value
+    levels = range(min(n // 2, n - 1) + 1)
+    if n <= 11:
+        oracle = rank_gauss_dense if n <= 9 else rank_gauss_sparse
+        oracle_ranks = [oracle(averaging_matrix(up_map(n, i))) for i in levels]
+    else:
+        oracle_ranks = [min(comb(n, i), comb(n, i + 1)) for i in levels]
+    _forbid_elimination(monkeypatch)
+    rep = verify_lemma(n)
+    assert rep.passed
+    assert [lv.path for lv in rep.levels] == ["identity"] * len(rep.levels)
+    assert [lv.rank for lv in rep.levels] == oracle_ranks
+    for lv in rep.levels:
         assert lv.rank == min(lv.dim_src, lv.dim_dst)
-        assert lv.rank == rank_gauss_dense(averaging_matrix(up_map(n, lv.i)))
 
 
 def test_every_level_is_certified_mod_p(monkeypatch):
     # the Bareiss fallback must not run: each level's mod-p rank reaches
-    # min(dim_src, dim_dst) on its own
+    # min(dim_src, dim_dst) on its own.  verify_lemma no longer reaches the
+    # mod-p path, so the up maps are ranked directly
     def no_fallback(m):
         raise AssertionError("Bareiss fallback ran")
 
     monkeypatch.setattr(boollattice.exactalg, "rank", no_fallback)
     for n in range(1, 13):
-        assert verify_lemma(n).passed
+        for i in range(min(n // 2, n - 1) + 1):
+            m = up_map(n, i)
+            assert exactalg.rank_certified(m) == min(comb(n, i), comb(n, i + 1))
+            assert exactalg.rank_certified_path(m)[1] == "mod-p"
+
+
+def _doctored(m: IntMatrix, kind: str) -> IntMatrix:
+    """m with column 0 changed: its last entry dropped, an entry added, or column 1 copied."""
+    col = m.cols[0]
+    if kind == "drop":
+        new = col[:-1]
+    elif kind == "add":
+        extra = min(set(range(m.nrows)) - {r for (r, _) in col})
+        new = tuple(sorted(col + ((extra, 1),)))
+    else:
+        new = m.cols[1]
+    return IntMatrix(m.nrows, m.ncols, (new,) + m.cols[1:])
+
+
+def _identity_args(n: int, i: int, ups: dict) -> tuple:
+    """(m, shift, w) of level i's identity, as verify_lemma chooses them."""
+    if 2 * i < n:
+        w = ups[i - 1] if i else IntMatrix(ups[i].ncols, 0, ())
+        return ups[i], n - 2 * i, w
+    w = exactalg.transpose(ups[i + 1]) if i + 1 < n else IntMatrix(ups[i].nrows, 0, ())
+    return exactalg.transpose(ups[i]), 2, w
+
+
+@pytest.mark.parametrize("kind", ["drop", "add", "copy"])
+@pytest.mark.parametrize("n, i", [(7, 2), (6, 1), (6, 3)])
+def test_doctored_up_map_falls_back_to_the_exact_rank(n, i, kind, monkeypatch):
+    ups = {j: up_map(n, j) for j in range(n)}
+    bad = _doctored(ups[i], kind)
+    assert exactalg.gram_certifies(*_identity_args(n, i, ups))
+    assert not exactalg.gram_certifies(*_identity_args(n, i, {**ups, i: bad}))
+
+    real_up_map = boollattice.up_map
+    monkeypatch.setattr(
+        boollattice, "up_map", lambda n_, j: bad if (n_, j) == (n, i) else real_up_map(n_, j)
+    )
+    rep = verify_lemma(n)
+    doctored = rep.levels[i]
+    assert doctored.path in ("mod-p", "bareiss")
+    assert doctored.rank == rank_gauss_dense(averaging_matrix(bad))
+    for lv in rep.levels:
+        m = bad if lv.i == i else up_map(n, lv.i)
+        assert lv.rank == rank_gauss_dense(averaging_matrix(m))
+    if kind == "copy" and 2 * i < n:
+        # two equal columns of an injective level: the rank falls short and
+        # is reported, not assumed
+        assert doctored.path == "bareiss"
+        assert doctored.rank == min(doctored.dim_src, doctored.dim_dst) - 1
+        assert not rep.passed
 
 
 def test_surjective_above_middle():

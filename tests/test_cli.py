@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,16 @@ def test_boolean_report(tmp_path):
     assert chains == {0: 1, 1: 4, 2: 6}
 
 
+def test_boolean_summary_names_the_rank_paths(capsys):
+    # the paths go to stderr only; the report on stdout has no timing
+    assert run(["boolean", "--n", "11"]) == 0
+    captured = capsys.readouterr()
+    assert re.fullmatch(
+        r"boolean n=11: 6 levels, identity 6 / mod-p 0 / bareiss 0, \d+\.\d\ds\n", captured.err
+    )
+    assert "identity" not in captured.out
+
+
 def test_transfer_command(capsys):
     assert (
         run(
@@ -218,6 +229,17 @@ def test_batch_refuses_a_bad_spec_before_any_report(tmp_path):
     specs.write_text("cycle:6\npath:4\ncomplete:x\n")
     outdir = tmp_path / "reports"
     assert run(["batch", "--specs", str(specs), "--json", str(outdir)]) == 2
+    assert not list(outdir.glob("*.json"))
+
+
+def test_batch_refuses_an_oversize_graph_before_any_report(tmp_path, capsys):
+    # batch always runs the group checks, so n = 16 is refused up front,
+    # not after cycle:6's report is written
+    specs = tmp_path / "specs.txt"
+    specs.write_text("cycle:6\ncycle:16\n")
+    outdir = tmp_path / "reports"
+    assert run(["batch", "--specs", str(specs), "--json", str(outdir)]) == 2
+    assert "n=16 exceeds the vertex limit 12" in capsys.readouterr().err
     assert not list(outdir.glob("*.json"))
 
 
@@ -323,6 +345,11 @@ def test_verify_with_trivial_group_never_loads_numpy():
     # gnp:7:2:5:2 has |Aut| = 1 and no block wider than 48 columns, so
     # neither numpy path (equivariance, mod-p rank) runs
     assert _numpy_loaded_after(["verify", "--gen", "gnp:7:2:5:2"]) == (0, False)
+
+
+def test_boolean_never_loads_numpy():
+    # every level is certified by the commutation identity, in integers
+    assert _numpy_loaded_after(["boolean", "--n", "12"]) == (0, False)
 
 
 @pytest.mark.parametrize("command", ["verify", "batch"])

@@ -93,6 +93,44 @@ def test_rank_defect_certified_falls_back():
     assert rank_certified(m) == 1
 
 
+def test_rank_certified_path_names_the_path():
+    assert exactalg.rank_certified_path(pattern_matrix(2, [[0], [1]])) == (2, "mod-p")
+    m = IntMatrix(3, 2, (((0, 1), (1, 2)), ((0, 2), (1, 4))))
+    assert exactalg.rank_certified_path(m) == (1, "bareiss")
+
+
+def test_transpose_swaps_rows_and_columns():
+    m = IntMatrix(3, 2, (((0, 1), (2, -3)), ((1, 5),)))
+    t = exactalg.transpose(m)
+    assert t == IntMatrix(2, 3, (((0, 1),), ((1, 5),), ((0, -3),)))
+    assert exactalg.transpose(t) == m
+
+
+def test_gram_certifies_signed_columns():
+    # columns (1, 1) and (1, -1): mᵀm = 2·I, the off-diagonal sum cancels to 0
+    m = IntMatrix(2, 2, (((0, 1), (1, 1)), ((0, 1), (1, -1))))
+    none = IntMatrix(2, 0, ())
+    assert exactalg.gram_certifies(m, 2, none)
+    assert not exactalg.gram_certifies(m, 1, none)
+    # 1·I + w·wᵀ = [[2, 1], [1, 2]] differs off the diagonal
+    assert not exactalg.gram_certifies(m, 1, pattern_matrix(2, [[0, 1]]))
+
+
+def test_gram_certifies_rejects_a_nonpositive_shift():
+    # both identities hold, yet neither matrix has full column rank
+    ones = pattern_matrix(1, [[0], [0]])  # 1 x 2, rank 1
+    assert not exactalg.gram_certifies(ones, 0, exactalg.transpose(ones))
+    zero = IntMatrix(1, 1, ((),))  # 0 = -1 + 1·1
+    assert not exactalg.gram_certifies(zero, -1, pattern_matrix(1, [[0]]))
+
+
+def test_gram_certifies_rejects_a_witness_of_the_wrong_height():
+    m = pattern_matrix(1, [[0]])  # mᵀm = 1·I
+    assert exactalg.gram_certifies(m, 1, IntMatrix(1, 0, ()))
+    assert not exactalg.gram_certifies(m, 1, IntMatrix(2, 0, ()))
+    assert not exactalg.gram_certifies(m, 1, IntMatrix(0, 0, ()))
+
+
 _CERT_PRIME = exactalg._CERT_PRIME  # 2**31 - 1
 
 
