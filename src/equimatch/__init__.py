@@ -1,16 +1,13 @@
-"""Exact verification toolkit for matching-space injections of small graphs."""
+"""Exact verification toolkit for matching-space injections of small graphs.
+
+The package init holds only the version and `InternalError`, so that
+`equimatch --version` and `equimatch boolean` compile nothing of the graph
+side; import the modules themselves (`equimatch.graph`, `equimatch.phimap`,
+...) for the library.
+"""
 
 __version__ = "0.1.0"
 
-from .graph import Graph, parse_graph, generate
-from .matchings import MatchingTable, enumerate_matchings, matching_table
 
-__all__ = [
-    "Graph",
-    "parse_graph",
-    "generate",
-    "MatchingTable",
-    "enumerate_matchings",
-    "matching_table",
-    "__version__",
-]
+class InternalError(RuntimeError):
+    """A library invariant failed: a fault in equimatch, not in its input."""

@@ -14,7 +14,6 @@ limit guards against factorial blowup where every element is walked (the
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .graph import Graph
 
@@ -27,11 +26,13 @@ class SizeLimitError(ValueError):
     """Graph too large for exhaustive group enumeration."""
 
 
-@dataclass(frozen=True)
 class AutomorphismGroup:
-    graph: Graph
-    generators: tuple[Permutation, ...]  # sorted; never the identity
-    order: int
+    """The automorphisms of `graph`: sorted strong generators (never the identity) and the order."""
+
+    def __init__(self, graph: Graph, generators: tuple[Permutation, ...], order: int):
+        self.graph = graph
+        self.generators = generators
+        self.order = order
 
     def __iter__(self) -> Iterator[Permutation]:
         """Every element, lexicographically, found anew on each pass."""

@@ -6,20 +6,20 @@ basis ordering for the level matrices.  Each level's rank is certified by
 the sl₂ commutation identity DU − UD = (n − 2i)·I, checked in exact integers
 (Proctor 1982); exact elimination runs only where the identity fails, so the
 lemma never loads numpy.  Chains are produced by iterating the
-bracket-matching successor shared with the transfer module, truncating the
-full symmetric chain decomposition to levels [i, n-i].
+bracket-matching successor `bracket_successor` (which `transfer` reads for
+its subset injection), truncating the full symmetric chain decomposition to
+levels [i, n-i].  Of the package it reads only `exactalg` and the init, so the
+`boolean` command compiles nothing of the graph side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
-from . import exactalg
+from . import InternalError, exactalg
 from .exactalg import IntMatrix, pattern_matrix
-from .graph import InternalError
-from .transfer import bracket_successor
 
 
 def level_subsets(n: int, i: int) -> list[int]:
@@ -55,8 +55,7 @@ def up_map(n: int, i: int) -> IntMatrix:
     ])
 
 
-@dataclass(frozen=True)
-class LevelRank:
+class LevelRank(NamedTuple):
     i: int
     dim_src: int
     dim_dst: int
@@ -82,8 +81,7 @@ class LevelRank:
         )
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     n: int
     levels: tuple[LevelRank, ...]
 
@@ -131,8 +129,26 @@ def verify_lemma(n: int, limit: int = 14) -> LemmaReport:
     return LemmaReport(n, tuple(_level_rank(n, i, ups) for i in range(top + 1)))
 
 
-@dataclass(frozen=True)
-class ChainFamily:
+def bracket_successor(n: int, members: frozenset[int]) -> frozenset[int] | None:
+    """Add the leftmost unmatched opener of the bracket word of `members`.
+
+    Position i in 1..n is a closer ")" iff i is a member, else an opener "(".
+    Closers match the nearest unmatched opener to their left.  Returns None
+    when every opener is matched.
+    """
+    stack: list[int] = []
+    for i in range(1, n + 1):
+        if i in members:
+            if stack:
+                stack.pop()
+        else:
+            stack.append(i)
+    if not stack:
+        return None
+    return members | {stack[0]}
+
+
+class ChainFamily(NamedTuple):
     n: int
     i: int
     chains: tuple[tuple[int, ...], ...]  # each chain: bitsets from level i to n-i

@@ -7,64 +7,48 @@ error (a fault in equimatch; the traceback goes to stderr).
 JSON reports are byte-identical across runs for fixed inputs: ordering is
 canonical everywhere and wall-clock timings are printed to the terminal
 only, never serialized.
+
+This module parses and checks every argument, and runs `boolean`.  The
+commands that read a graph, and the `verify` check table, live in
+`graphcli`, which `run` imports only for them: `--version` compiles this
+module alone, and `boolean` adds only `boollattice` and `exactalg`.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import re
 import sys
 import time
-import traceback
 from pathlib import Path
-from typing import Callable, NamedTuple
 
-from . import __version__, phimap, polyring
-from .autgroup import SizeLimitError, automorphisms, check_vertex_limit
-from .graph import (
-    Graph,
-    GraphFormatError,
-    GraphSpecError,
-    bits_to_edges,
-    edge_bits,
-    generate,
-    parse_graph,
-)
-from .matchings import logconcavity_violations, matching_table
-from .phimap import BudgetExceededError, build_phi
-from .transfer import MatchingPair, decompose, f_equivariance_counterexample, krattenthaler_f, neighbor_set
+from . import __version__
 
 SCHEMA_VERSION = 1
+DEFAULT_BUDGET = 10**6
+# the names of `graphcli.CHECKS`, here so that parsing loads no graph module
+ALL_CHECKS = ("diagram", "equivariant", "f-equivariance", "injective", "nonneg", "parts")
 
 
-def _edge_token(g: Graph, bits: int) -> str:
-    return ",".join(f"{u}-{v}" for (u, v) in bits_to_edges(g, bits))
+def _check_list(text: str) -> list[str]:
+    """The sorted distinct names of a comma-separated check list; each must be a check."""
+    names = set(text.split(","))
+    if "" in names:
+        raise argparse.ArgumentTypeError(f"empty check name in {text!r}")
+    unknown = sorted(names.difference(ALL_CHECKS))
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown checks: {', '.join(unknown)}")
+    return sorted(names)
 
 
-def _witness(g: Graph, sigma, blue: int, pink: int) -> dict:
-    return {"sigma": list(sigma), "blue": _edge_token(g, blue), "pink": _edge_token(g, pink)}
-
-
-def _parse_matching_tokens(g: Graph, text: str) -> int:
-    if not text.strip():
-        return 0
-    pairs = []
-    for tok in text.split(","):
-        m = re.fullmatch(r"\s*(\d+)-(\d+)\s*", tok)
-        if not m:
-            raise ValueError(f"bad edge token {tok!r}; expected 'u-v'")
-        pairs.append((int(m.group(1)), int(m.group(2))))
-    return edge_bits(g, pairs)
-
-
-def _load_graph(args) -> tuple[Graph, str]:
-    if getattr(args, "gen", None):
-        return generate(args.gen), f"gen:{args.gen}"
-    text = Path(args.file).read_text()
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return parse_graph(text), f"file:sha256:{digest}"
+def _budget(text: str) -> int:
+    """A positive budget: the most Φ nonzeros, or f-equivariance pairs times |Aut|, per slot."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _add_source(parser):
@@ -73,141 +57,9 @@ def _add_source(parser):
     src.add_argument("--file", help="edge-list file")
 
 
-class Check(NamedTuple):
-    """One `verify` check and what it reads besides the matching table.
+def emit(report: dict, json_path: str | None) -> None:
+    import json  # not at the top: `--version` and `gen` write no report
 
-    `run(g, ell, k, table, group, phi, budget)` returns (passed, details),
-    or None when the check's own work would exceed the budget.
-    """
-
-    reads_phi: bool
-    reads_group: bool
-    run: Callable
-
-
-def _injective(g, ell, k, t, group, phi, budget):
-    rep = phimap.verify_injective(g, ell, k, table=t, phi=phi)
-    return rep.passed, {"rank": rep.total_rank, "columns": rep.expected, "blocks": len(rep.blocks)}
-
-
-def _equivariant(g, ell, k, t, group, phi, budget):
-    rep = phimap.verify_equivariant(g, ell, k, table=t, group=group, phi=phi)
-    details = {"group_order": rep.group_order, "columns": rep.columns}
-    if rep.failures:
-        sigma, (blue, pink) = rep.failures[0]
-        details["witness"] = _witness(g, sigma, blue, pink)
-    return rep.passed, details
-
-
-def _diagram(g, ell, k, t, group, phi, budget):
-    rep = polyring.verify_diagram(g, ell, k, table=t, phi=phi)
-    return rep.passed, {"columns": rep.columns}
-
-
-def _nonneg(g, ell, k, t, group, phi, budget):
-    rep = polyring.verify_nonneg(g, ell, k, table=t)
-    details = {"terms": rep.term_count}
-    if rep.violations:
-        exps, coeff = rep.violations[0]
-        details["violating_monomial"] = {"exponents": list(exps), "coefficient": str(coeff)}
-    return rep.passed, details
-
-
-def _parts(g, ell, k, t, group, phi, budget):
-    recs = phimap.count_parts(g, ell, k, table=t, phi=phi)
-    return all(r.counts_equal for r in recs), {
-        "unions": len(recs),
-        "all_match_pow_edges": all(r.matches_pow_edges for r in recs),
-        "all_match_pow_components": all(r.matches_pow_components for r in recs),
-    }
-
-
-def _f_equivariance(g, ell, k, t, group, phi, budget):
-    """Expected failure: the single-output map is order dependent, so a
-    counterexample on a graph with nontrivial symmetry counts as a pass."""
-    if t.m(ell - 1) * t.m(k + 1) * max(group.order, 1) > budget:
-        return None
-    witness = f_equivariance_counterexample(g, group, ell, k, table=t)
-    details = {"counterexample": None, "group_order": group.order}
-    if witness is not None:
-        sigma, pair = witness
-        details["counterexample"] = _witness(g, sigma, pair.blue, pair.pink)
-        details["note"] = "expected failure of the order-dependent map, witnessed"
-    return True, details
-
-
-CHECKS = {
-    "diagram": Check(reads_phi=True, reads_group=False, run=_diagram),
-    "equivariant": Check(reads_phi=True, reads_group=True, run=_equivariant),
-    "f-equivariance": Check(reads_phi=False, reads_group=True, run=_f_equivariance),
-    "injective": Check(reads_phi=True, reads_group=False, run=_injective),
-    "nonneg": Check(reads_phi=False, reads_group=False, run=_nonneg),
-    "parts": Check(reads_phi=True, reads_group=False, run=_parts),
-}
-ALL_CHECKS = tuple(sorted(CHECKS))
-
-
-def _run_checks(g: Graph, ell: int, k: int, checks, budget: int, group, t) -> list[dict]:
-    """Records of one (l, k) slot; `t` is the graph's matching table, shared by every slot.
-
-    Φ is built once, and only if a requested check reads it.  A check whose
-    Φ or own work exceeds the budget gets a `skipped` record.
-    """
-    phi = None
-    phi_over_budget = False
-    if k + 1 <= t.r and any(CHECKS[c].reads_phi for c in checks):
-        try:
-            phi = build_phi(g, ell, k, table=t, budget=budget)
-        except BudgetExceededError:
-            phi_over_budget = True
-    records = []
-    for name in checks:
-        check = CHECKS[name]
-        skip = check.reads_phi and phi_over_budget
-        result = None if skip else check.run(g, ell, k, t, group, phi, budget)
-        if result is None:
-            status, details = "skipped", {"reason": f"budget {budget} exceeded"}
-        else:
-            status, details = ("pass" if result[0] else "fail"), result[1]
-        records.append({"check": name, "ell": ell, "k": k, "status": status, "details": details})
-    return records
-
-
-def _verify_report(g: Graph, descriptor: str, slots, checks, budget: int, t):
-    """The report of `checks` over `slots`, and the group, built only if a check needs it (else None)."""
-    group = automorphisms(g) if any(CHECKS[c].reads_group for c in checks) else None
-    records = []
-    for (ell, k) in slots:
-        records.extend(_run_checks(g, ell, k, checks, budget, group, t))
-    records.sort(key=lambda r: (r["check"], r["ell"], r["k"]))
-    statuses = {r["status"] for r in records}
-    overall = "fail" if "fail" in statuses else ("skipped" if statuses == {"skipped"} else "pass")
-    return {
-        "schema": SCHEMA_VERSION,
-        "tool": "equimatch",
-        "version": __version__,
-        "graph": {"descriptor": descriptor, "n": g.n, "m": g.num_edges},
-        "matching_numbers": list(t.counts),
-        "r": t.r,
-        "group_order": None if group is None else group.order,
-        "checks": records,
-        "overall": overall,
-    }, group
-
-
-def _progress(descriptor: str, report: dict, group, elapsed: float) -> str:
-    """The stderr summary of one verify report; the group's size stays out of the report."""
-    aut = ""
-    if group is not None:
-        gens = len(group.generators)
-        aut = f", |Aut| {group.order} from {gens} generator{'' if gens == 1 else 's'}"
-    return (
-        f"verify {descriptor}: {report['overall']} "
-        f"({len(report['checks'])} records{aut}, {elapsed:.2f}s)"
-    )
-
-
-def _emit(report: dict, json_path: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if json_path:
         Path(json_path).write_text(text)
@@ -215,71 +67,12 @@ def _emit(report: dict, json_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report_exit(report: dict) -> int:
+def report_exit(report: dict) -> int:
     return {"pass": 0, "fail": 1, "skipped": 3}[report["overall"]]
 
 
-def cmd_gen(args) -> int:
-    g = generate(args.spec)
-    text = g.serialize()
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def cmd_count(args) -> int:
-    g, _ = _load_graph(args)
-    t = matching_table(g)
-    print(f"m = {list(t.counts)}")
-    print(f"r = {t.r}")
-    bad = logconcavity_violations(t)
-    for (ell, k, slack) in bad:
-        print(f"log-concavity VIOLATED at (l, k) = ({ell}, {k}): slack {slack}")
-    if bad:
-        return 1
-    print(f"log-concavity: all {t.r * (t.r + 1) // 2} slacks nonnegative")
-    return 0
-
-
-def cmd_aut(args) -> int:
-    g, _ = _load_graph(args)
-    group = automorphisms(g)
-    print(f"order = {group.order}")
-    for sigma in group:
-        print(" ".join(map(str, sigma)))
-    return 0
-
-
-def cmd_verify(args) -> int:
-    g, descriptor = _load_graph(args)
-    t = matching_table(g)
-    if args.ell is not None or args.k is not None:
-        if args.ell is None or args.k is None:
-            print("--ell and --k must be given together", file=sys.stderr)
-            return 2
-        if not (1 <= args.ell <= args.k <= max(t.r, 1)):
-            print(f"need 1 <= ell <= k <= r = {t.r}", file=sys.stderr)
-            return 2
-        slots = [(args.ell, args.k)]
-    else:
-        slots = [(l, k) for k in range(1, t.r + 1) for l in range(1, k + 1)]
-    checks = sorted(set(args.check.split(","))) if args.check else list(ALL_CHECKS)
-    unknown = [c for c in checks if c not in ALL_CHECKS]
-    if unknown:
-        print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    started = time.monotonic()
-    report, group = _verify_report(g, descriptor, slots, checks, args.budget, t)
-    elapsed = time.monotonic() - started
-    _emit(report, args.json)
-    print(_progress(descriptor, report, group, elapsed), file=sys.stderr)
-    return _report_exit(report)
-
-
 def cmd_boolean(args) -> int:
-    # imported here, so the start-up of every other command never compiles it
+    # imported here, so `--version` never compiles it
     from . import boollattice
 
     n = args.n
@@ -324,63 +117,14 @@ def cmd_boolean(args) -> int:
         "checks": records,
         "overall": overall,
     }
-    _emit(report, args.json)
+    emit(report, args.json)
     paths = [lv.path for lv in rep.levels]
     counts = " / ".join(f"{p} {paths.count(p)}" for p in ("identity", "mod-p", "bareiss"))
     print(
         f"boolean n={n}: {len(paths)} levels, {counts}, {time.monotonic() - started:.2f}s",
         file=sys.stderr,
     )
-    return _report_exit(report)
-
-
-def cmd_transfer(args) -> int:
-    g, _ = _load_graph(args)
-    blue = _parse_matching_tokens(g, args.blue)
-    pink = _parse_matching_tokens(g, args.pink)
-    pair = MatchingPair(blue, pink)
-    dec = decompose(g, pair)
-    if args.kratt and blue.bit_count() >= pink.bit_count():
-        raise ValueError("--kratt needs |blue| < |pink|: f maps (l-1, k+1) pairs")
-    print(f"blue = [{_edge_token(g, blue)}]  pink = [{_edge_token(g, pink)}]")
-    print(f"two-colored = [{_edge_token(g, pair.intersection)}]")
-    for comp in dec.components:
-        print(f"component [{_edge_token(g, comp.edges)}]: {comp.kind}")
-    print(f"b = {dec.b}, p = {dec.p}")
-    for q in neighbor_set(g, pair):
-        print(f"neighbor: blue=[{_edge_token(g, q.blue)}] pink=[{_edge_token(g, q.pink)}]")
-    if args.kratt:
-        out = krattenthaler_f(g, pair)
-        print(f"f: blue=[{_edge_token(g, out.blue)}] pink=[{_edge_token(g, out.pink)}]")
-    return 0
-
-
-def cmd_batch(args) -> int:
-    lines = (line.strip() for line in Path(args.specs).read_text().splitlines())
-    specs = [line for line in lines if line and not line.startswith("#")]
-    outdir = Path(args.json)
-    outdir.mkdir(parents=True, exist_ok=True)
-    # a bad spec, or a graph too large for the group checks batch always
-    # runs, is refused before the first report is written
-    graphs = [generate(spec) for spec in specs]
-    for g in graphs:
-        check_vertex_limit(g.n)
-    codes = []
-    for spec, g in zip(specs, graphs):
-        started = time.monotonic()
-        t = matching_table(g)
-        slots = [(l, k) for k in range(1, t.r + 1) for l in range(1, k + 1)]
-        descriptor = f"gen:{spec}"
-        report, group = _verify_report(g, descriptor, slots, list(ALL_CHECKS), args.budget, t)
-        print(_progress(descriptor, report, group, time.monotonic() - started), file=sys.stderr)
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", spec)
-        _emit(report, str(outdir / f"{safe}.json"))
-        codes.append(_report_exit(report))
-    if 1 in codes:
-        return 1
-    if codes and all(c == 3 for c in codes):
-        return 3
-    return 0
+    return report_exit(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,43 +138,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit an edge-list file for a generator spec")
     p.add_argument("spec")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("count", help="matching numbers and numeric log-concavity")
     _add_source(p)
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("aut", help="automorphism group order and elements")
     _add_source(p)
-    p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("verify", help="run the verification suite")
     _add_source(p)
     p.add_argument("--ell", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--all", action="store_true", help="all (ell, k) slots (default)")
-    p.add_argument("--check", help="comma-separated subset of: " + ",".join(ALL_CHECKS))
-    p.add_argument("--budget", type=int, default=phimap.DEFAULT_BUDGET)
+    p.add_argument(
+        "--check",
+        type=_check_list,
+        default=list(ALL_CHECKS),
+        help="comma-separated subset of: " + ",".join(ALL_CHECKS),
+    )
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.add_argument("--json", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("boolean", help="Boolean-lattice rank and chain suite")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json")
-    p.set_defaults(func=cmd_boolean)
 
     p = sub.add_parser("transfer", help="decompose a matching pair and list neighbors")
     _add_source(p)
     p.add_argument("--blue", required=True, help="comma-separated u-v edge tokens")
     p.add_argument("--pink", required=True, help="comma-separated u-v edge tokens")
     p.add_argument("--kratt", action="store_true", help="also apply the single-output map")
-    p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("batch", help="one verify report per spec line")
     p.add_argument("--specs", required=True)
     p.add_argument("--json", required=True, help="output directory")
-    p.add_argument("--budget", type=int, default=phimap.DEFAULT_BUDGET)
-    p.set_defaults(func=cmd_batch)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
 
     return parser
 
@@ -442,13 +184,21 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code in (0, 2) else 2
     try:
-        return args.func(args)
-    except (GraphFormatError, GraphSpecError, SizeLimitError, ValueError, OSError) as exc:
+        if args.command == "boolean":
+            return cmd_boolean(args)
+        # every other command runs on a graph; only they compile that side
+        from . import graphcli
+
+        return getattr(graphcli, f"cmd_{args.command}")(args)
+    except (ValueError, OSError) as exc:
+        # bad input: every input error of the library is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
         # an InternalError or any other fault of the program itself: its own
         # exit code, so it is never read as a failed check (1) or bad input (2)
+        import traceback
+
         traceback.print_exc()
         print("internal error: this is a bug in equimatch", file=sys.stderr)
         return 4

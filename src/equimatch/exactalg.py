@@ -25,32 +25,41 @@ so their ranks are certified without numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 _CERT_PRIME = 2_147_483_647  # fits in int64 with safe products
 
 Column = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    nrows: int
-    ncols: int
-    cols: tuple[Column, ...]  # per column, sorted by row, no zeros
+    """An nrows × ncols integer matrix; `cols[j]` lists column j's (row, value), sorted by row, no zeros."""
 
-    def __post_init__(self):
-        if len(self.cols) != self.ncols:
+    def __init__(self, nrows: int, ncols: int, cols: tuple[Column, ...]):
+        if len(cols) != ncols:
             raise ValueError("column count mismatch")
-        for col in self.cols:
+        for col in cols:
             prev = -1
             for (r, v) in col:
-                if not (0 <= r < self.nrows):
+                if not (0 <= r < nrows):
                     raise ValueError("row index out of range")
                 if r <= prev:
                     raise ValueError("column entries not strictly sorted by row")
                 if v == 0:
                     raise ValueError("stored zero entry")
                 prev = r
+        self.nrows = nrows
+        self.ncols = ncols
+        self.cols = cols
+
+    def __eq__(self, other):
+        if other.__class__ is not IntMatrix:
+            return NotImplemented
+        return (self.nrows, self.ncols, self.cols) == (other.nrows, other.ncols, other.cols)
+
+    def __hash__(self) -> int:
+        return hash((self.nrows, self.ncols, self.cols))
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(nrows={self.nrows!r}, ncols={self.ncols!r}, cols={self.cols!r})"
 
 
 def pattern_matrix(nrows: int, patterns) -> IntMatrix:

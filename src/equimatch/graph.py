@@ -10,8 +10,9 @@ Edge sets are plain Python ints used as bitsets over edge indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+
+from . import InternalError  # noqa: F401  (defined in the package init; importable from here too)
 
 
 class GraphFormatError(ValueError):
@@ -28,27 +29,38 @@ class GraphSpecError(ValueError):
     """Bad generator spec string."""
 
 
-class InternalError(RuntimeError):
-    """A library invariant failed: a fault in equimatch, not in its input."""
-
-
-@dataclass(frozen=True)
 class Graph:
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    """n vertices and the strictly increasing tuple of edges (u, v), u < v.
 
-    def __post_init__(self):
-        if self.n < 0:
+    Equal graphs have equal vertex counts and edge tuples; the derived
+    tables below are computed once per graph, when first read.
+    """
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        if n < 0:
             raise ValueError("negative vertex count")
         prev = None
-        for (u, v) in self.edges:
+        for (u, v) in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if prev is not None and (u, v) <= prev:
                 raise ValueError("edge list not strictly increasing")
             prev = (u, v)
+        self.n = n
+        self.edges = edges
+
+    def __eq__(self, other):
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     @property
     def num_edges(self) -> int:

@@ -8,7 +8,6 @@ ordering contract shared with the matrix modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .graph import Graph
@@ -35,10 +34,12 @@ def enumerate_matchings(g: Graph, k: int) -> list[int]:
     return list(matching_table(g).level(k))
 
 
-@dataclass(frozen=True)
 class MatchingTable:
-    graph: Graph
-    by_size: tuple[tuple[int, ...], ...]  # index k -> sorted k-matching bitsets
+    """Every matching of a graph; `by_size[k]` holds the sorted k-matching bitsets."""
+
+    def __init__(self, graph: Graph, by_size: tuple[tuple[int, ...], ...]):
+        self.graph = graph
+        self.by_size = by_size
 
     @property
     def r(self) -> int:

@@ -18,18 +18,17 @@ reaches is a zero row and changes no rank.  Rank is certified block by block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from . import exactalg
+from . import InternalError, exactalg
 from . import graph as graphlib
 from .autgroup import AutomorphismGroup, apply_edge_perm, automorphisms, edge_action
 from .exactalg import IntMatrix, pattern_matrix
-from .graph import Graph, InternalError
+from .graph import Graph
 from .matchings import MatchingTable, matching_table
 from .transfer import odd_chains
 
-DEFAULT_BUDGET = 10**6
 # nonzeros x generators from which numpy's equivariance test repays its import
 EQUIVARIANCE_SCAN_LIMIT = 1 << 16
 
@@ -56,14 +55,12 @@ def _tensor_pairs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[PairBits, ...
     return tuple((x, y) for x in a for y in b)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     key: BlockKey
     col_indices: tuple[int, ...]
     row_indices: tuple[int, ...]  # the rows its columns reach
 
 
-@dataclass(frozen=True)
 class PhiMatrix:
     """Φ on one (l, k) slot of a matching table.
 
@@ -73,11 +70,19 @@ class PhiMatrix:
     its columns, in column order.
     """
 
-    table: MatchingTable
-    ell: int
-    k: int
-    columns: tuple[tuple[int, ...], ...]
-    col_groups: dict[BlockKey, list[int]]
+    def __init__(
+        self,
+        table: MatchingTable,
+        ell: int,
+        k: int,
+        columns: tuple[tuple[int, ...], ...],
+        col_groups: dict[BlockKey, list[int]],
+    ):
+        self.table = table
+        self.ell = ell
+        self.k = k
+        self.columns = columns
+        self.col_groups = col_groups
 
     @property
     def graph(self) -> Graph:
@@ -191,16 +196,14 @@ def _block_matrix(phi: PhiMatrix, block: Block) -> IntMatrix:
     )
 
 
-@dataclass(frozen=True)
-class BlockRank:
+class BlockRank(NamedTuple):
     key: BlockKey
     nrows: int
     ncols: int
     rank: int
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(NamedTuple):
     ell: int
     k: int
     blocks: tuple[BlockRank, ...]
@@ -277,8 +280,7 @@ def _noncommuting_column(phi: PhiMatrix, pm: dict, ell: int, k: int, len_k: int,
     return None
 
 
-@dataclass(frozen=True)
-class EquivarianceReport:
+class EquivarianceReport(NamedTuple):
     ell: int
     k: int
     group_order: int
@@ -371,8 +373,7 @@ def verify_equivariant(
     return EquivarianceReport(ell, k, grp.order, ncols, tuple(failures))
 
 
-@dataclass(frozen=True)
-class PartRecord:
+class PartRecord(NamedTuple):
     union: int
     source_classes: int
     target_classes: int

@@ -11,7 +11,7 @@ arithmetic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 from .matchings import MatchingTable, matching_table
@@ -35,8 +35,7 @@ def _exponents(g: Graph, key: MonomialKey) -> tuple[int, ...]:
     return tuple((union >> i & 1) + (inter >> i & 1) for i in range(g.num_edges))
 
 
-@dataclass(frozen=True)
-class NonnegReport:
+class NonnegReport(NamedTuple):
     ell: int
     k: int
     term_count: int
@@ -67,8 +66,7 @@ def verify_nonneg(
     return NonnegReport(ell, k, terms, tuple(violations))
 
 
-@dataclass(frozen=True)
-class DiagramReport:
+class DiagramReport(NamedTuple):
     ell: int
     k: int
     columns: int

@@ -5,7 +5,8 @@ form a subgraph whose components are paths ("chains") or even cycles.  Odd
 chains whose end edges are blue (resp. pink) are the swappable currency: the
 neighbor set of a pair swaps the colors inside one pink chain at a time,
 while the single-output map `krattenthaler_f` picks one pink chain through a
-vertex-order-dependent subset injection (bracket matching).
+vertex-order-dependent subset injection (the bracket matching of
+`boollattice.bracket_successor`).
 
 `odd_chains` is the one chain decomposition: each odd chain with one end
 edge, memoised per one-colored set, so Φ's build, the neighbor sets and the
@@ -15,11 +16,13 @@ does, for the `transfer` command, and names the kind of every component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from . import InternalError
 from . import graph as graphlib
 from .autgroup import apply_edge_perm, edge_action
-from .graph import Graph, InternalError
+from .boollattice import bracket_successor
+from .graph import Graph
 from .matchings import MatchingTable, is_matching, matching_table
 
 BLUE_CHAIN = "blue"
@@ -28,8 +31,7 @@ EVEN_PATH = "even_path"
 EVEN_CYCLE = "even_cycle"
 
 
-@dataclass(frozen=True)
-class MatchingPair:
+class MatchingPair(NamedTuple):
     """An ordered pair of matchings on a shared host; blue first, pink second."""
 
     blue: int
@@ -51,14 +53,12 @@ class MatchingPair:
         return (self.blue.bit_count(), self.pink.bit_count())
 
 
-@dataclass(frozen=True)
-class ChainComponent:
+class ChainComponent(NamedTuple):
     edges: int
     kind: str
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(NamedTuple):
     pair: MatchingPair
     components: tuple[ChainComponent, ...]
 
@@ -151,25 +151,6 @@ def neighbor_set(g: Graph, pair: MatchingPair) -> tuple[MatchingPair, ...]:
     out = [MatchingPair(blue ^ c, pink ^ c) for (c, end) in chains if pink & end]
     out.sort(key=lambda q: (q.blue, q.pink))
     return tuple(out)
-
-
-def bracket_successor(n: int, members: frozenset[int]) -> frozenset[int] | None:
-    """Add the leftmost unmatched opener of the bracket word of `members`.
-
-    Position i in 1..n is a closer ")" iff i is a member, else an opener "(".
-    Closers match the nearest unmatched opener to their left.  Returns None
-    when every opener is matched.
-    """
-    stack: list[int] = []
-    for i in range(1, n + 1):
-        if i in members:
-            if stack:
-                stack.pop()
-        else:
-            stack.append(i)
-    if not stack:
-        return None
-    return members | {stack[0]}
 
 
 def subset_inject(n: int, members) -> frozenset[int]:

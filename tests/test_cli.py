@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from equimatch import cli, phimap, polyring
+from equimatch import cli, graphcli, phimap, polyring
 from equimatch.cli import run
 
 
@@ -103,7 +103,7 @@ def test_phi_is_built_only_for_checks_that_read_it(monkeypatch, capsys):
     def unwanted(*args, **kwargs):
         raise RuntimeError("Φ built for a check that does not read it")
 
-    monkeypatch.setattr(cli, "build_phi", unwanted)
+    monkeypatch.setattr(graphcli, "build_phi", unwanted)
     assert run(["verify", "--gen", "petersen", "--check", "nonneg"]) == 0
     assert run(["verify", "--gen", "cycle:6", "--check", "f-equivariance"]) == 0
     capsys.readouterr()
@@ -133,6 +133,37 @@ def test_verify_deterministic_json(tmp_path):
 )
 def test_usage_errors_exit_2(argv, capsys):
     assert run(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--gen", "cycle:6", "--budget", "-1"], "argument --budget: must be a positive integer, got '-1'"),
+        (["verify", "--gen", "cycle:6", "--budget", "0"], "argument --budget: must be a positive integer, got '0'"),
+        (["batch", "--specs", "specs.txt", "--json", "reports", "--budget", "-1"], "got '-1'"),
+        (["verify", "--gen", "cycle:6", "--check", ""], "argument --check: empty check name in ''"),
+        (["verify", "--gen", "cycle:6", "--check", ","], "argument --check: empty check name in ','"),
+        (["verify", "--gen", "cycle:6", "--check", "injective,"], "empty check name in 'injective,'"),
+        (["verify", "--gen", "cycle:6", "--check", "parts,bogus,injective,nope"], "unknown checks: bogus, nope"),
+    ],
+)
+def test_nonsense_limits_and_check_lists_are_usage_errors(argv, message, monkeypatch, capsys, tmp_path):
+    # refused while the arguments are parsed: no graph built, no report written
+    def no_work(spec):
+        raise RuntimeError("a graph was built before the arguments were checked")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "specs.txt").write_text("cycle:6\n")
+    monkeypatch.setattr(graphcli, "generate", no_work)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not (tmp_path / "reports").exists()
+
+
+def test_check_table_is_the_one_the_parser_names():
+    assert tuple(sorted(graphcli.CHECKS)) == cli.ALL_CHECKS
 
 
 def test_boolean_report(tmp_path):
@@ -323,13 +354,13 @@ def test_group_size_goes_to_stderr_not_the_report(tmp_path, capsys):
         assert "generators" not in path.read_text()
 
 
-def _numpy_loaded_after(argv: list[str]) -> tuple[int, bool]:
-    """Exit code of `argv` in a fresh interpreter, and whether it loaded numpy."""
+def _modules_loaded_after(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code of `argv` in a fresh interpreter, and the names of the modules it loaded."""
     code = (
         "import sys\n"
         "from equimatch import cli\n"
         f"rc = cli.run({argv!r})\n"
-        "print(rc, 'numpy' in sys.modules)\n"
+        "print(rc, *sys.modules)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -337,19 +368,27 @@ def _numpy_loaded_after(argv: list[str]) -> tuple[int, bool]:
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    rc, loaded = proc.stdout.splitlines()[-1].split()
-    return int(rc), loaded == "True"
+    rc, *loaded = proc.stdout.splitlines()[-1].split()
+    return int(rc), set(loaded)
+
+
+def _batch_argv(tmp_path, specs: str) -> list[str]:
+    path = tmp_path / "specs.txt"
+    path.write_text(specs)
+    return ["batch", "--specs", str(path), "--json", str(tmp_path / "reports")]
 
 
 def test_verify_with_trivial_group_never_loads_numpy():
     # gnp:7:2:5:2 has |Aut| = 1 and no block wider than 48 columns, so
     # neither numpy path (equivariance, mod-p rank) runs
-    assert _numpy_loaded_after(["verify", "--gen", "gnp:7:2:5:2"]) == (0, False)
+    rc, loaded = _modules_loaded_after(["verify", "--gen", "gnp:7:2:5:2"])
+    assert rc == 0 and "numpy" not in loaded
 
 
 def test_boolean_never_loads_numpy():
     # every level is certified by the commutation identity, in integers
-    assert _numpy_loaded_after(["boolean", "--n", "12"]) == (0, False)
+    rc, loaded = _modules_loaded_after(["boolean", "--n", "12"])
+    assert rc == 0 and "numpy" not in loaded
 
 
 @pytest.mark.parametrize("command", ["verify", "batch"])
@@ -359,7 +398,34 @@ def test_small_symmetric_graph_never_loads_numpy(command, tmp_path):
     if command == "verify":
         argv = ["verify", "--gen", "complete:6"]
     else:
-        specs = tmp_path / "specs.txt"
-        specs.write_text("complete:6\n")
-        argv = ["batch", "--specs", str(specs), "--json", str(tmp_path / "reports")]
-    assert _numpy_loaded_after(argv) == (0, False)
+        argv = _batch_argv(tmp_path, "complete:6\n")
+    rc, loaded = _modules_loaded_after(argv)
+    assert rc == 0 and "numpy" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, own",
+    [
+        (["--version"], set()),
+        (["boolean", "--n", "12"], {"boollattice", "exactalg"}),
+    ],
+    ids=["version", "boolean"],
+)
+def test_command_loads_only_the_modules_it_runs(argv, own):
+    # neither command reads a graph, so neither compiles the graph side
+    rc, loaded = _modules_loaded_after(argv)
+    assert rc == 0
+    ours = {name for name in loaded if name.split(".")[0] == "equimatch"}
+    assert ours == {"equimatch", "equimatch.cli"} | {f"equimatch.{m}" for m in own}
+
+
+@pytest.mark.parametrize("command", ["version", "boolean", "verify", "batch"])
+def test_no_command_loads_dataclasses(command, tmp_path):
+    argv = {
+        "version": ["--version"],
+        "boolean": ["boolean", "--n", "12"],
+        "verify": ["verify", "--gen", "gnp:7:2:5:2"],
+        "batch": _batch_argv(tmp_path, "cycle:6\npath:4\n"),
+    }[command]
+    rc, loaded = _modules_loaded_after(argv)
+    assert rc == 0 and "dataclasses" not in loaded

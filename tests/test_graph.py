@@ -126,3 +126,28 @@ def test_components_match_union_find(n, num, seed, support):
     g = generate(f"gnp:{n}:{num}:6:{seed}")
     support &= (1 << g.num_edges) - 1
     assert components(g, support) == union_find_components(g, support)
+
+
+def test_plain_classes_keep_equality_hash_repr_and_validation():
+    from equimatch.exactalg import IntMatrix
+    from equimatch.transfer import MatchingPair
+
+    a = parse_graph("3 2\n1 2\n0 1\n")
+    b = Graph(3, ((0, 1), (1, 2)))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Graph(4, ((0, 1), (1, 2))) and a != Graph(3, ((0, 1),))
+    assert a != (3, ((0, 1), (1, 2)))
+    assert repr(b) == "Graph(n=3, edges=((0, 1), (1, 2)))"
+    with pytest.raises(ValueError):
+        Graph(-1, ())
+    with pytest.raises(ValueError):
+        Graph(2, ((0, 2),))
+
+    m = IntMatrix(2, 1, (((0, 1), (1, -2)),))
+    assert m == IntMatrix(2, 1, (((0, 1), (1, -2)),)) and hash(m) == hash(IntMatrix(2, 1, (((0, 1), (1, -2)),)))
+    assert m != IntMatrix(3, 1, (((0, 1), (1, -2)),)) and m != IntMatrix(2, 1, (((0, 1),),))
+    assert repr(m) == "IntMatrix(nrows=2, ncols=1, cols=(((0, 1), (1, -2)),))"
+    with pytest.raises(ValueError):
+        IntMatrix(2, 1, (((1, 1), (0, 1)),))
+
+    assert repr(MatchingPair(1, 2)) == "MatchingPair(blue=1, pink=2)"

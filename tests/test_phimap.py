@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -230,7 +229,7 @@ def test_entry_outside_its_block_is_an_internal_error(c6):
     key = block_key(c6, *phi.col_pairs[0])
     stray = next(r for r, pair in enumerate(phi.row_pairs) if block_key(c6, *pair) != key)
     columns = (tuple(sorted((stray,) + phi.columns[0][1:])),) + phi.columns[1:]
-    bad = replace(phi, columns=columns)
+    bad = PhiMatrix(phi.table, phi.ell, phi.k, columns, phi.col_groups)
     with pytest.raises(InternalError):
         block_partition(bad)
     with pytest.raises(InternalError):
@@ -357,7 +356,7 @@ def _doctored(phi: PhiMatrix, sigma, columns=None) -> PhiMatrix:
         columns = list(phi.columns)
         for jj, ((old, new),) in moves.items():
             columns[jj] = tuple(sorted([r for r in columns[jj] if r != old] + [new]))
-        return replace(phi, columns=tuple(columns))
+        return PhiMatrix(phi.table, phi.ell, phi.k, tuple(columns), phi.col_groups)
     raise ValueError("no entry can be moved")
 
 

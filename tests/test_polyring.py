@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 from equimatch.autgroup import automorphisms, edge_action
 from equimatch.graph import edge_bits, generate
 from equimatch.matchings import MatchingTable, check_numeric_logconcavity, matching_table
-from equimatch.phimap import build_phi
+from equimatch.phimap import PhiMatrix, build_phi
 from equimatch.polyring import verify_diagram, verify_nonneg
 from oracles import (
     Poly,
@@ -178,6 +177,6 @@ def test_diagram_flags_the_columns_the_oracle_flags(c6):
     columns = list(phi.columns)
     columns[0] = ()
     columns[1] = tuple(sorted((other,) + columns[1][1:]))
-    bad = replace(phi, columns=tuple(columns))
+    bad = PhiMatrix(phi.table, phi.ell, phi.k, tuple(columns), phi.col_groups)
     rep = verify_diagram(c6, 2, 2, phi=bad)
     assert list(rep.failures) == diagram_failures_by_pi(c6, bad) == list(phi.col_pairs[:2])
