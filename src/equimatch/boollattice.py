@@ -6,10 +6,10 @@ basis ordering for the level matrices.  Each level's rank is certified by
 the sl₂ commutation identity DU − UD = (n − 2i)·I, checked in exact integers
 (Proctor 1982); exact elimination runs only where the identity fails, so the
 lemma never loads numpy.  Chains are produced by iterating the
-bracket-matching successor `bracket_successor` (which `transfer` reads for
-its subset injection), truncating the full symmetric chain decomposition to
-levels [i, n-i].  Of the package it reads only `exactalg` and the init, so the
-`boolean` command compiles nothing of the graph side.
+bracket-matching successor `bracket_successor` on bitsets (which `transfer`
+reads for the single-output map), truncating the full symmetric chain
+decomposition to levels [i, n-i].  Of the package it reads only `exactalg`
+and the init, so the `boolean` command compiles nothing of the graph side.
 """
 
 from __future__ import annotations
@@ -28,14 +28,6 @@ def level_subsets(n: int, i: int) -> list[int]:
         sum(1 << (x - 1) for x in combo)
         for combo in combinations(range(1, n + 1), i)
     )
-
-
-def bits_to_set(bits: int) -> frozenset[int]:
-    return frozenset(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
-
-
-def set_to_bits(members) -> int:
-    return sum(1 << (i - 1) for i in members)
 
 
 def up_map(n: int, i: int) -> IntMatrix:
@@ -129,23 +121,26 @@ def verify_lemma(n: int, limit: int = 14) -> LemmaReport:
     return LemmaReport(n, tuple(_level_rank(n, i, ups) for i in range(top + 1)))
 
 
-def bracket_successor(n: int, members: frozenset[int]) -> frozenset[int] | None:
-    """Add the leftmost unmatched opener of the bracket word of `members`.
+def bracket_successor(n: int, members: int) -> int | None:
+    """Add the leftmost unmatched opener of the bracket word of the bitset `members`.
 
-    Position i in 1..n is a closer ")" iff i is a member, else an opener "(".
-    Closers match the nearest unmatched opener to their left.  Returns None
-    when every opener is matched.
+    Position i in 1..n (bit i-1) is a closer ")" iff i is a member, else an
+    opener "(".  Closers match the nearest unmatched opener to their left,
+    so the answer is the bottom of the opener stack; None if it is empty.
     """
-    stack: list[int] = []
-    for i in range(1, n + 1):
-        if i in members:
-            if stack:
-                stack.pop()
+    depth = 0
+    bottom = 0
+    for i in range(n):
+        if members >> i & 1:
+            if depth:
+                depth -= 1
         else:
-            stack.append(i)
-    if not stack:
+            if not depth:
+                bottom = i
+            depth += 1
+    if not depth:
         return None
-    return members | {stack[0]}
+    return members | 1 << bottom
 
 
 class ChainFamily(NamedTuple):
@@ -165,14 +160,13 @@ def symmetric_chains(n: int, i: int) -> ChainFamily:
         raise ValueError("need 0 <= i <= n/2")
     chains = []
     for start in level_subsets(n, i):
-        members = bits_to_set(start)
+        members = start
         chain = [start]
-        while len(members) < n - i:
-            nxt = bracket_successor(n, frozenset(members))
-            if nxt is None:
+        for _ in range(n - 2 * i):
+            members = bracket_successor(n, members)
+            if members is None:
                 raise InternalError("bracket successor exhausted below level n-i")
-            members = nxt
-            chain.append(set_to_bits(members))
+            chain.append(members)
         chains.append(tuple(chain))
     return ChainFamily(n, i, tuple(chains))
 

@@ -67,7 +67,7 @@ class Check(NamedTuple):
 
 def _injective(g, ell, k, t, group, phi, budget):
     rep = phimap.verify_injective(g, ell, k, table=t, phi=phi)
-    return rep.passed, {"rank": rep.total_rank, "columns": rep.expected, "blocks": len(rep.blocks)}
+    return rep.passed, {"rank": rep.total_rank, "columns": rep.expected, "blocks": rep.blocks}
 
 
 def _equivariant(g, ell, k, t, group, phi, budget):

@@ -27,13 +27,6 @@ def is_matching(g: Graph, bits: int) -> bool:
     return True
 
 
-def enumerate_matchings(g: Graph, k: int) -> list[int]:
-    """All k-matchings of g as bitsets, sorted by bitset value."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return list(matching_table(g).level(k))
-
-
 class MatchingTable:
     """Every matching of a graph; `by_size[k]` holds the sorted k-matching bitsets."""
 

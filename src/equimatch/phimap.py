@@ -12,19 +12,21 @@ decomposition; only the color of each odd chain differs between them.  The
 build therefore decomposes each one-colored set once (`transfer.odd_chains`,
 memoised on the graph), reads a chain's color off one end edge, computes a
 swapped pair's row index arithmetically, and groups the columns by block key
-as it goes.  A block's rows are the rows its columns reach; a row no column
-reaches is a zero row and changes no rank.  Rank is certified block by block.
+as it goes.  Injectivity is certified on the whole slot by one integer
+identity (`slot_identity_holds`); only a Φ that fails it is ranked, group by
+group, and only then is `exactalg` loaded.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
-from . import InternalError, exactalg
+from . import InternalError
 from . import graph as graphlib
 from .autgroup import AutomorphismGroup, apply_edge_perm, automorphisms, edge_action
-from .exactalg import IntMatrix, pattern_matrix
 from .graph import Graph
 from .matchings import MatchingTable, matching_table
 from .transfer import odd_chains
@@ -58,7 +60,6 @@ def _tensor_pairs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[PairBits, ...
 class Block(NamedTuple):
     key: BlockKey
     col_indices: tuple[int, ...]
-    row_indices: tuple[int, ...]  # the rows its columns reach
 
 
 class PhiMatrix:
@@ -110,29 +111,6 @@ class PhiMatrix:
     def nnz(self) -> int:
         return sum(len(c) for c in self.columns)
 
-    @cached_property
-    def blocks(self) -> tuple[Block, ...]:
-        """The column blocks, sorted by key; see `block_partition`."""
-        g = self.graph
-        columns = self.columns
-        blues, pinks, m_k = self._row_levels
-        out = []
-        for key in sorted(self.col_groups):
-            cols = self.col_groups[key]
-            if len(cols) == 1:
-                rows = columns[cols[0]]
-            else:
-                rows = tuple(sorted({r for j in cols for r in columns[j]}))
-            # the key of every row, with the union's even part looked up once
-            union, inter, blue_even = key
-            h = even_part(g, union)
-            for r in rows:
-                b, p = blues[r // m_k], pinks[r % m_k]
-                if b | p != union or b & p != inter or b & h != blue_even:
-                    raise InternalError("nonzero entry escapes its block")
-            out.append(Block(key, tuple(cols), rows))
-        return tuple(out)
-
 
 def build_phi(
     g: Graph,
@@ -177,36 +155,77 @@ def build_phi(
 
 
 def block_partition(phi: PhiMatrix) -> list[Block]:
-    """Group the columns by block key, with the rows they reach, sorted by key.
-
-    Every block has a column.  Raises `InternalError` if a reached row's
-    key differs from its column's: the key of a column comes from its chain
-    decomposition, the key of a row from `even_part` of its union, a
-    component search kept apart from the chain memo.  Computed once per Φ.
-    """
-    return list(phi.blocks)
+    """The column groups by block key, sorted by key; every group has a column."""
+    return [Block(key, tuple(cols)) for key, cols in sorted(phi.col_groups.items())]
 
 
-def _block_matrix(phi: PhiMatrix, block: Block) -> IntMatrix:
-    """The 0/1 pattern of a block; it has the rank of Φ's block (columns scale by len)."""
-    row_map = {r: i for i, r in enumerate(block.row_indices)}
-    return pattern_matrix(
-        len(block.row_indices),
-        [[row_map[r] for r in phi.columns[j]] for j in block.col_indices],
+def _pair_codes(column_lists, ncols: int) -> Counter:
+    """The multiset of j·ncols + j' over each two positions j <= j' of each list."""
+    return Counter(
+        ja * ncols + jb for js in column_lists for a, ja in enumerate(js) for jb in js[a + 1:]
     )
 
 
-class BlockRank(NamedTuple):
-    key: BlockKey
-    nrows: int
-    ncols: int
-    rank: int
+def slot_identity_holds(phi: PhiMatrix) -> bool:
+    """True iff PᵀP = (k − l + 2)·I + DᵀD on Φ's 0/1 pattern P, entry by entry.
+
+    D sends a column pair to its blue-chain swaps (blue ^ c, pink ^ c).  A
+    column's p entries must be (k − l + 2) + b, b its blue chains; two
+    columns must share as many rows as down pairs, counted as multisets of
+    (j, j') codes.  Any D makes the right side positive definite, as the
+    shift is at least 2, so the identity gives P full column rank; a column
+    of exactly k − l + 2 entries (b = 0 when correct) is given no down pair
+    and its chains are not read.  False means only "not certified".
+    """
+    g, t = phi.graph, phi.table
+    shift = phi.k - phi.ell + 2
+    columns = phi.columns
+    blues, pinks = t.level(phi.ell - 1), t.level(phi.k + 1)
+    m_k1 = len(pinks)
+    downs: dict[PairBits, list[int]] = {}
+    reach: dict[int, list[int]] = {}
+    for j, column in enumerate(columns):
+        if len(column) == shift:
+            continue
+        blue, pink = blues[j // m_k1], pinks[j % m_k1]
+        b = 0
+        for (c, end) in odd_chains(g, blue ^ pink)[0]:
+            if not pink & end:
+                b += 1
+                downs.setdefault((blue ^ c, pink ^ c), []).append(j)
+        if len(column) != shift + b:
+            return False
+        for r in column:
+            reach.setdefault(r, []).append(j)
+    # every two entries sharing a row must belong to the columns read above
+    hits = Counter(Counter(chain.from_iterable(columns)).values())
+    shared = sum(n * (n - 1) // 2 * rows for n, rows in hits.items())
+    ncols = len(columns)
+    codes = _pair_codes(reach.values(), ncols)
+    return codes.total() == shared and codes == _pair_codes(downs.values(), ncols)
+
+
+def _rank_by_groups(phi: PhiMatrix) -> int:
+    """Exact rank of Φ as the sum of its column groups' ranks; groups sharing a row raise."""
+    from . import exactalg  # only a Φ that fails the slot identity gets here
+
+    owner: dict[int, int] = {}
+    total = 0
+    for g_index, cols in enumerate(phi.col_groups.values()):
+        rows = sorted({r for j in cols for r in phi.columns[j]})
+        if any(owner.setdefault(r, g_index) != g_index for r in rows):
+            raise InternalError("nonzero entry escapes its block")
+        row_map = {r: i for i, r in enumerate(rows)}
+        total += exactalg.rank(exactalg.pattern_matrix(
+            len(rows), [[row_map[r] for r in phi.columns[j]] for j in cols]
+        ))
+    return total
 
 
 class InjectivityReport(NamedTuple):
     ell: int
     k: int
-    blocks: tuple[BlockRank, ...]
+    blocks: int  # column groups
     total_rank: int
     expected: int
 
@@ -222,29 +241,15 @@ def verify_injective(
     table: MatchingTable | None = None,
     phi: PhiMatrix | None = None,
 ) -> InjectivityReport:
-    """Rank, block by block; passes iff every block has full column rank."""
+    """Full column rank by the slot identity, or else by exact rank per column group."""
     t = table or matching_table(g)
     if k + 1 > t.r:
         # no columns at all: vacuously injective
-        return InjectivityReport(ell, k, (), 0, 0)
+        return InjectivityReport(ell, k, 0, 0, 0)
     phi = phi or build_phi(g, ell, k, table=t)
-    ranks = []
-    total = 0
-    for block in block_partition(phi):
-        ncols = len(block.col_indices)
-        if ncols == 1:
-            # one column with an entry (weights are 1/len > 0) has rank 1
-            rk = int(bool(phi.columns[block.col_indices[0]]))
-        else:
-            sub = _block_matrix(phi, block)
-            rk = (
-                exactalg.rank_certified(sub)
-                if ncols > 48
-                else exactalg.rank(sub)
-            )
-        total += rk
-        ranks.append(BlockRank(block.key, len(block.row_indices), ncols, rk))
-    return InjectivityReport(ell, k, tuple(ranks), total, len(phi.columns))
+    ncols = len(phi.columns)
+    rank = ncols if slot_identity_holds(phi) else _rank_by_groups(phi)
+    return InjectivityReport(ell, k, len(phi.col_groups), rank, ncols)
 
 
 def _matching_perms(t: MatchingTable, sigmas, sizes: tuple[int, ...]):

@@ -13,9 +13,11 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
+from . import InternalError
 from .graph import Graph
 from .matchings import MatchingTable, matching_table
 from .phimap import PhiMatrix, build_phi
+from .transfer import odd_chains
 
 MonomialKey = tuple[int, int]  # (union, intersection) of a pair of matchings
 
@@ -89,7 +91,10 @@ def verify_diagram(
     With monomials as (union, intersection) keys this holds exactly when
     every neighbor row of a column keeps the column's key and the column's
     weights sum to 1.  A column's weights are 1/len on each of its rows, so
-    they sum to 1 whenever the column has a row.
+    they sum to 1 whenever the column has a row.  As the one scan that
+    decodes every reached row, it also raises `InternalError` for a row that
+    keeps the key but not the column's blue edges on the union's even part
+    (the one-colored set's, in the chain memo): Φ is then not block diagonal.
     """
     t = table or matching_table(g)
     if k + 1 > t.r:
@@ -97,7 +102,14 @@ def verify_diagram(
     phi = phi or build_phi(g, ell, k, table=t)
     failures = []
     for (blue, pink), column in zip(phi.col_pairs, phi.columns):
-        key = _key(blue, pink)
-        if not (column and all(_key(b, p) == key for (b, p) in phi.row_pairs_at(column))):
+        union, inter = blue | pink, blue & pink
+        even = odd_chains(g, blue ^ pink)[1]
+        kept = bool(column)
+        for (b, p) in phi.row_pairs_at(column):
+            if b | p != union or b & p != inter:
+                kept = False
+            elif (b ^ blue) & even:
+                raise InternalError("nonzero entry escapes its block")
+        if not kept:
             failures.append((blue, pink))
     return DiagramReport(ell, k, len(phi.columns), tuple(failures))

@@ -6,7 +6,7 @@ chains whose end edges are blue (resp. pink) are the swappable currency: the
 neighbor set of a pair swaps the colors inside one pink chain at a time,
 while the single-output map `krattenthaler_f` picks one pink chain through a
 vertex-order-dependent subset injection (the bracket matching of
-`boollattice.bracket_successor`).
+`boollattice.bracket_successor`, imported only where f is applied).
 
 `odd_chains` is the one chain decomposition: each odd chain with one end
 edge, memoised per one-colored set, so Φ's build, the neighbor sets and the
@@ -21,7 +21,6 @@ from typing import NamedTuple
 from . import InternalError
 from . import graph as graphlib
 from .autgroup import apply_edge_perm, edge_action
-from .boollattice import bracket_successor
 from .graph import Graph
 from .matchings import MatchingTable, is_matching, matching_table
 
@@ -153,38 +152,29 @@ def neighbor_set(g: Graph, pair: MatchingPair) -> tuple[MatchingPair, ...]:
     return tuple(out)
 
 
-def subset_inject(n: int, members) -> frozenset[int]:
-    """The bracket-matching injection of b-subsets of [n] into (b+1)-subsets.
-
-    Requires 2*|members| < n so that an unmatched opener is guaranteed.
-    """
-    members = frozenset(members)
-    if any(not (1 <= i <= n) for i in members):
-        raise ValueError("members must lie in 1..n")
-    if 2 * len(members) >= n:
-        raise ValueError("need 2*|S| < n")
-    result = bracket_successor(n, members)
-    if result is None:
-        raise InternalError("no unmatched opener although 2*|S| < n")
-    return result
-
-
-def krattenthaler_f(g: Graph, pair: MatchingPair) -> MatchingPair:
+def krattenthaler_f(g: Graph, pair: MatchingPair, successor=None) -> MatchingPair:
     """The vertex-order-dependent single-output transfer map.
 
     Odd chains are ordered by minimum vertex label (the order of
-    `odd_chains`); the positions of the blue chains form a subset of [b+p],
-    and the element added by `subset_inject` names the pink chain to swap.
-    The pair is trusted to be two matchings with |blue| < |pink|.
+    `odd_chains`); the positions of the blue chains form a bitset subset of
+    [b+p], and the position `boollattice.bracket_successor` adds names the
+    pink chain to swap (a caller applying f many times passes it in).  The
+    pair is trusted to be two matchings with |blue| < |pink|.
     """
+    if successor is None:
+        from .boollattice import bracket_successor as successor
     blue, pink = pair.blue, pair.pink
     chains, _ = odd_chains(g, blue ^ pink)
-    blue_positions = frozenset(
-        i + 1 for i, (c, end) in enumerate(chains) if not pink & end
-    )
-    enlarged = subset_inject(len(chains), blue_positions)
-    (new_pos,) = enlarged - blue_positions
-    c, end = chains[new_pos - 1]
+    blue_positions = 0
+    for i, (c, end) in enumerate(chains):
+        if not pink & end:
+            blue_positions |= 1 << i
+    if 2 * blue_positions.bit_count() >= len(chains):
+        raise ValueError("need fewer blue than pink chains")
+    enlarged = successor(len(chains), blue_positions)
+    if enlarged is None:
+        raise InternalError("no unmatched opener although b < p")
+    c, end = chains[(enlarged ^ blue_positions).bit_length() - 1]
     if not pink & end:
         raise InternalError("the subset injection named a blue chain")
     return MatchingPair(blue ^ c, pink ^ c)
@@ -211,12 +201,16 @@ def f_equivariance_counterexample(
     blues, pinks = t.level(ell - 1), t.level(k + 1)
     if not pinks:
         return None
+    from .boollattice import bracket_successor
+
     images: dict[tuple[int, int], MatchingPair] = {}
 
     def f(blue: int, pink: int) -> MatchingPair:
         image = images.get((blue, pink))
         if image is None:
-            image = images[(blue, pink)] = krattenthaler_f(g, MatchingPair(blue, pink))
+            image = images[(blue, pink)] = krattenthaler_f(
+                g, MatchingPair(blue, pink), bracket_successor
+            )
         return image
 
     for sigma in group.generators:

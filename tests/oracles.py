@@ -9,12 +9,16 @@ components by union-find and even parts by a fresh search per union, chain
 kinds from vertex degrees, neighbor sets and the single-output map from
 those kinds (odd chains sorted by minimum vertex explicitly, the bracket
 injection read off segment counts), Φ by one neighbor set per column pair
-with a row index over every row pair, and the f-equivariance scan eagerly
-over every group element.  It also holds
+with a row index over every row pair, the f-equivariance scan eagerly
+over every group element, and the symmetric chains by a bracket walk on
+frozensets.  It also holds
 the rational matrices that Φ and the up maps stand for (`ExactMatrix`, with
 the column clearing that turns one into integers) and the literal
 exact-matrix helpers (dense form, products, permutation matrices, the whole
-of Φ as one averaging matrix) that tests state identities with.
+of Φ as one averaging matrix) that tests state identities with, and two
+helpers that only tests use: `enumerate_matchings`, one level of the
+library's table, and `subset_inject`, the library's bracket successor on
+frozensets.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd, lcm
 
+from equimatch.boollattice import bracket_successor
 from equimatch.exactalg import IntMatrix, pattern_matrix
 from equimatch.graph import Graph, InternalError
 from equimatch.matchings import matching_table
@@ -48,6 +53,13 @@ def brute_force_matchings(g: Graph, k: int) -> list[int]:
             out.append(sum(1 << i for i in combo))
     out.sort()
     return out
+
+
+def enumerate_matchings(g: Graph, k: int) -> list[int]:
+    """All k-matchings of g as bitsets, sorted by bitset value, read off the library's table."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return list(matching_table(g).level(k))
 
 
 def brute_force_counts(g: Graph) -> list[int]:
@@ -732,6 +744,63 @@ def neighbor_pairs(g: Graph, blue: int, pink: int) -> list[tuple[int, int]]:
     return sorted(
         (blue ^ c, pink ^ c) for (c, kind, _) in chain_kinds(g, blue, pink) if kind == "pink"
     )
+
+
+# --- the bracket walk on frozensets: the oracle for the bitset walk ---
+
+
+def bits_to_set(bits: int) -> frozenset[int]:
+    return frozenset(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+def set_to_bits(members) -> int:
+    return sum(1 << (i - 1) for i in members)
+
+
+def bracket_successor_by_sets(n: int, members: frozenset[int]) -> frozenset[int] | None:
+    """Add the leftmost unmatched opener; a member is a closer, a non-member an opener.
+
+    A stack of the openers' positions, scanned over 1..n.
+    """
+    stack: list[int] = []
+    for i in range(1, n + 1):
+        if i in members:
+            if stack:
+                stack.pop()
+        else:
+            stack.append(i)
+    if not stack:
+        return None
+    return members | {stack[0]}
+
+
+def symmetric_chains_by_sets(n: int, i: int) -> tuple[tuple[int, ...], ...]:
+    """The chain family from level i to level n-i, walked through frozensets."""
+    chains = []
+    for combo in combinations(range(1, n + 1), i):
+        members = frozenset(combo)
+        chain = [set_to_bits(members)]
+        while len(members) < n - i:
+            members = bracket_successor_by_sets(n, members)
+            chain.append(set_to_bits(members))
+        chains.append(tuple(chain))
+    return tuple(sorted(chains))
+
+
+def subset_inject(n: int, members) -> frozenset[int]:
+    """The library's bracket successor as an injection of b-subsets of [n] into (b+1)-subsets.
+
+    Requires 2*|members| < n so that an unmatched opener is guaranteed.
+    """
+    members = frozenset(members)
+    if any(not (1 <= i <= n) for i in members):
+        raise ValueError("members must lie in 1..n")
+    if 2 * len(members) >= n:
+        raise ValueError("need 2*|S| < n")
+    result = bracket_successor(n, set_to_bits(members))
+    if result is None:
+        raise InternalError("no unmatched opener although 2*|S| < n")
+    return bits_to_set(result)
 
 
 def f_by_definition(g: Graph, blue: int, pink: int) -> tuple[int, int]:

@@ -14,20 +14,23 @@ from equimatch import boollattice, phimap, polyring
 from equimatch.autgroup import automorphisms
 from equimatch.cli import run
 from equimatch.graph import edge_bits
-from equimatch.matchings import (
-    check_numeric_logconcavity,
-    enumerate_matchings,
-    matching_table,
-)
+from equimatch.matchings import check_numeric_logconcavity, matching_table
 from equimatch.phimap import BudgetExceededError, build_phi
 from equimatch.transfer import (
     MatchingPair,
     decompose,
     f_equivariance_counterexample,
     neighbor_set,
-    subset_inject,
 )
-from oracles import atlas_graphs, brute_force_matchings, phi_matrix, rank_gauss_sparse, weighted_matching_poly
+from oracles import (
+    atlas_graphs,
+    brute_force_matchings,
+    enumerate_matchings,
+    phi_matrix,
+    rank_gauss_sparse,
+    subset_inject,
+    weighted_matching_poly,
+)
 
 
 def _line(num, ok, detail):

@@ -5,10 +5,9 @@ import pytest
 
 from equimatch import boollattice, exactalg
 from equimatch.boollattice import (
-    bits_to_set,
+    bracket_successor,
     chains_are_valid,
     level_subsets,
-    set_to_bits,
     symmetric_chains,
     up_map,
     verify_lemma,
@@ -16,7 +15,15 @@ from equimatch.boollattice import (
 from equimatch.cli import run
 from equimatch.exactalg import IntMatrix
 from equimatch.graph import InternalError
-from oracles import averaging_matrix, rank_gauss_dense, rank_gauss_sparse
+from oracles import (
+    averaging_matrix,
+    bits_to_set,
+    bracket_successor_by_sets,
+    rank_gauss_dense,
+    rank_gauss_sparse,
+    set_to_bits,
+    symmetric_chains_by_sets,
+)
 
 
 def test_up_map_n2():
@@ -203,3 +210,18 @@ def test_chain_steps_are_matrix_entries():
 def test_bits_set_roundtrip():
     for bits in range(32):
         assert set_to_bits(bits_to_set(bits)) == bits
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_bitset_successor_matches_the_set_walk(n):
+    for bits in range(1 << n):
+        expected = bracket_successor_by_sets(n, bits_to_set(bits))
+        got = bracket_successor(n, bits)
+        assert got == (None if expected is None else set_to_bits(expected))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_chain_families_match_the_set_walk(n):
+    # the bitset walk gives the frozenset walk's families, chain by chain
+    for i in range(n // 2 + 1):
+        assert symmetric_chains(n, i).chains == symmetric_chains_by_sets(n, i)

@@ -379,8 +379,8 @@ def _batch_argv(tmp_path, specs: str) -> list[str]:
 
 
 def test_verify_with_trivial_group_never_loads_numpy():
-    # gnp:7:2:5:2 has |Aut| = 1 and no block wider than 48 columns, so
-    # neither numpy path (equivariance, mod-p rank) runs
+    # gnp:7:2:5:2 has |Aut| = 1, so the equivariance check (the one numpy
+    # path of verify) has no generator to test
     rc, loaded = _modules_loaded_after(["verify", "--gen", "gnp:7:2:5:2"])
     assert rc == 0 and "numpy" not in loaded
 
@@ -403,20 +403,29 @@ def test_small_symmetric_graph_never_loads_numpy(command, tmp_path):
     assert rc == 0 and "numpy" not in loaded
 
 
+GRAPH_SIDE = {"graphcli", "graph", "matchings", "autgroup", "transfer", "phimap", "polyring"}
+
+
 @pytest.mark.parametrize(
     "argv, own",
     [
         (["--version"], set()),
         (["boolean", "--n", "12"], {"boollattice", "exactalg"}),
+        # a trivial group applies no f, and the slot identity certifies every
+        # rank, so neither the bracket successor nor a rank is compiled
+        (["verify", "--gen", "gnp:8:1:2:7"], GRAPH_SIDE),
+        # the f scan of a nontrivial group brings in the bracket successor
+        (["verify", "--gen", "complete:6"], GRAPH_SIDE | {"boollattice", "exactalg"}),
     ],
-    ids=["version", "boolean"],
+    ids=["version", "boolean", "verify-trivial-group", "verify-symmetric"],
 )
 def test_command_loads_only_the_modules_it_runs(argv, own):
-    # neither command reads a graph, so neither compiles the graph side
+    # `--version` and `boolean` read no graph, so neither compiles the graph side
     rc, loaded = _modules_loaded_after(argv)
     assert rc == 0
     ours = {name for name in loaded if name.split(".")[0] == "equimatch"}
     assert ours == {"equimatch", "equimatch.cli"} | {f"equimatch.{m}" for m in own}
+    assert "numpy" not in loaded
 
 
 @pytest.mark.parametrize("command", ["version", "boolean", "verify", "batch"])

@@ -3,12 +3,11 @@ from hypothesis import given, settings, strategies as st
 from equimatch.graph import generate
 from equimatch.matchings import (
     check_numeric_logconcavity,
-    enumerate_matchings,
     is_matching,
     logconcavity_violations,
     matching_table,
 )
-from oracles import brute_force_counts, brute_force_matchings
+from oracles import brute_force_counts, brute_force_matchings, enumerate_matchings
 
 
 def test_c6_level_counts(c6):

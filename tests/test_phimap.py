@@ -10,14 +10,16 @@ from equimatch.matchings import logconcavity_violations, matching_table
 from equimatch.phimap import (
     BudgetExceededError,
     PhiMatrix,
-    _block_matrix,
     block_partition,
     build_phi,
     count_parts,
     even_part,
+    slot_identity_holds,
     verify_equivariant,
     verify_injective,
 )
+from equimatch.polyring import verify_diagram
+from equimatch.transfer import odd_chains
 from oracles import (
     BasisIndex,
     act_matching,
@@ -89,8 +91,9 @@ def test_block_partition_c6(c6):
     phi = build_phi(c6, 2, 2)
     blocks = block_partition(phi)
     assert sum(len(b.col_indices) for b in blocks) == 12
-    # a block's rows are the rows its columns reach
-    assert sum(len(b.row_indices) for b in blocks) == len({r for col in phi.columns for r in col})
+    # no two blocks' columns reach a common row
+    reached = [{r for j in b.col_indices for r in phi.columns[j]} for b in blocks]
+    assert sum(map(len, reached)) == len({r for col in phi.columns for r in col})
     # the three sub-matchings of one perfect matching give three singleton blocks
     pm = edge_bits(c6, [(0, 1), (2, 3), (4, 5)])
     keys = {
@@ -215,7 +218,7 @@ def test_memoised_block_keys_match_direct_components(n, num, seed):
             phi = build_phi(g, ell, k, table=t)
             for block in block_partition(phi):
                 pairs = [phi.col_pairs[j] for j in block.col_indices]
-                pairs += [phi.row_pairs[r] for r in block.row_indices]
+                pairs += [phi.row_pairs[r] for j in block.col_indices for r in phi.columns[j]]
                 for (b, p) in pairs:
                     u = b | p
                     assert block.key == (u, b & p, b & direct_even_part(g, u)[0])
@@ -224,16 +227,26 @@ def test_memoised_block_keys_match_direct_components(n, num, seed):
                 assert (rec.even_edges, rec.even_components) == (h.bit_count(), comps)
 
 
-def test_entry_outside_its_block_is_an_internal_error(c6):
-    phi = build_phi(c6, 2, 2)
-    key = block_key(c6, *phi.col_pairs[0])
-    stray = next(r for r, pair in enumerate(phi.row_pairs) if block_key(c6, *pair) != key)
-    columns = (tuple(sorted((stray,) + phi.columns[0][1:])),) + phi.columns[1:]
-    bad = PhiMatrix(phi.table, phi.ell, phi.k, columns, phi.col_groups)
+def test_entry_outside_its_block_is_an_internal_error():
+    # the stray row keeps its column's union and intersection, so the
+    # monomials agree and only the blue part of the even part tells
+    g = generate("cycle:8")
+    phi = build_phi(g, 2, 2)
+    j, stray = next(
+        (j, r)
+        for j, pair in enumerate(phi.col_pairs)
+        for r, row in enumerate(phi.row_pairs)
+        if block_key(g, *row)[:2] == block_key(g, *pair)[:2] and block_key(g, *row) != block_key(g, *pair)
+    )
+    columns = list(phi.columns)
+    columns[j] = tuple(sorted((stray,) + columns[j][1:]))
+    bad = PhiMatrix(phi.table, phi.ell, phi.k, tuple(columns), phi.col_groups)
     with pytest.raises(InternalError):
-        block_partition(bad)
+        verify_diagram(g, 2, 2, phi=bad)
+    # the slot identity fails, and the exact fallback finds two groups sharing a row
+    assert not slot_identity_holds(bad)
     with pytest.raises(InternalError):
-        verify_injective(c6, 2, 2, phi=bad)
+        verify_injective(g, 2, 2, phi=bad)
 
 
 def test_pink_chains_below_the_forced_minimum_are_an_internal_error(c6, monkeypatch):
@@ -249,15 +262,18 @@ def _assert_block_build_matches_pair_oracle(g, t, ell, k):
     for col, ocol in zip(phi.columns, oracle.columns):
         assert phi.row_pairs_at(col) == [oracle.row_pairs[r] for (r, _) in ocol]
     assert phi_matrix(phi).cols == oracle.columns
-    # the oracle keys every row pair; the block build keys the rows a column reaches
+    # the oracle keys every row pair; the build keys the columns only
     blocks = block_partition(phi)
     expected = pair_phi_blocks(g, oracle)
     assert [(b.key, b.col_indices) for b in blocks] == [(key, cols) for key, cols, _ in expected]
-    for b, (_, cols, rows) in zip(blocks, expected):
-        assert b.row_indices == tuple(sorted({r for j in cols for (r, _) in oracle.columns[j]}))
-        assert set(b.row_indices) <= set(rows)
+    for b, (_, _, rows) in zip(blocks, expected):
+        assert {r for j in b.col_indices for r in phi.columns[j]} <= set(rows)
     rep = verify_injective(g, ell, k, table=t, phi=phi)
-    assert [(b.key, b.ncols, b.rank) for b in rep.blocks] == pair_phi_block_ranks(g, oracle)
+    ranks = pair_phi_block_ranks(g, oracle)
+    assert [(b.key, len(b.col_indices)) for b in blocks] == [(key, ncols) for key, ncols, _ in ranks]
+    assert rep.blocks == len(ranks)
+    assert rep.total_rank == sum(rank for _, _, rank in ranks) == rep.expected
+    assert slot_identity_holds(phi)
 
 
 def test_block_build_matches_pair_oracle_on_atlas():
@@ -408,22 +424,96 @@ def test_a_moved_entry_in_any_column_fails_as_the_scan_says(monkeypatch):
     assert max(failing) >= len(phi.columns) // 2  # so a scan must not stop halfway
 
 
-def _block_ranks_by_exact_rank(g):
+def _group_ranks_by_exact_rank(g, monkeypatch):
+    """Per slot: verify_injective, by the identity and by the forced fallback, against exact group ranks."""
     t = matching_table(g)
     for (ell, k) in _slots_with_columns(t):
         phi = build_phi(g, ell, k, table=t)
-        rep = verify_injective(g, ell, k, table=t, phi=phi)
-        expected = [
-            (b.key, len(b.row_indices), len(b.col_indices), exactalg.rank(_block_matrix(phi, b)))
-            for b in block_partition(phi)
-        ]
-        assert [(b.key, b.nrows, b.ncols, b.rank) for b in rep.blocks] == expected
-        yield from rep.blocks
+        blocks = block_partition(phi)
+        ranks = []
+        for b in blocks:
+            rows = sorted({r for j in b.col_indices for r in phi.columns[j]})
+            row_map = {r: i for i, r in enumerate(rows)}
+            pattern = [[row_map[r] for r in phi.columns[j]] for j in b.col_indices]
+            ranks.append(exactalg.rank(exactalg.pattern_matrix(len(rows), pattern)))
+        expected = (ell, k, len(blocks), sum(ranks), len(phi.columns))
+        assert slot_identity_holds(phi)
+        assert verify_injective(g, ell, k, table=t, phi=phi) == expected
+        with monkeypatch.context() as m:
+            m.setattr(phimap, "slot_identity_holds", lambda phi: False)
+            assert verify_injective(g, ell, k, table=t, phi=phi) == expected
+        yield from zip(blocks, ranks)
 
 
-def test_one_column_block_ranks_match_exact_rank():
-    blocks = list(_block_ranks_by_exact_rank(generate("gnp:8:1:2:7")))
-    assert sum(b.ncols == 1 for b in blocks) > 1000
+def test_one_column_block_ranks_match_exact_rank(monkeypatch):
+    blocks = list(_group_ranks_by_exact_rank(generate("gnp:8:1:2:7"), monkeypatch))
+    assert sum(len(b.col_indices) == 1 for b, _ in blocks) > 1000
+    assert all(rank == len(b.col_indices) for b, rank in blocks)
     for g in atlas_graphs(6):
-        for _ in _block_ranks_by_exact_rank(g):
+        for _ in _group_ranks_by_exact_rank(g, monkeypatch):
             pass
+
+
+@pytest.mark.parametrize("spec", ["petersen", "complete:7", "kbipartite:4:4", "gnp:10:1:2:1"])
+def test_slot_identity_holds_on_every_slot(spec):
+    g = generate(spec)
+    t = matching_table(g)
+    for (ell, k) in _slots_with_columns(t):
+        assert slot_identity_holds(build_phi(g, ell, k, table=t)), (ell, k)
+
+
+def _free_row(phi, j):
+    """A row of column j's block that column j does not reach."""
+    g = phi.graph
+    key = block_key(g, *phi.col_pairs[j])
+    return next(
+        (r for r, pair in enumerate(phi.row_pairs) if r not in phi.columns[j] and block_key(g, *pair) == key),
+        None,
+    )
+
+
+def _doctored_pattern(phi, how):
+    """Φ's columns with one doctored the way `how` names; rank may fall ("copied")."""
+    columns = list(phi.columns)
+    if how == "dropped":
+        j = next(j for j, col in enumerate(columns) if len(col) > 1)
+        columns[j] = columns[j][1:]
+    elif how == "added":
+        j = next(j for j in range(len(columns)) if _free_row(phi, j) is not None)
+        columns[j] = tuple(sorted(columns[j] + (_free_row(phi, j),)))
+    elif how == "copied":
+        cols = next(cols for cols in phi.col_groups.values() if len(cols) > 1)
+        columns[cols[1]] = columns[cols[0]]
+    elif how == "moved":
+        return _doctored(phi, tuple(range(phi.graph.n))).columns
+    return tuple(columns)
+
+
+@pytest.mark.parametrize("how", ["dropped", "added", "copied", "moved"])
+@pytest.mark.parametrize("spec, ell, k", [("cycle:8", 2, 2), ("path:8", 2, 2), ("cycle:9", 2, 2)])
+def test_doctored_pattern_fails_the_identity_and_gets_the_oracle_rank(spec, ell, k, how):
+    g = generate(spec)
+    phi = build_phi(g, ell, k)
+    bad = PhiMatrix(phi.table, ell, k, _doctored_pattern(phi, how), phi.col_groups)
+    assert not slot_identity_holds(bad)
+    rep = verify_injective(g, ell, k, phi=bad)
+    assert rep.total_rank == rank_gauss_sparse(phi_matrix(bad))
+    if how == "copied":
+        assert rep.total_rank == rep.expected - 1 and not rep.passed
+
+
+@pytest.mark.parametrize("spec, ell, k", [("cycle:8", 2, 2), ("cycle:10", 3, 3)])
+def test_repeated_blue_chain_fails_the_identity(spec, ell, k):
+    # the pattern is intact, so the fallback finds full rank
+    g = generate(spec)
+    phi = build_phi(g, ell, k)
+    blue, pink = next(
+        (b, p) for (b, p) in phi.col_pairs
+        if any(not p & end for (_, end) in odd_chains(g, b ^ p)[0])
+    )
+    chains, even = odd_chains(g, blue ^ pink)
+    repeated = next(chain for chain in chains if not pink & chain[1])
+    g._chain_memo[blue ^ pink] = (chains + (repeated,), even)
+    assert not slot_identity_holds(phi)
+    rep = verify_injective(g, ell, k, phi=phi)
+    assert rep.total_rank == rank_gauss_sparse(phi_matrix(phi)) == rep.expected

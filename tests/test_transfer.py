@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from equimatch import transfer
 from equimatch.autgroup import apply_edge_perm, automorphisms, edge_action
 from equimatch.graph import edge_bits, generate
-from equimatch.matchings import enumerate_matchings, is_matching, matching_table
+from equimatch.matchings import is_matching, matching_table
 from equimatch.transfer import (
     BLUE_CHAIN,
     PINK_CHAIN,
@@ -16,9 +16,16 @@ from equimatch.transfer import (
     krattenthaler_f,
     neighbor_set,
     odd_chains,
+)
+from oracles import (
+    atlas_graphs,
+    chain_kinds,
+    enumerate_matchings,
+    f_by_definition,
+    f_counterexample_eager,
+    neighbor_pairs,
     subset_inject,
 )
-from oracles import atlas_graphs, chain_kinds, f_by_definition, f_counterexample_eager, neighbor_pairs
 
 
 def test_decompose_perfect_matching_vs_empty(c6):
