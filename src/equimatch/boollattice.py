@@ -2,49 +2,73 @@
 
 Subsets of [n] use positions 1..n; as bitsets (bit i-1 for element i) the
 numeric order of same-size subsets coincides with colex order, which is the
-basis ordering for the level matrices.  Each level's rank is certified by
-the sl₂ commutation identity DU − UD = (n − 2i)·I, checked in exact integers
-(Proctor 1982); exact elimination runs only where the identity fails, so the
-lemma never loads numpy.  Chains are produced by iterating the
-bracket-matching successor `bracket_successor` on bitsets (which `transfer`
-reads for the single-output map), truncating the full symmetric chain
-decomposition to levels [i, n-i].  Of the package it reads only `exactalg`
-and the init, so the `boolean` command compiles nothing of the graph side.
+basis ordering for the level matrices, and is the order in which
+`level_subsets` steps from one subset to the next.  Each level's rank is
+certified by the sl₂ commutation identity DU − UD = (n − 2i)·I, checked in
+exact integers (Proctor 1982); exact elimination runs only where the
+identity fails, so the lemma never loads numpy.  Every chain comes from one
+bracket scan of its start (`unmatched_openers`): it adds the start's
+unmatched openers from left to right, which is the walk of the
+bracket-matching successor `bracket_successor` (the f scan's subset
+injection, which `transfer` reads), truncating the full symmetric chain
+decomposition to levels [i, n-i].  Of the package it reads the init, and
+`exactalg` only where an up map is built or ranked, so neither the
+`boolean` command nor the f scan compiles anything it does not run.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import InternalError, exactalg
-from .exactalg import IntMatrix, pattern_matrix
+from . import InternalError
+
+if TYPE_CHECKING:
+    from .exactalg import IntMatrix
 
 
 def level_subsets(n: int, i: int) -> list[int]:
-    """All i-subsets of [n] as bitsets, in colex (= numeric) order."""
-    return sorted(
-        sum(1 << (x - 1) for x in combo)
-        for combo in combinations(range(1, n + 1), i)
-    )
+    """All i-subsets of [n] as bitsets, in colex (= numeric) order.
+
+    Each subset is the next larger number with i bits set (Gosper's step).
+    """
+    if i == 0:
+        return [0]
+    out = []
+    s = (1 << i) - 1
+    end = 1 << n
+    while s < end:
+        out.append(s)
+        low = s & -s
+        ripple = s + low
+        s = ripple | ((s ^ ripple) >> 2) // low
+    return out
 
 
 def up_map(n: int, i: int) -> IntMatrix:
     """Level-raising map as a 0/1 pattern: column s has a 1 at each cover of s.
 
     The averaging map gives each cover weight 1/(n-i); scaling a column
-    changes no rank, so the pattern stands for it.
+    changes no rank, so the pattern stands for it.  Adding a higher free
+    element gives a larger cover, so walking the free elements from low to
+    high lists each column's rows in order.
     """
     if not (0 <= i < n):
         raise ValueError("need 0 <= i < n")
-    src = level_subsets(n, i)
-    dst = level_subsets(n, i + 1)
-    dst_index = {s: j for j, s in enumerate(dst)}
-    return pattern_matrix(len(dst), [
-        sorted(dst_index[s | (1 << (x - 1))] for x in range(1, n + 1) if not s >> (x - 1) & 1)
-        for s in src
-    ])
+    from .exactalg import pattern_matrix
+
+    full = (1 << n) - 1
+    dst_index = {s: j for j, s in enumerate(level_subsets(n, i + 1))}
+    columns = []
+    for s in level_subsets(n, i):
+        rows = []
+        free = full ^ s
+        while free:
+            low = free & -free
+            rows.append(dst_index[s | low])
+            free ^= low
+        columns.append(rows)
+    return pattern_matrix(len(dst_index), columns)
 
 
 class LevelRank(NamedTuple):
@@ -95,13 +119,15 @@ def _level_rank(n: int, i: int, ups: list[IntMatrix]) -> LevelRank:
     U_iᵀ full column rank.  An identity that fails, as it would for a wrong
     up map, leaves the rank to the exact elimination.
     """
+    from . import exactalg
+
     up = ups[i]
     if 2 * i < n:
         m, shift = up, n - 2 * i
-        w = ups[i - 1] if i else IntMatrix(up.ncols, 0, ())
+        w = ups[i - 1] if i else exactalg.IntMatrix(up.ncols, 0, ())
     else:
         m, shift = exactalg.transpose(up), 2
-        w = exactalg.transpose(ups[i + 1]) if i + 1 < n else IntMatrix(up.nrows, 0, ())
+        w = exactalg.transpose(ups[i + 1]) if i + 1 < n else exactalg.IntMatrix(up.nrows, 0, ())
     if exactalg.gram_certifies(m, shift, w):
         rk, path = m.ncols, "identity"
     else:
@@ -121,26 +147,30 @@ def verify_lemma(n: int, limit: int = 14) -> LemmaReport:
     return LemmaReport(n, tuple(_level_rank(n, i, ups) for i in range(top + 1)))
 
 
-def bracket_successor(n: int, members: int) -> int | None:
-    """Add the leftmost unmatched opener of the bracket word of the bitset `members`.
+def unmatched_openers(n: int, members: int) -> int:
+    """The unmatched openers of the bracket word of the bitset `members`, as a bitset.
 
     Position i in 1..n (bit i-1) is a closer ")" iff i is a member, else an
-    opener "(".  Closers match the nearest unmatched opener to their left,
-    so the answer is the bottom of the opener stack; None if it is empty.
+    opener "(".  Each closer matches the nearest unmatched opener to its
+    left, the top of the opener stack.
     """
-    depth = 0
-    bottom = 0
+    openers = 0
     for i in range(n):
-        if members >> i & 1:
-            if depth:
-                depth -= 1
+        bit = 1 << i
+        if members & bit:
+            if openers:
+                openers ^= 1 << openers.bit_length() - 1
         else:
-            if not depth:
-                bottom = i
-            depth += 1
-    if not depth:
+            openers |= bit
+    return openers
+
+
+def bracket_successor(n: int, members: int) -> int | None:
+    """Add the leftmost unmatched opener of the bracket word of `members`; None if there is none."""
+    openers = unmatched_openers(n, members)
+    if not openers:
         return None
-    return members | 1 << bottom
+    return members | openers & -openers
 
 
 class ChainFamily(NamedTuple):
@@ -152,20 +182,28 @@ class ChainFamily(NamedTuple):
 def symmetric_chains(n: int, i: int) -> ChainFamily:
     """C(n, i) pairwise disjoint saturated chains from level i to level n-i.
 
-    Each chain starts at an i-subset and repeatedly adds the leftmost
-    unmatched opener of its bracket word; injectivity of that successor on
-    every level makes the chains disjoint.
+    Each chain starts at an i-subset and adds its unmatched openers from
+    left to right, one scan per start.  That is the walk of
+    `bracket_successor`: the leftmost unmatched opener, once a closer, has
+    no unmatched opener to its left and stays unmatched, and every other
+    match is unchanged.  Injectivity of that successor on every level makes
+    the chains disjoint.  An i-subset has at least n - 2i unmatched
+    openers, so a start with fewer is an internal error.
     """
     if not (0 <= i <= n // 2):
         raise ValueError("need 0 <= i <= n/2")
+    steps = n - 2 * i
     chains = []
     for start in level_subsets(n, i):
+        openers = unmatched_openers(n, start)
+        if openers.bit_count() < steps:
+            raise InternalError("fewer than n - 2i unmatched openers")
         members = start
         chain = [start]
-        for _ in range(n - 2 * i):
-            members = bracket_successor(n, members)
-            if members is None:
-                raise InternalError("bracket successor exhausted below level n-i")
+        for _ in range(steps):
+            low = openers & -openers
+            openers ^= low
+            members |= low
             chain.append(members)
         chains.append(tuple(chain))
     return ChainFamily(n, i, tuple(chains))

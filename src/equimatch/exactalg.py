@@ -25,6 +25,8 @@ so their ranks are certified without numpy.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 _CERT_PRIME = 2_147_483_647  # fits in int64 with safe products
 
 Column = tuple[tuple[int, int], ...]
@@ -68,13 +70,18 @@ def pattern_matrix(nrows: int, patterns) -> IntMatrix:
     return IntMatrix(nrows, len(cols), cols)
 
 
-def transpose(m: IntMatrix) -> IntMatrix:
-    """mᵀ; its columns are the rows of m, each sorted by column index."""
+def _rows(m: IntMatrix) -> list[list[tuple[int, int]]]:
+    """The rows of m as sparse (column, value) lists, each sorted by column."""
     rows: list[list[tuple[int, int]]] = [[] for _ in range(m.nrows)]
     for c, col in enumerate(m.cols):
         for (r, v) in col:
             rows[r].append((c, v))
-    return IntMatrix(m.ncols, m.nrows, tuple(map(tuple, rows)))
+    return rows
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    """mᵀ; its columns are the rows of m, each sorted by column index."""
+    return IntMatrix(m.ncols, m.nrows, tuple(map(tuple, _rows(m))))
 
 
 def rank(m: IntMatrix) -> int:
@@ -204,11 +211,9 @@ def _gram(vectors, n: int) -> dict[int, int]:
     g: dict[int, int] = {}
     get = g.get
     for vec in vectors:
-        for j, (a, va) in enumerate(vec):
-            base = a * n
-            for (b, vb) in vec[j:]:
-                key = base + b
-                g[key] = get(key, 0) + va * vb
+        for (a, va), (b, vb) in combinations_with_replacement(vec, 2):
+            key = a * n + b
+            g[key] = get(key, 0) + va * vb
     return g
 
 
@@ -217,13 +222,14 @@ def gram_certifies(m: IntMatrix, shift: int, w: IntMatrix) -> bool:
 
     Then m has full column rank: for x ≠ 0,
     |mx|² = xᵀmᵀmx = shift·|x|² + |wᵀx|² > 0, so mx ≠ 0.  mᵀm is summed over
-    the rows of m and w·wᵀ over the columns of w, both as sparse integer
-    counters.  False means only "not certified", never "rank deficient".
+    the rows of m, collected from its columns, and w·wᵀ over the columns of
+    w, both as sparse integer counters.  False means only "not certified",
+    never "rank deficient".
     """
     if shift <= 0 or w.nrows != m.ncols:
         return False
     n = m.ncols
-    lhs = _gram(transpose(m).cols, n)
+    lhs = _gram(_rows(m), n)
     rhs = _gram(w.cols, n)
     for s in range(n):
         key = s * n + s

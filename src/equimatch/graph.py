@@ -94,12 +94,7 @@ class Graph:
         return tuple(adj)
 
     @cached_property
-    def _even_part_memo(self) -> dict[int, tuple[int, int]]:
-        """Memo of `even_part`, filled as supports are asked for."""
-        return {}
-
-    @cached_property
-    def _chain_memo(self) -> dict[int, tuple[tuple[tuple[int, int], ...], int]]:
+    def _chain_memo(self) -> dict[int, tuple[tuple[tuple[int, int], ...], int, int]]:
         """Memo of `transfer.odd_chains`, filled as one-colored sets are asked for."""
         return {}
 
@@ -298,22 +293,6 @@ def components(g: Graph, support: int) -> list[int]:
         unvisited &= ~comp
         out.append(comp)
     return out
-
-
-def even_part(g: Graph, support: int) -> tuple[int, int]:
-    """Union and number of the components of `support` with an even edge count.
-
-    Memoised on `g`, so the memo lives exactly as long as the graph does.
-    """
-    hit = g._even_part_memo.get(support)
-    if hit is None:
-        bits = count = 0
-        for comp in components(g, support):
-            if comp.bit_count() % 2 == 0:
-                bits |= comp
-                count += 1
-        hit = g._even_part_memo[support] = (bits, count)
-    return hit
 
 
 def edge_bits(g: Graph, pairs) -> int:

@@ -227,7 +227,7 @@ def cmd_verify(args) -> int:
         if args.ell is None or args.k is None:
             print("--ell and --k must be given together", file=sys.stderr)
             return 2
-        if not (1 <= args.ell <= args.k <= max(t.r, 1)):
+        if not (1 <= args.ell <= args.k <= t.r):
             print(f"need 1 <= ell <= k <= r = {t.r}", file=sys.stderr)
             return 2
         slots = [(args.ell, args.k)]

@@ -25,7 +25,6 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import InternalError
-from . import graph as graphlib
 from .autgroup import AutomorphismGroup, apply_edge_perm, automorphisms, edge_action
 from .graph import Graph
 from .matchings import MatchingTable, matching_table
@@ -41,15 +40,6 @@ PairBits = tuple[int, int]
 
 class BudgetExceededError(RuntimeError):
     """Matrix would exceed the nonzero budget; report as skipped."""
-
-
-def even_part(g: Graph, union: int) -> int:
-    """Union of components of the edge-induced subgraph with even edge count.
-
-    Memoised per union on the graph, so the pairs sharing a union (several
-    per union, on both sides of every slot) search its components once.
-    """
-    return graphlib.even_part(g, union)[0]
 
 
 def _tensor_pairs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[PairBits, ...]:
@@ -136,7 +126,7 @@ def build_phi(
     nnz = 0
     for blue in t.level(ell - 1):
         for pink in t.level(k + 1):
-            chains, even = odd_chains(g, blue ^ pink)
+            chains, even, _ = odd_chains(g, blue ^ pink)
             rows = sorted(
                 row_of_blue[blue ^ c] + row_of_pink[pink ^ c]
                 for (c, end) in chains
@@ -414,31 +404,36 @@ def count_parts(
     levels, keyed by union, so every (l, k) pair with a realized union
     counts, reached by Φ or not; `phi` is accepted like the other checks'
     and not read.  A slot with no columns realizes no union.
+
+    A union's even part and component count come from the chain memo of
+    the first column pair with that union (`transfer.odd_chains`): its
+    intersection edges are isolated odd components, so every pair with
+    that union gives the same values.  Every even-part edge is in exactly
+    one of the two matchings, so a class is keyed by its blue edges there.
     """
     t = table or matching_table(g)
     if k + 1 > t.r:
         return []
     evens: dict[int, int] = {}
+    even_components: dict[int, int] = {}
     sources: dict[int, set] = {}
     for blue in t.level(ell - 1):
         for pink in t.level(k + 1):
             u = blue | pink
             h = evens.get(u)
             if h is None:
-                h = evens[u] = even_part(g, u)
+                _, h, even_components[u] = odd_chains(g, blue ^ pink)
+                evens[u] = h
                 sources[u] = set()
-            sources[u].add((blue & h, pink & h))
+            sources[u].add(blue & h)
     targets: dict[int, set] = {u: set() for u in sources}
     for blue in t.level(ell):
         for pink in t.level(k):
             u = blue | pink
             h = evens.get(u)
             if h is not None:
-                targets[u].add((blue & h, pink & h))
-    out = []
-    for u in sorted(sources):
-        h, comps = graphlib.even_part(g, u)
-        out.append(
-            PartRecord(u, len(sources[u]), len(targets[u]), h.bit_count(), comps)
-        )
-    return out
+                targets[u].add(blue & h)
+    return [
+        PartRecord(u, len(sources[u]), len(targets[u]), evens[u].bit_count(), even_components[u])
+        for u in sorted(sources)
+    ]

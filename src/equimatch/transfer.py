@@ -92,21 +92,24 @@ def _end_edge(g: Graph, component: int) -> int:
     return 0
 
 
-def odd_chains(g: Graph, one_colored: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The odd chains of a one-colored set, and the union of its even components.
+def odd_chains(g: Graph, one_colored: int) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """The odd chains of a one-colored set, the union of its even components, and their number.
 
     Each chain is (edges, end) with `end` one of its end edges, so a pair
     with this one-colored set colors the chain pink iff `pink & end`.
     Chains come by minimum edge index; components share no vertex and edges
     sort lexicographically, so that is also ascending minimum vertex.  The
     set must be the symmetric difference of two matchings; that is not
-    checked here (`decompose` checks it).  Memoised on `g` per set, so all
-    pairs sharing a union and an intersection search its components once.
+    checked here (`decompose` checks it).  Then the pair's intersection
+    edges are isolated single-edge components of its union, so the even
+    part and its component count are also those of the union.  Memoised on
+    `g` per set, so all pairs sharing a union and an intersection search its
+    components once.
     """
     hit = g._chain_memo.get(one_colored)
     if hit is None:
         chains = []
-        even = 0
+        even = count = 0
         for comp in graphlib.components(g, one_colored):
             if comp.bit_count() % 2:
                 end = _end_edge(g, comp)
@@ -115,7 +118,8 @@ def odd_chains(g: Graph, one_colored: int) -> tuple[tuple[tuple[int, int], ...],
                 chains.append((comp, end))
             else:
                 even |= comp
-        hit = g._chain_memo[one_colored] = (tuple(chains), even)
+                count += 1
+        hit = g._chain_memo[one_colored] = (tuple(chains), even, count)
     return hit
 
 
@@ -146,7 +150,7 @@ def neighbor_set(g: Graph, pair: MatchingPair) -> tuple[MatchingPair, ...]:
     two matchings, as in `odd_chains`.
     """
     blue, pink = pair.blue, pair.pink
-    chains, _ = odd_chains(g, blue ^ pink)
+    chains = odd_chains(g, blue ^ pink)[0]
     out = [MatchingPair(blue ^ c, pink ^ c) for (c, end) in chains if pink & end]
     out.sort(key=lambda q: (q.blue, q.pink))
     return tuple(out)
@@ -164,7 +168,7 @@ def krattenthaler_f(g: Graph, pair: MatchingPair, successor=None) -> MatchingPai
     if successor is None:
         from .boollattice import bracket_successor as successor
     blue, pink = pair.blue, pair.pink
-    chains, _ = odd_chains(g, blue ^ pink)
+    chains = odd_chains(g, blue ^ pink)[0]
     blue_positions = 0
     for i, (c, end) in enumerate(chains):
         if not pink & end:

@@ -10,8 +10,9 @@ kinds from vertex degrees, neighbor sets and the single-output map from
 those kinds (odd chains sorted by minimum vertex explicitly, the bracket
 injection read off segment counts), Φ by one neighbor set per column pair
 with a row index over every row pair, the f-equivariance scan eagerly
-over every group element, and the symmetric chains by a bracket walk on
-frozensets.  It also holds
+over every group element, the symmetric chains by a bracket walk on
+frozensets, and the Boolean levels and up maps by sorting combination sums
+and each column's covers.  It also holds
 the rational matrices that Φ and the up maps stand for (`ExactMatrix`, with
 the column clearing that turns one into integers) and the literal
 exact-matrix helpers (dense form, products, permutation matrices, the whole
@@ -744,6 +745,28 @@ def neighbor_pairs(g: Graph, blue: int, pink: int) -> list[tuple[int, int]]:
     return sorted(
         (blue ^ c, pink ^ c) for (c, kind, _) in chain_kinds(g, blue, pink) if kind == "pink"
     )
+
+
+# --- the Boolean levels and up maps by sorting: the oracles for the colex steps ---
+
+
+def level_subsets_by_sorting(n: int, i: int) -> list[int]:
+    """All i-subsets of [n] as bitsets, each a sum over a combination, sorted."""
+    return sorted(
+        sum(1 << (x - 1) for x in combo)
+        for combo in combinations(range(1, n + 1), i)
+    )
+
+
+def up_map_by_sorting(n: int, i: int) -> IntMatrix:
+    """The level-raising 0/1 pattern, each column's covers looked up and sorted."""
+    src = level_subsets_by_sorting(n, i)
+    dst = level_subsets_by_sorting(n, i + 1)
+    dst_index = {s: j for j, s in enumerate(dst)}
+    return pattern_matrix(len(dst), [
+        sorted(dst_index[s | (1 << (x - 1))] for x in range(1, n + 1) if not s >> (x - 1) & 1)
+        for s in src
+    ])
 
 
 # --- the bracket walk on frozensets: the oracle for the bitset walk ---

@@ -19,10 +19,12 @@ from oracles import (
     averaging_matrix,
     bits_to_set,
     bracket_successor_by_sets,
+    level_subsets_by_sorting,
     rank_gauss_dense,
     rank_gauss_sparse,
     set_to_bits,
     symmetric_chains_by_sets,
+    up_map_by_sorting,
 )
 
 
@@ -40,6 +42,18 @@ def test_up_map_n3_level1():
     for col in averaging_matrix(m).cols:
         assert len(col) == 2 and all(v == Fraction(1, 2) for (_, v) in col)
         assert sum(v for (_, v) in col) == 1
+
+
+@pytest.mark.parametrize("n", range(0, 15))
+def test_levels_match_the_sorted_combinations(n):
+    for i in range(n + 2):
+        assert level_subsets(n, i) == level_subsets_by_sorting(n, i)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_up_maps_match_the_sorted_construction(n):
+    for i in range(n):
+        assert up_map(n, i) == up_map_by_sorting(n, i)
 
 
 def test_up_map_range_check():
@@ -98,7 +112,7 @@ def test_every_level_is_certified_mod_p(monkeypatch):
     def no_fallback(m):
         raise AssertionError("Bareiss fallback ran")
 
-    monkeypatch.setattr(boollattice.exactalg, "rank", no_fallback)
+    monkeypatch.setattr(exactalg, "rank", no_fallback)
     for n in range(1, 13):
         for i in range(min(n // 2, n - 1) + 1):
             m = up_map(n, i)
@@ -184,11 +198,21 @@ def test_chains_valid_all_levels(n):
 
 
 def test_exhausted_successor_is_an_internal_error(monkeypatch, capsys):
-    # a chain that stops below level n-i breaks an invariant: a real raise,
-    # kept under `python -O`, and exit code 4 from the CLI
-    monkeypatch.setattr(boollattice, "bracket_successor", lambda n, members: None)
+    # a start with fewer than n - 2i unmatched openers would give a chain
+    # that stops below level n-i: a real raise, kept under `python -O`, and
+    # exit code 4 from the CLI.  Dropping the last unmatched opener leaves
+    # too few exactly where a start has n - 2i, as the empty set has
+    real = boollattice.unmatched_openers
+
+    def one_short(n, members):
+        openers = real(n, members)
+        return openers & ~(1 << openers.bit_length() - 1) if openers else 0
+
+    monkeypatch.setattr(boollattice, "unmatched_openers", one_short)
     with pytest.raises(InternalError):
         symmetric_chains(4, 1)
+    with pytest.raises(InternalError):
+        symmetric_chains(4, 0)
     assert run(["boolean", "--n", "4"]) == 4
     assert "InternalError" in capsys.readouterr().err
 

@@ -135,6 +135,23 @@ def test_usage_errors_exit_2(argv, capsys):
     assert run(argv) == 2
 
 
+@pytest.mark.parametrize("check", cli.ALL_CHECKS)
+def test_a_slot_of_an_edgeless_graph_is_refused_before_any_check(check, monkeypatch, capsys):
+    # r = 0 has no slot, as the 0-record report of every slot says; asking
+    # for (1, 1) is a usage error whatever the check, and no check runs
+    def no_check(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setitem(graphcli.CHECKS, check, graphcli.CHECKS[check]._replace(run=no_check))
+    argv = ["verify", "--gen", "path:1", "--check", check]
+    assert run(argv + ["--ell", "1", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need 1 <= ell <= k <= r = 0" in captured.err
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == []
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -293,7 +310,7 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     # a pink-chain count below the forced minimum breaks an invariant of
     # build_phi, which must surface as an internal error, not as a failed
     # check (1) or an input error (2)
-    monkeypatch.setattr(phimap, "odd_chains", lambda g, one_colored: ((), 0))
+    monkeypatch.setattr(phimap, "odd_chains", lambda g, one_colored: ((), 0, 0))
     assert run(["verify", "--gen", "cycle:6", "--check", "injective"]) == 4
     err = capsys.readouterr().err
     assert "InternalError" in err and "internal error" in err
@@ -414,8 +431,9 @@ GRAPH_SIDE = {"graphcli", "graph", "matchings", "autgroup", "transfer", "phimap"
         # a trivial group applies no f, and the slot identity certifies every
         # rank, so neither the bracket successor nor a rank is compiled
         (["verify", "--gen", "gnp:8:1:2:7"], GRAPH_SIDE),
-        # the f scan of a nontrivial group brings in the bracket successor
-        (["verify", "--gen", "complete:6"], GRAPH_SIDE | {"boollattice", "exactalg"}),
+        # the f scan of a nontrivial group brings in the bracket successor,
+        # which compiles no exact algebra
+        (["verify", "--gen", "complete:6"], GRAPH_SIDE | {"boollattice"}),
     ],
     ids=["version", "boolean", "verify-trivial-group", "verify-symmetric"],
 )

@@ -20,6 +20,7 @@ from equimatch.transfer import (
 from oracles import (
     atlas_graphs,
     chain_kinds,
+    direct_even_part,
     enumerate_matchings,
     f_by_definition,
     f_counterexample_eager,
@@ -327,7 +328,7 @@ def test_odd_chains_match_degree_oracle(n, num, seed, rnd):
     matchings = [m for level in matching_table(g).by_size for m in level]
     for _ in range(30):
         blue, pink = rnd.choice(matchings), rnd.choice(matchings)
-        chains, even = odd_chains(g, blue ^ pink)
+        chains, even, even_components = odd_chains(g, blue ^ pink)
         kinds = chain_kinds(g, blue, pink)
         odd = [(edges, kind) for (edges, kind, _) in kinds if kind in (BLUE_CHAIN, PINK_CHAIN)]
         assert [(c, PINK_CHAIN if pink & end else BLUE_CHAIN) for (c, end) in chains] == odd
@@ -337,4 +338,7 @@ def test_odd_chains_match_degree_oracle(n, num, seed, rnd):
             touching = {v for i in range(g.num_edges) if others >> i & 1 for v in g.edges[i]}
             assert len(set(g.edges[end.bit_length() - 1]) - touching) >= 1
         assert even == sum(edges for (edges, kind, _) in kinds if kind not in (BLUE_CHAIN, PINK_CHAIN))
+        # the intersection's edges are isolated odd components of the union,
+        # so the even part and its component count are the union's
+        assert (even, even_components) == direct_even_part(g, blue | pink)
     assert odd_chains(g, blue ^ pink) is odd_chains(g, blue ^ pink)  # memoised
