@@ -4,16 +4,18 @@ Subsets of [n] use positions 1..n; as bitsets (bit i-1 for element i) the
 numeric order of same-size subsets coincides with colex order, which is the
 basis ordering for the level matrices, and is the order in which
 `level_subsets` steps from one subset to the next.  Each level's rank is
-certified by the sl₂ commutation identity DU − UD = (n − 2i)·I, checked in
-exact integers (Proctor 1982); exact elimination runs only where the
-identity fails, so the lemma never loads numpy.  Every chain comes from one
-bracket scan of its start (`unmatched_openers`): it adds the start's
-unmatched openers from left to right, which is the walk of the
-bracket-matching successor `bracket_successor` (the f scan's subset
+certified by the sl₂ commutation identity DU − UD = (n − 2i)·I (Proctor
+1982), checked in exact integers by `gram.gram_identity_holds` on the up
+maps' columns (at the middle level, their row lists); exact elimination
+runs only where the identity fails, so the lemma never loads numpy.  Every
+chain comes from one bracket scan of its start (`unmatched_openers`): it
+adds the start's unmatched openers from left to right, which is the walk of
+the bracket-matching successor `bracket_successor` (the f scan's subset
 injection, which `transfer` reads), truncating the full symmetric chain
 decomposition to levels [i, n-i].  Of the package it reads the init, and
-`exactalg` only where an up map is built or ranked, so neither the
-`boolean` command nor the f scan compiles anything it does not run.
+`exactalg` and `gram` only where an up map is built, ranked or certified,
+so neither the `boolean` command nor the f scan compiles anything it does
+not run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import InternalError
 
 if TYPE_CHECKING:
-    from .exactalg import IntMatrix
+    from .exactalg import Pattern
 
 
 def level_subsets(n: int, i: int) -> list[int]:
@@ -45,7 +47,7 @@ def level_subsets(n: int, i: int) -> list[int]:
     return out
 
 
-def up_map(n: int, i: int) -> IntMatrix:
+def up_map(n: int, i: int) -> Pattern:
     """Level-raising map as a 0/1 pattern: column s has a 1 at each cover of s.
 
     The averaging map gives each cover weight 1/(n-i); scaling a column
@@ -55,7 +57,7 @@ def up_map(n: int, i: int) -> IntMatrix:
     """
     if not (0 <= i < n):
         raise ValueError("need 0 <= i < n")
-    from .exactalg import pattern_matrix
+    from .exactalg import Pattern
 
     full = (1 << n) - 1
     dst_index = {s: j for j, s in enumerate(level_subsets(n, i + 1))}
@@ -67,8 +69,8 @@ def up_map(n: int, i: int) -> IntMatrix:
             low = free & -free
             rows.append(dst_index[s | low])
             free ^= low
-        columns.append(rows)
-    return pattern_matrix(len(dst_index), columns)
+        columns.append(tuple(rows))
+    return Pattern(len(dst_index), tuple(columns))
 
 
 class LevelRank(NamedTuple):
@@ -105,31 +107,37 @@ class LemmaReport(NamedTuple):
     def passed(self) -> bool:
         return all(lv.passed for lv in self.levels)
 
-    @property
-    def flagged(self) -> tuple[LevelRank, ...]:
-        return tuple(lv for lv in self.levels if not lv.injectivity_expected)
+
+def _row_lists(m: Pattern) -> list[list[int]]:
+    """The rows of m, each as the sorted list of its columns: the columns of mᵀ."""
+    rows: list[list[int]] = [[] for _ in range(m.nrows)]
+    for j, col in enumerate(m.cols):
+        for r in col:
+            rows[r].append(j)
+    return rows
 
 
-def _level_rank(n: int, i: int, ups: list[IntMatrix]) -> LevelRank:
+def _level_rank(n: int, i: int, ups: list[Pattern]) -> LevelRank:
     """Rank of ups[i], certified by the commutation identity or else ranked exactly.
 
     On level i, U_iᵀU_i = (n − 2i)·I + U_{i−1}U_{i−1}ᵀ (common covers minus
-    common subsets), so for 2i < n U_i has full column rank.  At i = n/2
-    the same identity one level up, U_iU_iᵀ = 2·I + U_{i+1}ᵀU_{i+1}, gives
-    U_iᵀ full column rank.  An identity that fails, as it would for a wrong
-    up map, leaves the rank to the exact elimination.
+    common subsets), so for 2i < n U_i has full column rank; the witnesses
+    are the columns of U_{i−1}.  At i = n/2 the same identity one level up,
+    U_iU_iᵀ = 2·I + U_{i+1}ᵀU_{i+1}, gives U_iᵀ full column rank, read from
+    the row lists of U_i and U_{i+1}.  An identity that fails, as it would
+    for a wrong up map, leaves the rank to the exact elimination.
     """
-    from . import exactalg
+    from . import exactalg, gram
 
     up = ups[i]
     if 2 * i < n:
-        m, shift = up, n - 2 * i
-        w = ups[i - 1] if i else exactalg.IntMatrix(up.ncols, 0, ())
+        cols, shift = up.cols, n - 2 * i
+        witnesses = ups[i - 1].cols if i else ()
     else:
-        m, shift = exactalg.transpose(up), 2
-        w = exactalg.transpose(ups[i + 1]) if i + 1 < n else exactalg.IntMatrix(up.nrows, 0, ())
-    if exactalg.gram_certifies(m, shift, w):
-        rk, path = m.ncols, "identity"
+        cols, shift = _row_lists(up), 2
+        witnesses = _row_lists(ups[i + 1]) if i + 1 < n else ()
+    if gram.gram_identity_holds(cols, shift, witnesses):
+        rk, path = len(cols), "identity"
     else:
         rk, path = exactalg.rank_certified_path(up)
     return LevelRank(i, comb(n, i), comb(n, i + 1), rk, path)

@@ -11,7 +11,7 @@ only, never serialized.
 This module parses and checks every argument, and runs `boolean`.  The
 commands that read a graph, and the `verify` check table, live in
 `graphcli`, which `run` imports only for them: `--version` compiles this
-module alone, and `boolean` adds only `boollattice` and `exactalg`.
+module alone, and `boolean` adds only `boollattice`, `exactalg` and `gram`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Exact sparse linear algebra over the integers.
+"""Exact rank of 0/1 patterns over the integers.
 
-Matrices are stored column-major as sorted (row, int) coordinate lists.  The
-library's maps average over 0/1 patterns (a column of Φ or of a Boolean up
-map has weight 1/len on each entry), and scaling a column never changes
-rank, so callers pass the 0/1 pattern itself.  Rank is computed by
-fraction-free Bareiss elimination over arbitrary-precision integers, with
+A `Pattern` is a 0/1 matrix stored column-major, each column the tuple of
+its rows.  The library's maps average over 0/1 patterns (a column of Φ or
+of a Boolean up map has weight 1/len on each entry), and scaling a column
+never changes rank, so callers pass the pattern itself.  Rank is computed
+by fraction-free Bareiss elimination over arbitrary-precision integers, with
 pivoting by minimal absolute value.
 
 `rank_certified` adds a fast path: a single modular elimination over a large
@@ -16,90 +16,50 @@ only the rows that are nonzero in the pivot column.  numpy is imported there,
 not at module load, so callers that never certify a rank never load it.
 `rank_certified_path` also says which of the two paths gave the rank.
 
-`gram_certifies` certifies full column rank with no elimination: given a
-witness w and a shift > 0, it checks mᵀm = shift·I + w·wᵀ entry by entry in
-exact integers, which forces |mx|² > 0 for every x ≠ 0.  The Boolean up maps
-satisfy such an identity (the sl₂ commutation relation DU − UD = (n − 2i)·I),
-so their ranks are certified without numpy.
+Full column rank with no elimination at all is the Gram identity of
+`gram`, which does not import this module.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-
 _CERT_PRIME = 2_147_483_647  # fits in int64 with safe products
 
-Column = tuple[tuple[int, int], ...]
 
+class Pattern:
+    """An nrows × len(cols) 0/1 matrix; `cols[j]` is the tuple of column j's rows, strictly increasing."""
 
-class IntMatrix:
-    """An nrows × ncols integer matrix; `cols[j]` lists column j's (row, value), sorted by row, no zeros."""
-
-    def __init__(self, nrows: int, ncols: int, cols: tuple[Column, ...]):
-        if len(cols) != ncols:
-            raise ValueError("column count mismatch")
+    def __init__(self, nrows: int, cols: tuple[tuple[int, ...], ...]):
         for col in cols:
-            prev = -1
-            for (r, v) in col:
-                if not (0 <= r < nrows):
-                    raise ValueError("row index out of range")
-                if r <= prev:
-                    raise ValueError("column entries not strictly sorted by row")
-                if v == 0:
-                    raise ValueError("stored zero entry")
-                prev = r
+            if col and not (0 <= col[0] and col[-1] < nrows):
+                raise ValueError("row index out of range")
+            if any(a >= b for a, b in zip(col, col[1:])):
+                raise ValueError("column rows not strictly increasing")
         self.nrows = nrows
-        self.ncols = ncols
+        self.ncols = len(cols)
         self.cols = cols
 
     def __eq__(self, other):
-        if other.__class__ is not IntMatrix:
+        if other.__class__ is not Pattern:
             return NotImplemented
-        return (self.nrows, self.ncols, self.cols) == (other.nrows, other.ncols, other.cols)
+        return (self.nrows, self.cols) == (other.nrows, other.cols)
 
     def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self.cols))
+        return hash((self.nrows, self.cols))
 
     def __repr__(self) -> str:
-        return f"IntMatrix(nrows={self.nrows!r}, ncols={self.ncols!r}, cols={self.cols!r})"
+        return f"Pattern(nrows={self.nrows!r}, cols={self.cols!r})"
 
 
-def pattern_matrix(nrows: int, patterns) -> IntMatrix:
-    """The 0/1 matrix whose column j has a 1 in each row of `patterns[j]` (sorted)."""
-    cols = tuple(tuple((r, 1) for r in rows) for rows in patterns)
-    return IntMatrix(nrows, len(cols), cols)
-
-
-def _rows(m: IntMatrix) -> list[list[tuple[int, int]]]:
-    """The rows of m as sparse (column, value) lists, each sorted by column."""
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(m.nrows)]
-    for c, col in enumerate(m.cols):
-        for (r, v) in col:
-            rows[r].append((c, v))
-    return rows
-
-
-def transpose(m: IntMatrix) -> IntMatrix:
-    """mᵀ; its columns are the rows of m, each sorted by column index."""
-    return IntMatrix(m.ncols, m.nrows, tuple(map(tuple, _rows(m))))
-
-
-def rank(m: IntMatrix) -> int:
+def rank(m: Pattern) -> int:
     """Exact rank via integer fraction-free Bareiss elimination."""
-    # eliminate over the smaller dimension for speed; rank is transpose-invariant
+    rows = [[0] * m.ncols for _ in range(m.nrows)]
+    for c, col in enumerate(m.cols):
+        for r in col:
+            rows[r][c] = 1
     if m.nrows < m.ncols:
-        rows: list[list[int]] = [[0] * m.nrows for _ in range(m.ncols)]
-        for c, col in enumerate(m.cols):
-            for (r, v) in col:
-                rows[c][r] = v
-        nr, nc = m.ncols, m.nrows
-    else:
-        rows = [[0] * m.ncols for _ in range(m.nrows)]
-        for c, col in enumerate(m.cols):
-            for (r, v) in col:
-                rows[r][c] = v
-        nr, nc = m.nrows, m.ncols
-    return _bareiss_rank(rows, nr, nc)
+        # eliminate over the smaller dimension for speed; rank is transpose-invariant
+        rows = [list(col) for col in zip(*rows)]
+    return _bareiss_rank(rows, len(rows), min(m.nrows, m.ncols))
 
 
 def _bareiss_rank(rows: list[list[int]], nr: int, nc: int) -> int:
@@ -138,33 +98,25 @@ def _bareiss_rank(rows: list[list[int]], nr: int, nc: int) -> int:
     return rk
 
 
-def _residues(m: IntMatrix, prime: int):
-    """Dense int64 residues of the matrix mod prime.
+def rank_mod(m: Pattern, prime: int = _CERT_PRIME) -> int:
+    """Rank of the pattern over F_prime (vectorized).
 
-    The shorter side becomes the rows (the columns of m on a tie): the
-    elimination then stops after at most that many pivots.
-    """
-    import numpy as np
-
-    a = np.zeros((m.nrows, m.ncols), dtype=np.int64)
-    rows = [r for col in m.cols for (r, _) in col]
-    cols = [c for c, col in enumerate(m.cols) for _ in col]
-    a[rows, cols] = [v % prime for col in m.cols for (_, v) in col]
-    return np.ascontiguousarray(a.T) if m.ncols >= m.nrows else a
-
-
-def rank_mod(m: IntMatrix, prime: int = _CERT_PRIME) -> int:
-    """Rank of the matrix over F_prime (vectorized).
-
-    Residues are below prime < 2**31, so every product fits in int64.  Rows
-    with a zero in the pivot column would be updated by a zero multiple of
-    the pivot row, so only the nonzero ones are touched.
+    The shorter side becomes the rows (the columns of m on a tie), so the
+    elimination stops after at most that many pivots.  Residues are below
+    prime < 2**31, so every product fits in int64.  Rows with a zero in the
+    pivot column would be updated by a zero multiple of the pivot row, so
+    only the nonzero ones are touched.
     """
     if m.nrows == 0 or m.ncols == 0:
         return 0
     import numpy as np
 
-    a = _residues(m, prime)
+    rows = [r for col in m.cols for r in col]
+    cols = [c for c, col in enumerate(m.cols) for _ in col]
+    a = np.zeros((m.nrows, m.ncols), dtype=np.int64)
+    a[rows, cols] = 1
+    if m.ncols >= m.nrows:
+        a = np.ascontiguousarray(a.T)
     nr, nc = a.shape
     rk = 0
     for c in range(nc):
@@ -189,7 +141,7 @@ def rank_mod(m: IntMatrix, prime: int = _CERT_PRIME) -> int:
     return rk
 
 
-def rank_certified_path(m: IntMatrix) -> tuple[int, str]:
+def rank_certified_path(m: Pattern) -> tuple[int, str]:
     """Exact rank, and the path that gave it: "mod-p" or "bareiss".
 
     rank over F_p never exceeds the rational rank, so hitting the trivial
@@ -201,37 +153,6 @@ def rank_certified_path(m: IntMatrix) -> tuple[int, str]:
     return rank(m), "bareiss"
 
 
-def rank_certified(m: IntMatrix) -> int:
+def rank_certified(m: Pattern) -> int:
     """Exact rank; modular certificate when full, Bareiss otherwise."""
     return rank_certified_path(m)[0]
-
-
-def _gram(vectors, n: int) -> dict[int, int]:
-    """Upper triangle of Σ v·vᵀ over sparse vectors sorted by index, keyed a·n + b (a <= b)."""
-    g: dict[int, int] = {}
-    get = g.get
-    for vec in vectors:
-        for (a, va), (b, vb) in combinations_with_replacement(vec, 2):
-            key = a * n + b
-            g[key] = get(key, 0) + va * vb
-    return g
-
-
-def gram_certifies(m: IntMatrix, shift: int, w: IntMatrix) -> bool:
-    """True iff shift > 0, w.nrows == m.ncols and mᵀm = shift·I + w·wᵀ exactly.
-
-    Then m has full column rank: for x ≠ 0,
-    |mx|² = xᵀmᵀmx = shift·|x|² + |wᵀx|² > 0, so mx ≠ 0.  mᵀm is summed over
-    the rows of m, collected from its columns, and w·wᵀ over the columns of
-    w, both as sparse integer counters.  False means only "not certified",
-    never "rank deficient".
-    """
-    if shift <= 0 or w.nrows != m.ncols:
-        return False
-    n = m.ncols
-    lhs = _gram(_rows(m), n)
-    rhs = _gram(w.cols, n)
-    for s in range(n):
-        key = s * n + s
-        rhs[key] = rhs.get(key, 0) + shift
-    return {k: v for k, v in lhs.items() if v} == {k: v for k, v in rhs.items() if v}

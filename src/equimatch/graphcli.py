@@ -227,6 +227,9 @@ def cmd_verify(args) -> int:
         if args.ell is None or args.k is None:
             print("--ell and --k must be given together", file=sys.stderr)
             return 2
+        if args.all:
+            print("--all runs every slot; it cannot be given with --ell and --k", file=sys.stderr)
+            return 2
         if not (1 <= args.ell <= args.k <= t.r):
             print(f"need 1 <= ell <= k <= r = {t.r}", file=sys.stderr)
             return 2

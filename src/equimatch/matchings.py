@@ -49,6 +49,11 @@ class MatchingTable:
     def level(self, k: int) -> tuple[int, ...]:
         return self.by_size[k] if 0 <= k <= self.r else ()
 
+    def check_slot(self, ell: int, k: int) -> None:
+        """Raise ValueError unless 1 <= ell <= k <= r; k = r is a valid slot with no columns."""
+        if not (1 <= ell <= k <= self.r):
+            raise ValueError(f"(ell, k) = ({ell}, {k}) out of range for r = {self.r}")
+
 
 def matching_table(g: Graph) -> MatchingTable:
     """Every matching of g, by size, from one backtracking pass.

@@ -13,20 +13,20 @@ build therefore decomposes each one-colored set once (`transfer.odd_chains`,
 memoised on the graph), reads a chain's color off one end edge, computes a
 swapped pair's row index arithmetically, and groups the columns by block key
 as it goes.  Injectivity is certified on the whole slot by one integer
-identity (`slot_identity_holds`); only a Φ that fails it is ranked, group by
+identity (`slot_identity_holds`, which builds the down-pair witnesses for
+`gram.gram_identity_holds`); only a Φ that fails it is ranked, group by
 group, and only then is `exactalg` loaded.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 from . import InternalError
 from .autgroup import AutomorphismGroup, apply_edge_perm, automorphisms, edge_action
 from .graph import Graph
+from .gram import gram_identity_holds
 from .matchings import MatchingTable, matching_table
 from .transfer import odd_chains
 
@@ -115,8 +115,7 @@ def build_phi(
     row index is position(blue ^ c) * m_k + position(pink ^ c).
     """
     t = table or matching_table(g)
-    if not (1 <= ell <= k <= t.r):
-        raise ValueError(f"(ell, k) = ({ell}, {k}) out of range for r = {t.r}")
+    t.check_slot(ell, k)
     m_k = t.m(k)
     row_of_blue = {bits: i * m_k for i, bits in enumerate(t.level(ell))}
     row_of_pink = {bits: i for i, bits in enumerate(t.level(k))}
@@ -149,50 +148,30 @@ def block_partition(phi: PhiMatrix) -> list[Block]:
     return [Block(key, tuple(cols)) for key, cols in sorted(phi.col_groups.items())]
 
 
-def _pair_codes(column_lists, ncols: int) -> Counter:
-    """The multiset of j·ncols + j' over each two positions j <= j' of each list."""
-    return Counter(
-        ja * ncols + jb for js in column_lists for a, ja in enumerate(js) for jb in js[a + 1:]
-    )
-
-
 def slot_identity_holds(phi: PhiMatrix) -> bool:
-    """True iff PᵀP = (k − l + 2)·I + DᵀD on Φ's 0/1 pattern P, entry by entry.
+    """True iff PᵀP = (k − l + 2)·I + DᵀD on Φ's 0/1 pattern P (`gram.gram_identity_holds`).
 
-    D sends a column pair to its blue-chain swaps (blue ^ c, pink ^ c).  A
-    column's p entries must be (k − l + 2) + b, b its blue chains; two
-    columns must share as many rows as down pairs, counted as multisets of
-    (j, j') codes.  Any D makes the right side positive definite, as the
-    shift is at least 2, so the identity gives P full column rank; a column
-    of exactly k − l + 2 entries (b = 0 when correct) is given no down pair
-    and its chains are not read.  False means only "not certified".
+    D sends a column pair to its blue-chain swaps (blue ^ c, pink ^ c); the
+    witnesses are D's rows, the columns that reach each down pair.  A
+    column's p entries must be (k − l + 2) + b, b its blue chains, and two
+    columns must share as many rows as down pairs.  Any D makes the right
+    side positive definite, as the shift is at least 2, so the identity
+    gives P full column rank; a column of exactly k − l + 2 entries (b = 0
+    when correct) is given no down pair and its chains are not read.
     """
     g, t = phi.graph, phi.table
     shift = phi.k - phi.ell + 2
-    columns = phi.columns
     blues, pinks = t.level(phi.ell - 1), t.level(phi.k + 1)
     m_k1 = len(pinks)
     downs: dict[PairBits, list[int]] = {}
-    reach: dict[int, list[int]] = {}
-    for j, column in enumerate(columns):
+    for j, column in enumerate(phi.columns):
         if len(column) == shift:
             continue
         blue, pink = blues[j // m_k1], pinks[j % m_k1]
-        b = 0
         for (c, end) in odd_chains(g, blue ^ pink)[0]:
             if not pink & end:
-                b += 1
                 downs.setdefault((blue ^ c, pink ^ c), []).append(j)
-        if len(column) != shift + b:
-            return False
-        for r in column:
-            reach.setdefault(r, []).append(j)
-    # every two entries sharing a row must belong to the columns read above
-    hits = Counter(Counter(chain.from_iterable(columns)).values())
-    shared = sum(n * (n - 1) // 2 * rows for n, rows in hits.items())
-    ncols = len(columns)
-    codes = _pair_codes(reach.values(), ncols)
-    return codes.total() == shared and codes == _pair_codes(downs.values(), ncols)
+    return gram_identity_holds(phi.columns, shift, downs.values())
 
 
 def _rank_by_groups(phi: PhiMatrix) -> int:
@@ -206,8 +185,8 @@ def _rank_by_groups(phi: PhiMatrix) -> int:
         if any(owner.setdefault(r, g_index) != g_index for r in rows):
             raise InternalError("nonzero entry escapes its block")
         row_map = {r: i for i, r in enumerate(rows)}
-        total += exactalg.rank(exactalg.pattern_matrix(
-            len(rows), [[row_map[r] for r in phi.columns[j]] for j in cols]
+        total += exactalg.rank(exactalg.Pattern(
+            len(rows), tuple(tuple(row_map[r] for r in phi.columns[j]) for j in cols)
         ))
     return total
 
@@ -233,6 +212,7 @@ def verify_injective(
 ) -> InjectivityReport:
     """Full column rank by the slot identity, or else by exact rank per column group."""
     t = table or matching_table(g)
+    t.check_slot(ell, k)
     if k + 1 > t.r:
         # no columns at all: vacuously injective
         return InjectivityReport(ell, k, 0, 0, 0)
@@ -314,6 +294,7 @@ def verify_equivariant(
     failing generator for its witness.
     """
     t = table or matching_table(g)
+    t.check_slot(ell, k)
     grp = group or automorphisms(g)
     if k + 1 > t.r:
         return EquivarianceReport(ell, k, grp.order, 0, ())
@@ -412,6 +393,7 @@ def count_parts(
     one of the two matchings, so a class is keyed by its blue edges there.
     """
     t = table or matching_table(g)
+    t.check_slot(ell, k)
     if k + 1 > t.r:
         return []
     evens: dict[int, int] = {}

@@ -57,8 +57,7 @@ def verify_nonneg(
     minus the number of (l-1, k+1) pairs with it.
     """
     t = table or matching_table(g)
-    if not (1 <= ell <= k <= t.r):
-        raise ValueError(f"(ell, k) = ({ell}, {k}) out of range for r = {t.r}")
+    t.check_slot(ell, k)
     diff = _key_counts(t.level(ell), t.level(k))
     diff.subtract(_key_counts(t.level(ell - 1), t.level(k + 1)))
     terms = sum(1 for c in diff.values() if c)
@@ -97,6 +96,7 @@ def verify_diagram(
     (the one-colored set's, in the chain memo): Φ is then not block diagonal.
     """
     t = table or matching_table(g)
+    t.check_slot(ell, k)
     if k + 1 > t.r:
         return DiagramReport(ell, k, 0, ())
     phi = phi or build_phi(g, ell, k, table=t)

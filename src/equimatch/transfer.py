@@ -199,9 +199,10 @@ def f_equivariance_counterexample(
     chains come from the memo that `phimap.build_phi` fills for the same
     column pairs.
     """
+    t = table or matching_table(g)
+    t.check_slot(ell, k)
     if not group.generators:
         return None
-    t = table or matching_table(g)
     blues, pinks = t.level(ell - 1), t.level(k + 1)
     if not pinks:
         return None

@@ -13,8 +13,8 @@ with a row index over every row pair, the f-equivariance scan eagerly
 over every group element, the symmetric chains by a bracket walk on
 frozensets, and the Boolean levels and up maps by sorting combination sums
 and each column's covers.  It also holds
-the rational matrices that Φ and the up maps stand for (`ExactMatrix`, with
-the column clearing that turns one into integers) and the literal
+the rational matrices that Φ and the up maps stand for (`ExactMatrix`, made
+from a 0/1 pattern with its averaging weights or with ones) and the literal
 exact-matrix helpers (dense form, products, permutation matrices, the whole
 of Φ as one averaging matrix) that tests state identities with, and two
 helpers that only tests use: `enumerate_matchings`, one level of the
@@ -31,7 +31,7 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 
 from equimatch.boollattice import bracket_successor
-from equimatch.exactalg import IntMatrix, pattern_matrix
+from equimatch.exactalg import Pattern
 from equimatch.graph import Graph, InternalError
 from equimatch.matchings import matching_table
 from equimatch.phimap import build_phi
@@ -86,7 +86,7 @@ def brute_force_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-# --- rational matrices, their integer clearing, and literal helpers ---
+# --- rational matrices from 0/1 patterns, and literal helpers ---
 
 
 Column = tuple[tuple[int, Fraction], ...]
@@ -113,28 +113,16 @@ class ExactMatrix:
                 prev = r
 
 
-def integer_matrix(m: ExactMatrix) -> IntMatrix:
-    """Clear each column's denominators (lcm), then divide out the gcd of its entries.
-
-    Column scaling never changes rank, so the result has the rank of m.
-    """
-    cols = []
-    for col in m.cols:
-        if not col:
-            cols.append(())
-            continue
-        mult = lcm(*(v.denominator for (_, v) in col))
-        scaled = [(r, int(v * mult)) for (r, v) in col]
-        g = gcd(*(v for (_, v) in scaled))
-        cols.append(tuple((r, v // g) for (r, v) in scaled))
-    return IntMatrix(m.nrows, m.ncols, tuple(cols))
-
-
-def averaging_matrix(m: IntMatrix) -> ExactMatrix:
+def averaging_matrix(m: Pattern) -> ExactMatrix:
     """The averaging map a 0/1 pattern stands for: column j weighs 1/len on each of its rows."""
     return ExactMatrix(m.nrows, m.ncols, tuple(
-        tuple((r, Fraction(1, len(col))) for (r, _) in col) for col in m.cols
+        tuple((r, Fraction(1, len(col))) for r in col) for col in m.cols
     ))
+
+
+def ones_matrix(m: Pattern) -> ExactMatrix:
+    """The 0/1 pattern itself as an exact matrix: a 1 at each of its entries."""
+    return ExactMatrix(m.nrows, m.ncols, tuple(tuple((r, Fraction(1)) for r in col) for col in m.cols))
 
 
 
@@ -233,7 +221,7 @@ def permutation_matrix(basis: BasisIndex, mapping) -> ExactMatrix:
 
 def phi_matrix(phi) -> ExactMatrix:
     """The whole of Φ as one exact matrix, rows and columns in pair order."""
-    return averaging_matrix(pattern_matrix(len(phi.row_pairs), phi.columns))
+    return averaging_matrix(Pattern(len(phi.row_pairs), phi.columns))
 
 
 # --- Φ built pair by pair: the oracle for the block-by-block build ---
@@ -758,15 +746,15 @@ def level_subsets_by_sorting(n: int, i: int) -> list[int]:
     )
 
 
-def up_map_by_sorting(n: int, i: int) -> IntMatrix:
+def up_map_by_sorting(n: int, i: int) -> Pattern:
     """The level-raising 0/1 pattern, each column's covers looked up and sorted."""
     src = level_subsets_by_sorting(n, i)
     dst = level_subsets_by_sorting(n, i + 1)
     dst_index = {s: j for j, s in enumerate(dst)}
-    return pattern_matrix(len(dst), [
-        sorted(dst_index[s | (1 << (x - 1))] for x in range(1, n + 1) if not s >> (x - 1) & 1)
+    return Pattern(len(dst), tuple(
+        tuple(sorted(dst_index[s | (1 << (x - 1))] for x in range(1, n + 1) if not s >> (x - 1) & 1))
         for s in src
-    ])
+    ))
 
 
 # --- the bracket walk on frozensets: the oracle for the bitset walk ---

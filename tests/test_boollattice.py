@@ -13,7 +13,8 @@ from equimatch.boollattice import (
     verify_lemma,
 )
 from equimatch.cli import run
-from equimatch.exactalg import IntMatrix
+from equimatch.exactalg import Pattern
+from equimatch.gram import gram_identity_holds
 from equimatch.graph import InternalError
 from oracles import (
     averaging_matrix,
@@ -31,7 +32,7 @@ from oracles import (
 def test_up_map_n2():
     m = up_map(2, 0)
     assert m.nrows == 2 and m.ncols == 1
-    assert m.cols[0] == ((0, 1), (1, 1))
+    assert m.cols[0] == (0, 1)
     assert [v for (_, v) in averaging_matrix(m).cols[0]] == [Fraction(1, 2), Fraction(1, 2)]
 
 
@@ -73,7 +74,7 @@ def test_verify_lemma_small():
     assert top.rank == 1 and not top.injectivity_expected
     rep4 = verify_lemma(4)
     assert [lv.rank for lv in rep4.levels] == [1, 4, 4]
-    assert rep4.flagged == (rep4.levels[2],)
+    assert [lv for lv in rep4.levels if not lv.injectivity_expected] == [rep4.levels[2]]
     assert rep4.passed
 
 
@@ -120,26 +121,28 @@ def test_every_level_is_certified_mod_p(monkeypatch):
             assert exactalg.rank_certified_path(m)[1] == "mod-p"
 
 
-def _doctored(m: IntMatrix, kind: str) -> IntMatrix:
+def _doctored(m: Pattern, kind: str) -> Pattern:
     """m with column 0 changed: its last entry dropped, an entry added, or column 1 copied."""
     col = m.cols[0]
     if kind == "drop":
         new = col[:-1]
     elif kind == "add":
-        extra = min(set(range(m.nrows)) - {r for (r, _) in col})
-        new = tuple(sorted(col + ((extra, 1),)))
+        extra = min(set(range(m.nrows)) - set(col))
+        new = tuple(sorted(col + (extra,)))
     else:
         new = m.cols[1]
-    return IntMatrix(m.nrows, m.ncols, (new,) + m.cols[1:])
+    return Pattern(m.nrows, (new,) + m.cols[1:])
+
+
+def _rows(m: Pattern) -> list[list[int]]:
+    return [[j for j, col in enumerate(m.cols) if r in col] for r in range(m.nrows)]
 
 
 def _identity_args(n: int, i: int, ups: dict) -> tuple:
-    """(m, shift, w) of level i's identity, as verify_lemma chooses them."""
+    """(columns, shift, witnesses) of level i's identity, as verify_lemma chooses them."""
     if 2 * i < n:
-        w = ups[i - 1] if i else IntMatrix(ups[i].ncols, 0, ())
-        return ups[i], n - 2 * i, w
-    w = exactalg.transpose(ups[i + 1]) if i + 1 < n else IntMatrix(ups[i].nrows, 0, ())
-    return exactalg.transpose(ups[i]), 2, w
+        return ups[i].cols, n - 2 * i, ups[i - 1].cols if i else ()
+    return _rows(ups[i]), 2, _rows(ups[i + 1]) if i + 1 < n else ()
 
 
 @pytest.mark.parametrize("kind", ["drop", "add", "copy"])
@@ -147,8 +150,8 @@ def _identity_args(n: int, i: int, ups: dict) -> tuple:
 def test_doctored_up_map_falls_back_to_the_exact_rank(n, i, kind, monkeypatch):
     ups = {j: up_map(n, j) for j in range(n)}
     bad = _doctored(ups[i], kind)
-    assert exactalg.gram_certifies(*_identity_args(n, i, ups))
-    assert not exactalg.gram_certifies(*_identity_args(n, i, {**ups, i: bad}))
+    assert gram_identity_holds(*_identity_args(n, i, ups))
+    assert not gram_identity_holds(*_identity_args(n, i, {**ups, i: bad}))
 
     real_up_map = boollattice.up_map
     monkeypatch.setattr(
@@ -228,7 +231,7 @@ def test_chain_steps_are_matrix_entries():
                 src = level_subsets(n, lvl)
                 dst = level_subsets(n, lvl + 1)
                 col = m.cols[src.index(a)]
-                assert dst.index(b) in {r for (r, _) in col}
+                assert dst.index(b) in col
 
 
 def test_bits_set_roundtrip():

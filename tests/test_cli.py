@@ -66,6 +66,16 @@ def test_verify_single_slot(capsys):
     }
 
 
+def test_all_with_a_slot_is_a_usage_error(capsys):
+    # --all means every slot, so a single slot beside it is refused, not dropped
+    assert run(["verify", "--gen", "cycle:6", "--all", "--ell", "1", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--all runs every slot; it cannot be given with --ell and --k" in captured.err
+    assert run(["verify", "--gen", "cycle:6", "--all", "--k", "1"]) == 2
+    assert "--ell and --k must be given together" in capsys.readouterr().err
+
+
 def test_verify_f_equivariance_witness(capsys):
     assert run(["verify", "--gen", "cycle:6", "--check", "f-equivariance"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -427,13 +437,13 @@ GRAPH_SIDE = {"graphcli", "graph", "matchings", "autgroup", "transfer", "phimap"
     "argv, own",
     [
         (["--version"], set()),
-        (["boolean", "--n", "12"], {"boollattice", "exactalg"}),
+        (["boolean", "--n", "12"], {"boollattice", "exactalg", "gram"}),
         # a trivial group applies no f, and the slot identity certifies every
         # rank, so neither the bracket successor nor a rank is compiled
-        (["verify", "--gen", "gnp:8:1:2:7"], GRAPH_SIDE),
+        (["verify", "--gen", "gnp:8:1:2:7"], GRAPH_SIDE | {"gram"}),
         # the f scan of a nontrivial group brings in the bracket successor,
         # which compiles no exact algebra
-        (["verify", "--gen", "complete:6"], GRAPH_SIDE | {"boollattice"}),
+        (["verify", "--gen", "complete:6"], GRAPH_SIDE | {"boollattice", "gram"}),
     ],
     ids=["version", "boolean", "verify-trivial-group", "verify-symmetric"],
 )

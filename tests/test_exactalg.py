@@ -5,50 +5,64 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equimatch import exactalg
-from equimatch.exactalg import IntMatrix, pattern_matrix, rank, rank_certified, rank_mod
+from equimatch.exactalg import Pattern, rank, rank_certified, rank_mod
 from oracles import (
     BasisIndex,
     ExactMatrix,
+    averaging_matrix,
     equals,
     from_entries,
     identity,
-    integer_matrix,
     multiply,
+    ones_matrix,
     permutation_matrix,
     rank_gauss_dense,
     rank_gauss_sparse,
     rank_mod_p,
     to_dense,
-    transpose,
 )
 
 
 def test_rank_identity():
-    assert rank(integer_matrix(identity(5))) == 5
+    assert rank(Pattern(5, tuple((i,) for i in range(5)))) == 5
 
 
 def test_rank_single_column():
-    m = from_entries(2, 1, [(0, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2))])
-    assert integer_matrix(m) == pattern_matrix(2, [[0, 1]])
-    assert rank(integer_matrix(m)) == 1
+    m = Pattern(2, ((0, 1),))
+    assert equals(averaging_matrix(m), from_entries(2, 1, [(0, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2))]))
+    assert rank(m) == 1
 
 
 def test_rank_zero_sizes():
-    assert rank(IntMatrix(0, 0, ())) == 0
-    assert rank(IntMatrix(3, 0, ())) == 0
-    assert rank(integer_matrix(from_entries(0, 2, []))) == 0
-    assert rank_certified(pattern_matrix(3, [[], []])) == 0
+    assert rank(Pattern(0, ())) == 0
+    assert rank(Pattern(3, ())) == 0
+    assert rank(Pattern(0, ((), ()))) == 0
+    assert rank_certified(Pattern(3, ((), ()))) == 0
 
 
-def _random_sparse(rng, nrows, ncols, density=0.3):
-    entries = []
-    for r in range(nrows):
-        for c in range(ncols):
-            if rng.random() < density:
-                entries.append(
-                    (r, c, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-                )
-    return from_entries(nrows, ncols, entries)
+def _random_pattern(rng, nrows, ncols, density=0.3) -> Pattern:
+    return Pattern(nrows, tuple(
+        tuple(r for r in range(nrows) if rng.random() < density) for _ in range(ncols)
+    ))
+
+
+def _deficient_pattern(rng, nrows, ncols, inner, density=0.3) -> Pattern:
+    """Each column the union of some of `inner` pairwise disjoint base columns: rank <= inner.
+
+    Columns repeat whenever two draw the same bases.
+    """
+    group = [rng.randrange(inner + 1) for _ in range(nrows)]  # group `inner` is in no base
+    cols = []
+    for _ in range(ncols):
+        chosen = {b for b in range(inner) if rng.random() < density}
+        cols.append(tuple(r for r in range(nrows) if group[r] in chosen))
+    return Pattern(nrows, tuple(cols))
+
+
+def _transpose(m: Pattern) -> Pattern:
+    return Pattern(m.ncols, tuple(
+        tuple(c for c, col in enumerate(m.cols) if r in col) for r in range(m.nrows)
+    ))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -56,79 +70,47 @@ def test_rank_matches_gaussian_oracles(seed):
     rng = random.Random(seed)
     nrows = rng.randint(1, 50)
     ncols = rng.randint(1, 50)
-    m = _random_sparse(rng, nrows, ncols)
-    expected = rank_gauss_dense(m)
-    ints = integer_matrix(m)
-    assert rank(ints) == expected
-    assert rank_gauss_sparse(m) == expected
-    assert rank_certified(ints) == expected
-    assert rank_mod(ints) <= expected
+    inner = rng.randint(1, min(nrows, ncols))
+    for m in (_random_pattern(rng, nrows, ncols), _deficient_pattern(rng, nrows, ncols, inner)):
+        exact = averaging_matrix(m)
+        expected = rank_gauss_dense(exact)
+        assert rank(m) == expected
+        assert rank_gauss_sparse(exact) == expected
+        assert rank_certified(m) == expected
+        assert rank_mod(m) <= expected
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_rank_invariant_under_scaling_and_permutation(seed):
     rng = random.Random(100 + seed)
-    m = _random_sparse(rng, 12, 9)
-    base = rank(integer_matrix(m))
+    m = _random_pattern(rng, 12, 9)
+    base = rank(m)
+    # any nonzero column weights: the pattern stands for every scaling of itself
     scales = [Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(m.ncols)]
-    scaled = ExactMatrix(
-        m.nrows,
-        m.ncols,
-        tuple(
-            tuple((r, v * s) for (r, v) in col) for col, s in zip(m.cols, scales)
-        ),
-    )
-    assert rank(integer_matrix(scaled)) == base
+    scaled = ExactMatrix(m.nrows, m.ncols, tuple(
+        tuple((r, s) for r in col) for col, s in zip(m.cols, scales)
+    ))
+    assert rank_gauss_dense(scaled) == base
     perm = list(range(m.ncols))
     rng.shuffle(perm)
-    permuted = ExactMatrix(m.nrows, m.ncols, tuple(m.cols[j] for j in perm))
-    assert rank(integer_matrix(permuted)) == base
+    assert rank(Pattern(m.nrows, tuple(m.cols[j] for j in perm))) == base
+    row_perm = list(range(m.nrows))
+    rng.shuffle(row_perm)
+    assert rank(Pattern(m.nrows, tuple(tuple(sorted(row_perm[r] for r in col)) for col in m.cols))) == base
     # rank eliminates over the smaller dimension: both orientations agree
-    assert rank(integer_matrix(transpose(m))) == base
+    assert rank(_transpose(m)) == base
 
 
 def test_rank_defect_certified_falls_back():
-    # two proportional columns: modular rank 1 < min dim, Bareiss decides
-    m = IntMatrix(3, 2, (((0, 1), (1, 2)), ((0, 2), (1, 4))))
+    # two equal columns: modular rank 1 < min dim, Bareiss decides
+    m = Pattern(3, ((0, 1), (0, 1)))
     assert rank_certified(m) == 1
 
 
 def test_rank_certified_path_names_the_path():
-    assert exactalg.rank_certified_path(pattern_matrix(2, [[0], [1]])) == (2, "mod-p")
-    m = IntMatrix(3, 2, (((0, 1), (1, 2)), ((0, 2), (1, 4))))
+    assert exactalg.rank_certified_path(Pattern(2, ((0,), (1,)))) == (2, "mod-p")
+    m = Pattern(3, ((0, 1), (0, 1)))
     assert exactalg.rank_certified_path(m) == (1, "bareiss")
-
-
-def test_transpose_swaps_rows_and_columns():
-    m = IntMatrix(3, 2, (((0, 1), (2, -3)), ((1, 5),)))
-    t = exactalg.transpose(m)
-    assert t == IntMatrix(2, 3, (((0, 1),), ((1, 5),), ((0, -3),)))
-    assert exactalg.transpose(t) == m
-
-
-def test_gram_certifies_signed_columns():
-    # columns (1, 1) and (1, -1): mᵀm = 2·I, the off-diagonal sum cancels to 0
-    m = IntMatrix(2, 2, (((0, 1), (1, 1)), ((0, 1), (1, -1))))
-    none = IntMatrix(2, 0, ())
-    assert exactalg.gram_certifies(m, 2, none)
-    assert not exactalg.gram_certifies(m, 1, none)
-    # 1·I + w·wᵀ = [[2, 1], [1, 2]] differs off the diagonal
-    assert not exactalg.gram_certifies(m, 1, pattern_matrix(2, [[0, 1]]))
-
-
-def test_gram_certifies_rejects_a_nonpositive_shift():
-    # both identities hold, yet neither matrix has full column rank
-    ones = pattern_matrix(1, [[0], [0]])  # 1 x 2, rank 1
-    assert not exactalg.gram_certifies(ones, 0, exactalg.transpose(ones))
-    zero = IntMatrix(1, 1, ((),))  # 0 = -1 + 1·1
-    assert not exactalg.gram_certifies(zero, -1, pattern_matrix(1, [[0]]))
-
-
-def test_gram_certifies_rejects_a_witness_of_the_wrong_height():
-    m = pattern_matrix(1, [[0]])  # mᵀm = 1·I
-    assert exactalg.gram_certifies(m, 1, IntMatrix(1, 0, ()))
-    assert not exactalg.gram_certifies(m, 1, IntMatrix(2, 0, ()))
-    assert not exactalg.gram_certifies(m, 1, IntMatrix(0, 0, ()))
 
 
 _CERT_PRIME = exactalg._CERT_PRIME  # 2**31 - 1
@@ -140,43 +122,56 @@ _CERT_PRIME = exactalg._CERT_PRIME  # 2**31 - 1
 )
 @pytest.mark.parametrize("seed", range(4))
 def test_rank_mod_matches_mod_p_oracle(seed, shape, prime):
-    # sparse, so most rows are zero in a pivot column; the product has rank
-    # at most `inner`, so it also covers pivot columns with no nonzero
+    # sparse, so most rows are zero in a pivot column; the deficient pattern
+    # has rank at most `inner`, so it also covers pivot columns with no nonzero
     rng = random.Random(300 + seed)
     nrows, ncols = shape
     inner = rng.randint(1, min(shape) - 3)
-    deficient = multiply(
-        _random_sparse(rng, nrows, inner, density=0.3),
-        _random_sparse(rng, inner, ncols, density=0.3),
-    )
-    for m in (_random_sparse(rng, nrows, ncols, density=0.15), deficient):
-        assert rank_mod(integer_matrix(m), prime) == rank_mod_p(m, prime)
-    assert rank_mod(integer_matrix(deficient), prime) <= inner
+    deficient = _deficient_pattern(rng, nrows, ncols, inner)
+    for m in (_random_pattern(rng, nrows, ncols, density=0.15), deficient):
+        assert rank_mod(m, prime) == rank_mod_p(ones_matrix(m), prime)
+    assert rank_mod(deficient, prime) <= inner
 
 
-def test_rank_mod_below_rank_at_the_prime():
-    # columns (p, 1) and (0, 1): determinant p, so rank 2 over Q and 1 mod p
-    m = from_entries(2, 2, [(0, 0, _CERT_PRIME), (1, 0, 1), (1, 1, 1)])
-    ints = integer_matrix(m)
-    assert rank_mod(ints) == rank_mod_p(m, _CERT_PRIME) == 1
-    assert rank(ints) == 2
-    assert rank_certified(ints) == 2
+# a 7 x 7 pattern of determinant 11: rank 7 over Q, 6 over F_11
+_DET_11 = Pattern(7, (
+    (0, 1, 5, 6), (2, 4, 5, 6), (0, 2, 3, 6), (1, 3, 4, 5, 6), (0, 1, 2, 3, 4), (1, 2, 6), (2, 3, 5, 6),
+))
 
 
-def test_residues_put_the_shorter_side_in_rows():
-    # on a tie the columns of m become the rows
+def test_rank_mod_below_rank_at_the_prime(monkeypatch):
+    assert rank_mod(_DET_11, 11) == rank_mod_p(ones_matrix(_DET_11), 11) == 6
+    assert rank(_DET_11) == rank_gauss_dense(ones_matrix(_DET_11)) == 7
+    assert rank_certified(_DET_11) == 7
+    # at a certificate prime that divides the determinant the mod-p rank
+    # falls short, and the exact fallback gives the rank
+    real_rank_mod = exactalg.rank_mod
+    monkeypatch.setattr(exactalg, "rank_mod", lambda m: real_rank_mod(m, 11))
+    assert exactalg.rank_certified_path(_DET_11) == (7, "bareiss")
+
+
+def test_residues_put_the_shorter_side_in_rows(monkeypatch):
+    # on a tie the columns of m become the rows; the residue array is read
+    # through the first pivot-column scan, before any elimination step
+    import numpy as np
+
+    seen = []
+    real_flatnonzero = np.flatnonzero
+
+    def first_array(column):
+        if not seen:
+            seen.append(column.base.copy())
+        return real_flatnonzero(column)
+
+    monkeypatch.setattr(np, "flatnonzero", first_array)
     rng = random.Random(7)
     for nrows, ncols in [(9, 4), (4, 9), (6, 6)]:
-        m = integer_matrix(_random_sparse(rng, nrows, ncols, density=0.5))
-        a = exactalg._residues(m, 11)
-        if ncols >= nrows:
-            a = a.T
+        m = _random_pattern(rng, nrows, ncols, density=0.5)
+        seen.clear()
+        rank_mod(m, 11)
+        a = seen[0].T if ncols >= nrows else seen[0]
         assert a.shape == (nrows, ncols)
-        pattern = [[False] * ncols for _ in range(nrows)]
-        for c, col in enumerate(m.cols):
-            for (r, _) in col:
-                pattern[r][c] = True
-        assert (a != 0).tolist() == pattern
+        assert (a != 0).tolist() == [[r in col for col in m.cols] for r in range(nrows)]
 
 
 def test_permutation_matrix_basics():
@@ -216,15 +211,18 @@ def test_multiply_and_equals():
 
 
 def test_matrix_invariants_enforced():
-    for matrix, one, zero in ((ExactMatrix, Fraction(1), Fraction(0)), (IntMatrix, 1, 0)):
+    one, zero = Fraction(1), Fraction(0)
+    with pytest.raises(ValueError):
+        ExactMatrix(2, 1, (((0, zero),),))  # stored zero
+    with pytest.raises(ValueError):
+        ExactMatrix(2, 1, (((1, one), (0, one)),))  # unsorted
+    with pytest.raises(ValueError):
+        ExactMatrix(2, 1, (((2, one),),))  # out of range
+    with pytest.raises(ValueError):
+        ExactMatrix(2, 2, (((0, one),),))  # column count
+    for bad in ((1, 0), (0, 0), (2,), (-1, 1)):  # unsorted, repeated, out of range twice
         with pytest.raises(ValueError):
-            matrix(2, 1, (((0, zero),),))  # stored zero
-        with pytest.raises(ValueError):
-            matrix(2, 1, (((1, one), (0, one)),))  # unsorted
-        with pytest.raises(ValueError):
-            matrix(2, 1, (((2, one),),))  # out of range
-        with pytest.raises(ValueError):
-            matrix(2, 2, (((0, one),),))  # column count
+            Pattern(2, (bad,))
     with pytest.raises(ValueError):
         BasisIndex((2, 1))
 
@@ -233,7 +231,7 @@ def test_matrix_invariants_enforced():
 @given(st.integers(0, 2**32))
 def test_rank_bounds(seed):
     rng = random.Random(seed)
-    m = _random_sparse(rng, rng.randint(1, 12), rng.randint(1, 12), density=0.4)
-    rk = rank(integer_matrix(m))
+    m = _random_pattern(rng, rng.randint(1, 12), rng.randint(1, 12), density=0.4)
+    rk = rank(m)
     assert 0 <= rk <= min(m.nrows, m.ncols)
-    assert rk == rank_gauss_dense(m)
+    assert rk == rank_gauss_dense(ones_matrix(m))

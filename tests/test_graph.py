@@ -129,7 +129,7 @@ def test_components_match_union_find(n, num, seed, support):
 
 
 def test_plain_classes_keep_equality_hash_repr_and_validation():
-    from equimatch.exactalg import IntMatrix
+    from equimatch.exactalg import Pattern
     from equimatch.transfer import MatchingPair
 
     a = parse_graph("3 2\n1 2\n0 1\n")
@@ -143,11 +143,12 @@ def test_plain_classes_keep_equality_hash_repr_and_validation():
     with pytest.raises(ValueError):
         Graph(2, ((0, 2),))
 
-    m = IntMatrix(2, 1, (((0, 1), (1, -2)),))
-    assert m == IntMatrix(2, 1, (((0, 1), (1, -2)),)) and hash(m) == hash(IntMatrix(2, 1, (((0, 1), (1, -2)),)))
-    assert m != IntMatrix(3, 1, (((0, 1), (1, -2)),)) and m != IntMatrix(2, 1, (((0, 1),),))
-    assert repr(m) == "IntMatrix(nrows=2, ncols=1, cols=(((0, 1), (1, -2)),))"
+    m = Pattern(2, ((0, 1),))
+    assert m == Pattern(2, ((0, 1),)) and hash(m) == hash(Pattern(2, ((0, 1),)))
+    assert m != Pattern(3, ((0, 1),)) and m != Pattern(2, ((0,),)) and m != Pattern(2, ((0, 1), ()))
+    assert m != (2, ((0, 1),))
+    assert repr(m) == "Pattern(nrows=2, cols=((0, 1),))"
     with pytest.raises(ValueError):
-        IntMatrix(2, 1, (((1, 1), (0, 1)),))
+        Pattern(2, ((1, 0),))
 
     assert repr(MatchingPair(1, 2)) == "MatchingPair(blue=1, pink=2)"

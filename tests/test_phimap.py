@@ -17,8 +17,8 @@ from equimatch.phimap import (
     verify_equivariant,
     verify_injective,
 )
-from equimatch.polyring import verify_diagram
-from equimatch.transfer import odd_chains
+from equimatch.polyring import verify_diagram, verify_nonneg
+from equimatch.transfer import f_equivariance_counterexample, odd_chains
 from oracles import (
     BasisIndex,
     act_matching,
@@ -79,6 +79,31 @@ def test_out_of_range(c6):
         build_phi(c6, 2, 1)
     with pytest.raises(ValueError):
         build_phi(c6, 1, 4)
+
+
+# every library entry point that takes a slot, called with the graph's table and group
+_SLOT_ENTRY_POINTS = {
+    "build_phi": lambda g, t, grp, ell, k: build_phi(g, ell, k, table=t),
+    "count_parts": lambda g, t, grp, ell, k: count_parts(g, ell, k, table=t),
+    "f_equivariance_counterexample": lambda g, t, grp, ell, k: f_equivariance_counterexample(g, grp, ell, k, table=t),
+    "verify_diagram": lambda g, t, grp, ell, k: verify_diagram(g, ell, k, table=t),
+    "verify_equivariant": lambda g, t, grp, ell, k: verify_equivariant(g, ell, k, table=t, group=grp),
+    "verify_injective": lambda g, t, grp, ell, k: verify_injective(g, ell, k, table=t),
+    "verify_nonneg": lambda g, t, grp, ell, k: verify_nonneg(g, ell, k, table=t),
+}
+
+
+@pytest.mark.parametrize("ell, k", [(0, 1), (2, 1), (0, 3), (4, 4), (1, 4)])
+@pytest.mark.parametrize("entry", sorted(_SLOT_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_slot_out_of_range(c6, entry, ell, k):
+    # r = 3 on C6; k = r stays a valid slot, with no columns
+    t = matching_table(c6)
+    grp = automorphisms(c6)
+    call = _SLOT_ENTRY_POINTS[entry]
+    call(c6, t, grp, 1, 3)
+    call(c6, t, grp, 3, 3)
+    with pytest.raises(ValueError, match=rf"^\(ell, k\) = \({ell}, {k}\) out of range for r = 3$"):
+        call(c6, t, grp, ell, k)
 
 
 def test_budget_exceeded(c6):
@@ -434,8 +459,8 @@ def _group_ranks_by_exact_rank(g, monkeypatch):
         for b in blocks:
             rows = sorted({r for j in b.col_indices for r in phi.columns[j]})
             row_map = {r: i for i, r in enumerate(rows)}
-            pattern = [[row_map[r] for r in phi.columns[j]] for j in b.col_indices]
-            ranks.append(exactalg.rank(exactalg.pattern_matrix(len(rows), pattern)))
+            pattern = tuple(tuple(row_map[r] for r in phi.columns[j]) for j in b.col_indices)
+            ranks.append(exactalg.rank(exactalg.Pattern(len(rows), pattern)))
         expected = (ell, k, len(blocks), sum(ranks), len(phi.columns))
         assert slot_identity_holds(phi)
         assert verify_injective(g, ell, k, table=t, phi=phi) == expected
