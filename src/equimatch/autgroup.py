@@ -4,7 +4,8 @@ The group is held by a strong generating set for the base 0, 1, ..., n-1
 (Sims 1970): for every i, the generators that fix 0..i-1 generate the
 pointwise stabiliser of 0..i-1.  A representation is a homomorphism, so a
 map commutes with the whole group once it commutes with each generator, and
-the checks test the generators only.
+both group checks test the generators only, by one scan
+(`matchings.MatchingTable.noncommuting_column`).
 One backtracking search over vertex images, with a degree prune, finds the
 generators and streams the elements in lexicographic order.  A vertex-count
 limit guards against factorial blowup where every element is walked (the
@@ -17,7 +18,7 @@ from collections.abc import Iterator
 
 from .graph import Graph
 
-DEFAULT_VERTEX_LIMIT = 12
+VERTEX_LIMIT = 12
 
 Permutation = tuple[int, ...]
 
@@ -80,13 +81,13 @@ def _orbit(point: int, generators: list[Permutation]) -> set[int]:
     return orbit
 
 
-def check_vertex_limit(n: int, limit: int = DEFAULT_VERTEX_LIMIT) -> None:
+def check_vertex_limit(n: int) -> None:
     """Raise SizeLimitError when a group search on n vertices is refused."""
-    if n > limit:
-        raise SizeLimitError(f"n={n} exceeds the vertex limit {limit}")
+    if n > VERTEX_LIMIT:
+        raise SizeLimitError(f"n={n} exceeds the vertex limit {VERTEX_LIMIT}")
 
 
-def automorphisms(g: Graph, limit: int = DEFAULT_VERTEX_LIMIT) -> AutomorphismGroup:
+def automorphisms(g: Graph) -> AutomorphismGroup:
     """A strong generating set for the base 0..n-1, and the group order.
 
     From the last base point down, the orbit of i under the stabiliser of
@@ -103,7 +104,7 @@ def automorphisms(g: Graph, limit: int = DEFAULT_VERTEX_LIMIT) -> AutomorphismGr
     with a map) scans the sorted generators only.
     """
     n = g.n
-    check_vertex_limit(n, limit)
+    check_vertex_limit(n)
     generators: list[Permutation] = []
     order = 1
     for i in range(n - 1, -1, -1):

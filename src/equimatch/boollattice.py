@@ -28,6 +28,8 @@ from . import InternalError
 if TYPE_CHECKING:
     from .exactalg import Pattern
 
+SIZE_LIMIT = 14  # the largest n whose lemma `verify_lemma` runs
+
 
 def level_subsets(n: int, i: int) -> list[int]:
     """All i-subsets of [n] as bitsets, in colex (= numeric) order.
@@ -143,12 +145,12 @@ def _level_rank(n: int, i: int, ups: list[Pattern]) -> LevelRank:
     return LevelRank(i, comb(n, i), comb(n, i + 1), rk, path)
 
 
-def verify_lemma(n: int, limit: int = 14) -> LemmaReport:
+def verify_lemma(n: int) -> LemmaReport:
     """Ranks of the up maps for all levels i <= floor(n/2)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the size budget {limit}")
+    if n > SIZE_LIMIT:
+        raise ValueError(f"n={n} exceeds the size budget {SIZE_LIMIT}")
     top = min(n // 2, n - 1)
     # level n/2 (n even) reads the up map one level above it as its witness
     ups = [up_map(n, i) for i in range(min(top + 2, n))]

@@ -183,6 +183,14 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code in (0, 2) else 2
+    # a slot's own arguments are refused before the matchings are enumerated
+    if args.command == "verify" and (args.ell, args.k) != (None, None):
+        if None in (args.ell, args.k):
+            print("--ell and --k must be given together", file=sys.stderr)
+            return 2
+        if args.all:
+            print("--all runs every slot; it cannot be given with --ell and --k", file=sys.stderr)
+            return 2
     try:
         if args.command == "boolean":
             return cmd_boolean(args)

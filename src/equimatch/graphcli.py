@@ -3,7 +3,8 @@
 `cli.run` imports this module for every command but `boolean`, so
 `equimatch --version` and `equimatch boolean` never compile the graph side
 (`graph`, `matchings`, `autgroup`, `transfer`, `phimap`, `polyring`).
-Arguments reach these commands already parsed and checked by `cli`.
+Arguments reach these commands already parsed and checked by `cli`, all
+but those that need the graph (a `verify` slot must lie within 1..r).
 """
 
 from __future__ import annotations
@@ -223,13 +224,8 @@ def cmd_aut(args) -> int:
 def cmd_verify(args) -> int:
     g, descriptor = _load_graph(args)
     t = matching_table(g)
-    if args.ell is not None or args.k is not None:
-        if args.ell is None or args.k is None:
-            print("--ell and --k must be given together", file=sys.stderr)
-            return 2
-        if args.all:
-            print("--all runs every slot; it cannot be given with --ell and --k", file=sys.stderr)
-            return 2
+    if args.ell is not None:
+        # `cli` has checked that --ell and --k come together, without --all
         if not (1 <= args.ell <= args.k <= t.r):
             print(f"need 1 <= ell <= k <= r = {t.r}", file=sys.stderr)
             return 2

@@ -1,15 +1,18 @@
-"""Enumeration of k-matchings and the matching-number sequence.
+"""Enumeration of k-matchings, the matching-number sequence and the group's action on them.
 
 Matchings are edge bitsets (ints) over the host graph's canonical edge
 indexing.  Enumeration backtracks over edge indices in increasing order with
 a used-vertex bitmask; results are sorted by bitset value, which is the basis
 ordering contract shared with the matrix modules.
+The table memoises each automorphism's moves on each level, and holds the
+one scan that tests a slot map (Φ or the single-output map) against it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
+from .autgroup import Permutation, apply_edge_perm, edge_action
 from .graph import Graph
 
 
@@ -33,6 +36,7 @@ class MatchingTable:
     def __init__(self, graph: Graph, by_size: tuple[tuple[int, ...], ...]):
         self.graph = graph
         self.by_size = by_size
+        self._moves: dict[tuple[Permutation, int], tuple[int, ...]] = {}
 
     @property
     def r(self) -> int:
@@ -53,6 +57,43 @@ class MatchingTable:
         """Raise ValueError unless 1 <= ell <= k <= r; k = r is a valid slot with no columns."""
         if not (1 <= ell <= k <= self.r):
             raise ValueError(f"(ell, k) = ({ell}, {k}) out of range for r = {self.r}")
+
+    @cached_property
+    def positions(self) -> tuple[dict[int, int], ...]:
+        """Per size s, the position of each s-matching in its level."""
+        return tuple({bits: i for i, bits in enumerate(level)} for level in self.by_size)
+
+    def moves(self, sigma: Permutation, s: int) -> tuple[int, ...]:
+        """The position in level s of sigma's image of each s-matching, computed once per table."""
+        hit = self._moves.get((sigma, s))
+        if hit is None:
+            eperm, position = edge_action(sigma, self.graph), self.positions[s]
+            hit = self._moves[(sigma, s)] = tuple(
+                position[apply_edge_perm(eperm, bits)] for bits in self.by_size[s]
+            )
+        return hit
+
+    def noncommuting_column(self, ell: int, k: int, sigma: Permutation, column):
+        """The first (blue, pink) column pair whose moved rows are not its moved column's rows, or None.
+
+        The slot map sends (l - 1, k + 1) pairs to (l, k) pairs, both in
+        sorted (blue, pink) index order; `column(j)` is the sorted tuple of
+        column j's rows, each weighing 1/len, so equal row sets are equal
+        columns.  sigma moves both index pairs by `moves`, a bijection on
+        columns, so None means the map commutes with sigma.  Scanned over
+        the sorted generators, the first failure is the first failing
+        element of the whole group (the argument is in `autgroup.automorphisms`).
+        """
+        blues, pinks = self.level(ell - 1), self.level(k + 1)
+        m_k, m_k1 = self.m(k), len(pinks)
+        col_a, col_b = self.moves(sigma, ell - 1), self.moves(sigma, k + 1)
+        row_a, row_b = self.moves(sigma, ell), self.moves(sigma, k)
+        for j in range(len(blues) * m_k1):
+            i1, i2 = divmod(j, m_k1)
+            moved = sorted(row_a[r // m_k] * m_k + row_b[r % m_k] for r in column(j))
+            if tuple(moved) != column(col_a[i1] * m_k1 + col_b[i2]):
+                return blues[i1], pinks[i2]
+        return None
 
 
 def matching_table(g: Graph) -> MatchingTable:

@@ -15,7 +15,8 @@ swapped pair's row index arithmetically, and groups the columns by block key
 as it goes.  Injectivity is certified on the whole slot by one integer
 identity (`slot_identity_holds`, which builds the down-pair witnesses for
 `gram.gram_identity_holds`); only a Φ that fails it is ranked, group by
-group, and only then is `exactalg` loaded.
+group, and only then is `exactalg` loaded.  Equivariance is the table's one
+group scan (`MatchingTable.noncommuting_column`) over Φ's stored columns.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import InternalError
-from .autgroup import AutomorphismGroup, apply_edge_perm, automorphisms, edge_action
+from .autgroup import AutomorphismGroup, automorphisms
 from .graph import Graph
 from .gram import gram_identity_holds
 from .matchings import MatchingTable, matching_table
@@ -222,39 +223,6 @@ def verify_injective(
     return InjectivityReport(ell, k, len(phi.col_groups), rank, ncols)
 
 
-def _matching_perms(t: MatchingTable, sigmas, sizes: tuple[int, ...]):
-    """Per automorphism, lazily: for each level, the image position of every matching position."""
-    g = t.graph
-    level_index = {
-        s: {bits: i for i, bits in enumerate(t.level(s))} for s in sizes
-    }
-    for sigma in sigmas:
-        eperm = edge_action(sigma, g)
-        per_size = {}
-        for s in sizes:
-            idx = level_index[s]
-            per_size[s] = [
-                idx[apply_edge_perm(eperm, bits)] for bits in t.level(s)
-            ]
-        yield sigma, per_size
-
-
-def _noncommuting_column(phi: PhiMatrix, pm: dict, ell: int, k: int, len_k: int, len_k1: int):
-    """The first column pair whose moved rows are not its moved pair's column, or None.
-
-    The move is a bijection on columns, so None means it commutes with Phi.
-    """
-    col_a, col_b = pm[ell - 1], pm[k + 1]
-    row_a, row_b = pm[ell], pm[k]
-    for j, column in enumerate(phi.columns):
-        i1, i2 = divmod(j, len_k1)
-        j_img = col_a[i1] * len_k1 + col_b[i2]
-        moved = sorted(row_a[r // len_k] * len_k + row_b[r % len_k] for r in column)
-        if tuple(moved) != phi.columns[j_img]:
-            return phi.col_pairs[j]
-    return None
-
-
 class EquivarianceReport(NamedTuple):
     ell: int
     k: int
@@ -278,20 +246,19 @@ def verify_equivariant(
     """Check P_sigma . Phi = Phi . P_sigma for every automorphism.
 
     Works on the index level: the column of the moved pair must equal the
-    row-permuted column of the original pair.  A column is its row set with
-    weight 1/len on each row, so this is simultaneously the matrix identity
-    and the set-level neighbor-set equality.  sigma -> P_sigma is a
+    row-permuted column of the original pair, which is the matrix identity
+    and the set-level neighbor-set equality at once.  sigma -> P_sigma is a
     homomorphism, so the identity holds for the group once it holds for each
-    generator, and only the generators are checked.  `failures` lists the
-    failing generators in sorted order, each with its first offending column
-    pair.  The elements commuting with Phi form a subgroup, so the first
-    entry is also the first failing element of the whole group in
-    lexicographic order (see `autgroup.automorphisms`).
+    generator, and only the generators are checked, each by
+    `MatchingTable.noncommuting_column`.  `failures` lists the failing
+    generators in sorted order, each with its first offending column pair;
+    the first entry is also the first failing element of the whole group
+    in lexicographic order (the argument is in `autgroup.automorphisms`).
 
     On a slot with fewer than `EQUIVARIANCE_SCAN_LIMIT` nonzeros times
-    generators, `_noncommuting_column` is the check itself.  Larger slots
-    load numpy and compare sorted (col, row) codes first, scanning only a
-    failing generator for its witness.
+    generators, that scan is the check itself.  Larger slots load numpy
+    and compare sorted (col, row) codes first, scanning only a failing
+    generator for its witness.  Both read the table's memoised moves.
     """
     t = table or matching_table(g)
     t.check_slot(ell, k)
@@ -302,14 +269,12 @@ def verify_equivariant(
     ncols = len(phi.columns)
     if not grp.generators:
         return EquivarianceReport(ell, k, grp.order, ncols, ())
-    len_k1 = t.m(k + 1)
-    len_k = t.m(k)
-    sizes = (ell - 1, ell, k, k + 1)
     commutes = None
     if phi.nnz * len(grp.generators) >= EQUIVARIANCE_SCAN_LIMIT:
         # imported here so small slots and trivial groups never load numpy
         import numpy as np
 
+        len_k1, len_k = t.m(k + 1), t.m(k)
         nrows = t.m(ell) * len_k
         # sparse pattern as column-major (col, row) codes; uniform 1/len
         # weights make pattern equality equivalent to matrix equality
@@ -323,25 +288,22 @@ def verify_equivariant(
             count=len(col_of_nz),
         )
         base_codes = np.sort(col_of_nz * nrows + row_of_nz)
-        i1 = np.arange(ncols, dtype=np.int64) // len_k1
-        i2 = np.arange(ncols, dtype=np.int64) % len_k1
-        r1 = row_of_nz // len_k
-        r2 = row_of_nz % len_k
+        i1, i2 = np.divmod(np.arange(ncols, dtype=np.int64), len_k1)
+        r1, r2 = np.divmod(row_of_nz, len_k)
 
-        def commutes(pm: dict) -> bool:
-            col_a = np.asarray(pm[ell - 1], dtype=np.int64)
-            col_b = np.asarray(pm[k + 1], dtype=np.int64)
-            row_a = np.asarray(pm[ell], dtype=np.int64)
-            row_b = np.asarray(pm[k], dtype=np.int64)
+        def commutes(sigma) -> bool:
+            col_a, col_b, row_a, row_b = (
+                np.asarray(t.moves(sigma, s), dtype=np.int64) for s in (ell - 1, k + 1, ell, k)
+            )
             cimg = col_a[i1] * len_k1 + col_b[i2]
             moved = np.sort(cimg[col_of_nz] * nrows + row_a[r1] * len_k + row_b[r2])
             return np.array_equal(moved, base_codes)
 
     failures = []
-    for sigma, pm in _matching_perms(t, grp.generators, sizes):
-        if commutes and commutes(pm):
+    for sigma in grp.generators:
+        if commutes and commutes(sigma):
             continue
-        pair = _noncommuting_column(phi, pm, ell, k, len_k, len_k1)
+        pair = t.noncommuting_column(ell, k, sigma, phi.columns.__getitem__)
         if pair is not None:
             failures.append((sigma, pair))
         elif commutes:

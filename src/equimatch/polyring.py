@@ -22,13 +22,9 @@ from .transfer import odd_chains
 MonomialKey = tuple[int, int]  # (union, intersection) of a pair of matchings
 
 
-def _key(blue: int, pink: int) -> MonomialKey:
-    return (blue | pink, blue & pink)
-
-
 def _key_counts(blues: tuple[int, ...], pinks: tuple[int, ...]) -> Counter:
     """Number of pairs per monomial key, i.e. the product of two matching polynomials."""
-    return Counter(_key(b, p) for b in blues for p in pinks)
+    return Counter((b | p, b & p) for b in blues for p in pinks)
 
 
 def _exponents(g: Graph, key: MonomialKey) -> tuple[int, ...]:

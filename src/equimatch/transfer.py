@@ -12,6 +12,8 @@ vertex-order-dependent subset injection (the bracket matching of
 edge, memoised per one-colored set, so Φ's build, the neighbor sets and the
 single-output map share it.  None of them checks its pair; `decompose`
 does, for the `transfer` command, and names the kind of every component.
+The f-equivariance counterexample runs the table's one group scan
+(`MatchingTable.noncommuting_column`) on f's lazily applied columns.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import NamedTuple
 
 from . import InternalError
 from . import graph as graphlib
-from .autgroup import apply_edge_perm, edge_action
 from .graph import Graph
 from .matchings import MatchingTable, is_matching, matching_table
 
@@ -189,15 +190,13 @@ def f_equivariance_counterexample(
 ):
     """First (sigma, pair) with f(sigma.pair) != sigma.f(pair), or None.
 
-    First in lexicographic order of the automorphisms, then in sorted basis
-    order of the column pairs, so the witness is deterministic.  The
-    automorphisms that commute with f form a subgroup, and the
-    lexicographically first one outside a subgroup is a generator (see
-    `autgroup.automorphisms`), so scanning the sorted generators finds the
-    witness, and generators that all commute leave none.  f is applied only
-    to the pairs the scan reaches: a trivial group costs nothing.  Its
-    chains come from the memo that `phimap.build_phi` fills for the same
-    column pairs.
+    f is a slot map whose column j holds one row, that of f(pair j), so
+    `MatchingTable.noncommuting_column` tests it against each sorted
+    generator: the witness is the first failing automorphism in
+    lexicographic order, then the first column pair in sorted basis order,
+    and generators that all commute leave none.  f is applied only to the
+    pairs the scan reaches: a trivial group costs nothing.  Its chains come
+    from the memo that `phimap.build_phi` fills for the same column pairs.
     """
     t = table or matching_table(g)
     t.check_slot(ell, k)
@@ -208,26 +207,19 @@ def f_equivariance_counterexample(
         return None
     from .boollattice import bracket_successor
 
-    images: dict[tuple[int, int], MatchingPair] = {}
+    m_k, m_k1 = t.m(k), len(pinks)
+    row_of_blue, row_of_pink = t.positions[ell], t.positions[k]
+    images: dict[int, tuple[int]] = {}
 
-    def f(blue: int, pink: int) -> MatchingPair:
-        image = images.get((blue, pink))
+    def column(j: int) -> tuple[int]:
+        image = images.get(j)
         if image is None:
-            image = images[(blue, pink)] = krattenthaler_f(
-                g, MatchingPair(blue, pink), bracket_successor
-            )
+            fp = krattenthaler_f(g, MatchingPair(blues[j // m_k1], pinks[j % m_k1]), bracket_successor)
+            image = images[j] = (row_of_blue[fp.blue] * m_k + row_of_pink[fp.pink],)
         return image
 
     for sigma in group.generators:
-        eperm = edge_action(sigma, g)
-        moved_pinks = [apply_edge_perm(eperm, pink) for pink in pinks]
-        for blue in blues:
-            moved_blue = apply_edge_perm(eperm, blue)
-            for pink, moved_pink in zip(pinks, moved_pinks):
-                fp = f(blue, pink)
-                f_moved = f(moved_blue, moved_pink)
-                if f_moved.blue != apply_edge_perm(eperm, fp.blue) or (
-                    f_moved.pink != apply_edge_perm(eperm, fp.pink)
-                ):
-                    return (sigma, MatchingPair(blue, pink))
+        pair = t.noncommuting_column(ell, k, sigma, column)
+        if pair is not None:
+            return (sigma, MatchingPair(*pair))
     return None

@@ -172,6 +172,8 @@ def test_a_slot_of_an_edgeless_graph_is_refused_before_any_check(check, monkeypa
         (["verify", "--gen", "cycle:6", "--check", ","], "argument --check: empty check name in ','"),
         (["verify", "--gen", "cycle:6", "--check", "injective,"], "empty check name in 'injective,'"),
         (["verify", "--gen", "cycle:6", "--check", "parts,bogus,injective,nope"], "unknown checks: bogus, nope"),
+        (["verify", "--gen", "cycle:6", "--ell", "1"], "--ell and --k must be given together"),
+        (["verify", "--gen", "cycle:6", "--all", "--ell", "1", "--k", "1"], "--all runs every slot; it cannot be given with --ell and --k"),
     ],
 )
 def test_nonsense_limits_and_check_lists_are_usage_errors(argv, message, monkeypatch, capsys, tmp_path):

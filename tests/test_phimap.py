@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equimatch import exactalg, phimap
+from equimatch import exactalg, matchings, phimap
 from equimatch.autgroup import apply_edge_perm, automorphisms, edge_action
 from equimatch.graph import InternalError, edge_bits, generate
 from equimatch.matchings import logconcavity_violations, matching_table
@@ -164,6 +164,28 @@ def test_verify_equivariant_examples(c6, path4):
     assert verify_equivariant(path4, 1, 1).passed
     rep = verify_equivariant(c6, 2, 2)
     assert rep.passed and rep.group_order == 12
+
+
+def test_level_moves_are_computed_once_per_table(monkeypatch):
+    """Both group checks over every slot of K6 read each generator's image of
+    each level from one memo on the table: one edge action per generator and level."""
+    g = generate("complete:6")
+    t = matching_table(g)
+    grp = automorphisms(g)
+    calls = {}
+
+    def counted(sigma, host):
+        calls[sigma] = calls.get(sigma, 0) + 1
+        return edge_action(sigma, host)
+
+    monkeypatch.setattr(matchings, "edge_action", counted)
+    slots = [(ell, k) for k in range(1, t.r + 1) for ell in range(1, k + 1)]
+    for (ell, k) in slots:
+        assert verify_equivariant(g, ell, k, table=t, group=grp).passed
+    for (ell, k) in slots:
+        f_equivariance_counterexample(g, grp, ell, k, table=t)
+    assert set(calls) == set(grp.generators)
+    assert all(n <= t.r + 1 for n in calls.values())
 
 
 def test_equivariance_as_explicit_matrix_identity(c6):
