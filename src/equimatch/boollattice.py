@@ -12,21 +12,19 @@ chain comes from one bracket scan of its start (`unmatched_openers`): it
 adds the start's unmatched openers from left to right, which is the walk of
 the bracket-matching successor `bracket_successor` (the f scan's subset
 injection, which `transfer` reads), truncating the full symmetric chain
-decomposition to levels [i, n-i].  Of the package it reads the init, and
-`exactalg` and `gram` only where an up map is built, ranked or certified,
-so neither the `boolean` command nor the f scan compiles anything it does
-not run.
+decomposition to levels [i, n-i].  Of the package it reads the init and
+`gram` (the 0/1 pattern and the identity), and `exactalg` only for a level
+whose identity fails, so neither the `boolean` command nor the f scan
+compiles any rank code it does not run.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import InternalError
-
-if TYPE_CHECKING:
-    from .exactalg import Pattern
+from .gram import Pattern, gram_identity_holds
 
 SIZE_LIMIT = 14  # the largest n whose lemma `verify_lemma` runs
 
@@ -59,8 +57,6 @@ def up_map(n: int, i: int) -> Pattern:
     """
     if not (0 <= i < n):
         raise ValueError("need 0 <= i < n")
-    from .exactalg import Pattern
-
     full = (1 << n) - 1
     dst_index = {s: j for j, s in enumerate(level_subsets(n, i + 1))}
     columns = []
@@ -129,8 +125,6 @@ def _level_rank(n: int, i: int, ups: list[Pattern]) -> LevelRank:
     the row lists of U_i and U_{i+1}.  An identity that fails, as it would
     for a wrong up map, leaves the rank to the exact elimination.
     """
-    from . import exactalg, gram
-
     up = ups[i]
     if 2 * i < n:
         cols, shift = up.cols, n - 2 * i
@@ -138,9 +132,11 @@ def _level_rank(n: int, i: int, ups: list[Pattern]) -> LevelRank:
     else:
         cols, shift = _row_lists(up), 2
         witnesses = _row_lists(ups[i + 1]) if i + 1 < n else ()
-    if gram.gram_identity_holds(cols, shift, witnesses):
+    if gram_identity_holds(cols, shift, witnesses):
         rk, path = len(cols), "identity"
     else:
+        from . import exactalg
+
         rk, path = exactalg.rank_certified_path(up)
     return LevelRank(i, comb(n, i), comb(n, i + 1), rk, path)
 
@@ -152,8 +148,9 @@ def verify_lemma(n: int) -> LemmaReport:
     if n > SIZE_LIMIT:
         raise ValueError(f"n={n} exceeds the size budget {SIZE_LIMIT}")
     top = min(n // 2, n - 1)
-    # level n/2 (n even) reads the up map one level above it as its witness
-    ups = [up_map(n, i) for i in range(min(top + 2, n))]
+    # only level n/2 (n even) reads the up map one level above it, as its witness
+    built = top + 2 if 2 * top == n else top + 1
+    ups = [up_map(n, i) for i in range(min(built, n))]
     return LemmaReport(n, tuple(_level_rank(n, i, ups) for i in range(top + 1)))
 
 
@@ -220,17 +217,22 @@ def symmetric_chains(n: int, i: int) -> ChainFamily:
 
 
 def chains_are_valid(fam: ChainFamily) -> bool:
-    """Saturation, level bounds, and pairwise disjointness."""
-    seen: set[int] = set()
+    """Members inside [n], saturation, level bounds, and pairwise disjointness.
+
+    Every chain has one member per level, so the members are pairwise
+    distinct iff their set has that many.
+    """
+    levels = list(range(fam.i, fam.n - fam.i + 1))
     for chain in fam.chains:
-        sizes = [c.bit_count() for c in chain]
-        if sizes != list(range(fam.i, fam.n - fam.i + 1)):
+        if list(map(int.bit_count, chain)) != levels:
             return False
         for a, b in zip(chain, chain[1:]):
             if a & ~b:
                 return False
-        for c in chain:
-            if c in seen:
-                return False
-            seen.add(c)
-    return len(fam.chains) == comb(fam.n, fam.i)
+    members = set().union(*fam.chains)
+    return (
+        len(fam.chains) == comb(fam.n, fam.i)
+        and len(members) == len(fam.chains) * len(levels)
+        and 0 <= min(members, default=0)
+        and max(members, default=0) < 1 << fam.n
+    )

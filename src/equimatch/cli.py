@@ -11,7 +11,8 @@ only, never serialized.
 This module parses and checks every argument, and runs `boolean`.  The
 commands that read a graph, and the `verify` check table, live in
 `graphcli`, which `run` imports only for them: `--version` compiles this
-module alone, and `boolean` adds only `boollattice`, `exactalg` and `gram`.
+module alone, and `boolean` adds only `boollattice` and `gram` (and
+`exactalg` for a level whose identity fails).
 """
 
 from __future__ import annotations

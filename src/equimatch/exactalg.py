@@ -1,10 +1,11 @@
 """Exact rank of 0/1 patterns over the integers.
 
-A `Pattern` is a 0/1 matrix stored column-major, each column the tuple of
-its rows.  The library's maps average over 0/1 patterns (a column of Φ or
-of a Boolean up map has weight 1/len on each entry), and scaling a column
-never changes rank, so callers pass the pattern itself.  Rank is computed
-by fraction-free Bareiss elimination over arbitrary-precision integers, with
+A `Pattern` (defined in `gram`, re-exported here as the same class) is a
+0/1 matrix stored column-major, each column the tuple of its rows.  The
+library's maps average over 0/1 patterns (a column of Φ or of a Boolean up
+map has weight 1/len on each entry), and scaling a column never changes
+rank, so callers pass the pattern itself.  Rank is computed by
+fraction-free Bareiss elimination over arbitrary-precision integers, with
 pivoting by minimal absolute value.
 
 `rank_certified` adds a fast path: a single modular elimination over a large
@@ -17,37 +18,15 @@ not at module load, so callers that never certify a rank never load it.
 `rank_certified_path` also says which of the two paths gave the rank.
 
 Full column rank with no elimination at all is the Gram identity of
-`gram`, which does not import this module.
+`gram`, which does not import this module, so a caller whose identities
+all hold never compiles it.
 """
 
 from __future__ import annotations
 
+from .gram import Pattern
+
 _CERT_PRIME = 2_147_483_647  # fits in int64 with safe products
-
-
-class Pattern:
-    """An nrows × len(cols) 0/1 matrix; `cols[j]` is the tuple of column j's rows, strictly increasing."""
-
-    def __init__(self, nrows: int, cols: tuple[tuple[int, ...], ...]):
-        for col in cols:
-            if col and not (0 <= col[0] and col[-1] < nrows):
-                raise ValueError("row index out of range")
-            if any(a >= b for a, b in zip(col, col[1:])):
-                raise ValueError("column rows not strictly increasing")
-        self.nrows = nrows
-        self.ncols = len(cols)
-        self.cols = cols
-
-    def __eq__(self, other):
-        if other.__class__ is not Pattern:
-            return NotImplemented
-        return (self.nrows, self.cols) == (other.nrows, other.cols)
-
-    def __hash__(self) -> int:
-        return hash((self.nrows, self.cols))
-
-    def __repr__(self) -> str:
-        return f"Pattern(nrows={self.nrows!r}, cols={self.cols!r})"
 
 
 def rank(m: Pattern) -> int:

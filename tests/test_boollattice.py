@@ -5,6 +5,7 @@ import pytest
 
 from equimatch import boollattice, exactalg
 from equimatch.boollattice import (
+    ChainFamily,
     bracket_successor,
     chains_are_valid,
     level_subsets,
@@ -76,6 +77,16 @@ def test_verify_lemma_small():
     assert [lv.rank for lv in rep4.levels] == [1, 4, 4]
     assert [lv for lv in rep4.levels if not lv.injectivity_expected] == [rep4.levels[2]]
     assert rep4.passed
+
+
+@pytest.mark.parametrize("n, levels", [(1, 1), (2, 2), (3, 2), (4, 4), (11, 6), (12, 8)])
+def test_verify_lemma_builds_only_the_up_maps_it_reads(n, levels, monkeypatch):
+    # levels 0..floor(n/2), and for even n the one above the middle, its witness
+    built = []
+    real_up_map = boollattice.up_map
+    monkeypatch.setattr(boollattice, "up_map", lambda n_, i: built.append(i) or real_up_map(n_, i))
+    assert verify_lemma(n).passed
+    assert built == list(range(levels))
 
 
 def _forbid_elimination(monkeypatch):
@@ -198,6 +209,52 @@ def test_chains_valid_all_levels(n):
         fam = symmetric_chains(n, i)
         assert chains_are_valid(fam)
         assert len(fam.chains) == comb(n, i)
+
+
+def _doctored_family(kind: str) -> ChainFamily:
+    """symmetric_chains(6, 1) with one fault: six chains of five sets, levels 1 to 5."""
+    fam = symmetric_chains(6, 1)
+    a, b, *rest = fam.chains
+    if kind == "shared set":
+        # a's sets from level 2 up, under the other element of a's 2-set
+        other = a[1] & ~a[0]
+        chains = (a, (other,) + a[1:], *rest)
+    elif kind == "not a cover":
+        # a and b trade their 3-sets: every set still used once, on its level
+        chains = (a[:2] + b[2:3] + a[3:], b[:2] + a[2:3] + b[3:], *rest)
+    elif kind == "stops low":
+        chains = (a[:-1], b, *rest)
+    elif kind == "starts high":
+        chains = (a[1:], b, *rest)
+    elif kind == "missing":
+        chains = (b, *rest)
+    elif kind == "repeated in place of another":
+        chains = (a, a, *rest)
+    else:  # repeated as a seventh chain
+        chains = (a, b, *rest, a)
+    return ChainFamily(6, 1, chains)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["shared set", "not a cover", "stops low", "starts high", "missing",
+     "repeated in place of another", "repeated as a seventh chain"],
+)
+def test_a_doctored_chain_family_is_invalid(kind):
+    assert chains_are_valid(symmetric_chains(6, 1))
+    assert not chains_are_valid(_doctored_family(kind))
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        # saturated, disjoint, C(4, 1) chains from level 1 to 3, but on element 5
+        ChainFamily(4, 1, ((16, 17, 19), (2, 6, 14), (4, 5, 13), (8, 9, 11))),
+        ChainFamily(2, 1, ((4,), (8,))),
+    ],
+)
+def test_a_chain_family_outside_the_ground_set_is_invalid(fam):
+    assert not chains_are_valid(fam)
 
 
 def test_exhausted_successor_is_an_internal_error(monkeypatch, capsys):

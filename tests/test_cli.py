@@ -439,7 +439,7 @@ GRAPH_SIDE = {"graphcli", "graph", "matchings", "autgroup", "transfer", "phimap"
     "argv, own",
     [
         (["--version"], set()),
-        (["boolean", "--n", "12"], {"boollattice", "exactalg", "gram"}),
+        (["boolean", "--n", "12"], {"boollattice", "gram"}),
         # a trivial group applies no f, and the slot identity certifies every
         # rank, so neither the bracket successor nor a rank is compiled
         (["verify", "--gen", "gnp:8:1:2:7"], GRAPH_SIDE | {"gram"}),
@@ -456,6 +456,26 @@ def test_command_loads_only_the_modules_it_runs(argv, own):
     ours = {name for name in loaded if name.split(".")[0] == "equimatch"}
     assert ours == {"equimatch", "equimatch.cli"} | {f"equimatch.{m}" for m in own}
     assert "numpy" not in loaded
+
+
+def test_a_level_whose_identity_fails_compiles_exactalg_and_falls_back():
+    # every identity reported as failing: each level is ranked by elimination
+    code = (
+        "import sys\n"
+        "from equimatch import boollattice, cli\n"
+        "before = 'equimatch.exactalg' in sys.modules\n"
+        "boollattice.gram_identity_holds = lambda cols, shift, witnesses: False\n"
+        "rc = cli.run(['boolean', '--n', '6'])\n"
+        "print(rc, before, 'equimatch.exactalg' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False True"
+    assert "4 levels, identity 0 / mod-p 4 / bareiss 0" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["version", "boolean", "verify", "batch"])

@@ -23,6 +23,13 @@ from oracles import (
 )
 
 
+def test_pattern_is_the_class_of_gram():
+    # re-exported, so patterns built on either side compare equal and hash alike
+    from equimatch import gram
+
+    assert Pattern is gram.Pattern
+
+
 def test_rank_identity():
     assert rank(Pattern(5, tuple((i,) for i in range(5)))) == 5
 

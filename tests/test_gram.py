@@ -126,3 +126,12 @@ def test_gram_identity_rejects_a_witness_with_a_wrong_pair():
     assert gram_identity_holds(cols, 1, [[0, 1], [2, 3]])
     # every column still named once, so only the off-diagonal differs
     assert not gram_identity_holds(cols, 1, [[0, 3], [1, 2]])
+
+
+def test_gram_identity_counts_multiplicity():
+    # columns 0 and 1 share two rows: two witnesses naming both, not one;
+    # the diagonal (3 = 1 + 2) holds for both witness lists
+    cols = ((0, 1, 2), (0, 1, 3))
+    for witnesses, holds in (([[0, 1], [0, 1]], True), ([[0, 1], [0], [1]], False)):
+        assert _dense_identity_holds(4, cols, 1, witnesses) == holds
+        assert gram_identity_holds(cols, 1, witnesses) == holds
