@@ -42,30 +42,36 @@ class AutomorphismGroup:
 
 def _extensions(g: Graph, prefix: Permutation) -> Iterator[Permutation]:
     """The automorphisms with sigma[i] = prefix[i] for every i < len(prefix), in lexicographic order."""
-    n = g.n
     adj = g.adjacency_bits
-    deg = [adj[v].bit_count() for v in range(n)]
-    image = [-1] * n
+    deg = tuple(a.bit_count() for a in adj)
+    return _place(prefix, adj, deg, [-1] * g.n, 0, 0)
 
-    def place(v: int, used: int):
-        if v == n:
-            yield tuple(image)
-            return
-        dv = deg[v]
-        av = adj[v]
-        for w in (prefix[v],) if v < len(prefix) else range(n):
-            if used >> w & 1 or deg[w] != dv:
-                continue
-            aw = adj[w]
-            for u in range(v):
-                if (av >> u & 1) != (aw >> image[u] & 1):
-                    break
-            else:
-                image[v] = w
-                yield from place(v + 1, used | (1 << w))
-        image[v] = -1
 
-    return place(0, 0)
+def _place(
+    prefix: Permutation, adj: tuple[int, ...], deg: tuple[int, ...], image: list[int], v: int, used: int
+) -> Iterator[Permutation]:
+    """The completions of image[:v], a partial automorphism using the vertex bitset `used`.
+
+    A module-level generator, not a closure over itself, so a search
+    leaves no reference cycle for the collector.
+    """
+    n = len(image)
+    if v == n:
+        yield tuple(image)
+        return
+    dv = deg[v]
+    av = adj[v]
+    for w in (prefix[v],) if v < len(prefix) else range(n):
+        if used >> w & 1 or deg[w] != dv:
+            continue
+        aw = adj[w]
+        for u in range(v):
+            if (av >> u & 1) != (aw >> image[u] & 1):
+                break
+        else:
+            image[v] = w
+            yield from _place(prefix, adj, deg, image, v + 1, used | (1 << w))
+    image[v] = -1
 
 
 def _orbit(point: int, generators: list[Permutation]) -> set[int]:

@@ -100,25 +100,26 @@ def matching_table(g: Graph) -> MatchingTable:
     """Every matching of g, by size, from one backtracking pass.
 
     Each matching is a node of the search tree, so the pass visits it once
-    rather than once per larger size enumerated.
+    rather than once per larger size enumerated.  The tree is walked from
+    an explicit stack (every level is sorted afterwards, so the visiting
+    order is free), which leaves no reference cycle for the collector.
     """
     levels: list[list[int]] = [[0]]
-    m = g.num_edges
     ends = g.ends
-
-    def extend(start: int, used: int, bits: int, size: int):
+    m = len(ends)
+    # each entry: first edge to try, used vertices, the matching, the size of its extensions
+    todo = [(0, 0, 0, 1)]
+    while todo:
+        start, used, bits, size = todo.pop()
         if size == len(levels):
             levels.append([])
         level = levels[size]
         for e in range(start, m):
             vm = ends[e]
-            if used & vm:
-                continue
-            grown = bits | (1 << e)
-            level.append(grown)
-            extend(e + 1, used | vm, grown, size + 1)
-
-    extend(0, 0, 0, 1)
+            if not used & vm:
+                grown = bits | (1 << e)
+                level.append(grown)
+                todo.append((e + 1, used | vm, grown, size + 1))
     if not levels[-1]:
         levels.pop()
     return MatchingTable(g, tuple(tuple(sorted(level)) for level in levels))

@@ -118,8 +118,7 @@ def build_phi(
     t = table or matching_table(g)
     t.check_slot(ell, k)
     m_k = t.m(k)
-    row_of_blue = {bits: i * m_k for i, bits in enumerate(t.level(ell))}
-    row_of_pink = {bits: i for i, bits in enumerate(t.level(k))}
+    row_of_blue, row_of_pink = t.positions[ell], t.positions[k]
     forced = k - ell + 2  # p - b for every column pair
     columns = []
     groups: dict[BlockKey, list[int]] = {}
@@ -128,7 +127,7 @@ def build_phi(
         for pink in t.level(k + 1):
             chains, even, _ = odd_chains(g, blue ^ pink)
             rows = sorted(
-                row_of_blue[blue ^ c] + row_of_pink[pink ^ c]
+                row_of_blue[blue ^ c] * m_k + row_of_pink[pink ^ c]
                 for (c, end) in chains
                 if pink & end
             )

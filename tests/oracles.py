@@ -768,6 +768,19 @@ def set_to_bits(members) -> int:
     return sum(1 << (i - 1) for i in members)
 
 
+def unmatched_openers_by_positions(n: int, members: int) -> int:
+    """The unmatched openers of `members`' bracket word, by a scan of every position 1..n."""
+    openers = 0
+    for i in range(n):
+        bit = 1 << i
+        if members & bit:
+            if openers:
+                openers ^= 1 << openers.bit_length() - 1
+        else:
+            openers |= bit
+    return openers
+
+
 def bracket_successor_by_sets(n: int, members: frozenset[int]) -> frozenset[int] | None:
     """Add the leftmost unmatched opener; a member is a closer, a non-member an opener.
 

@@ -26,6 +26,7 @@ from oracles import (
     rank_gauss_sparse,
     set_to_bits,
     symmetric_chains_by_sets,
+    unmatched_openers_by_positions,
     up_map_by_sorting,
 )
 
@@ -89,6 +90,21 @@ def test_verify_lemma_builds_only_the_up_maps_it_reads(n, levels, monkeypatch):
     assert built == list(range(levels))
 
 
+def test_verify_lemma_refuses_past_the_size_limit_before_any_up_map(monkeypatch):
+    def no_up_map(n, i):
+        raise AssertionError("an up map was built")
+
+    monkeypatch.setattr(boollattice, "up_map", no_up_map)
+    with pytest.raises(ValueError, match="n=15 exceeds the size budget 14"):
+        verify_lemma(boollattice.SIZE_LIMIT + 1)
+
+
+def test_verify_lemma_runs_at_the_size_limit():
+    rep = verify_lemma(boollattice.SIZE_LIMIT)
+    assert rep.n == 14 and rep.passed
+    assert [lv.path for lv in rep.levels] == ["identity"] * 8
+
+
 def _forbid_elimination(monkeypatch):
     def no_elimination(m):
         raise AssertionError("an elimination ran")
@@ -102,7 +118,7 @@ def test_lemma_ranks_match_oracle(n, monkeypatch):
     # every level is certified by the commutation identity alone; the dense
     # oracle takes 8 s at n = 10 and minutes beyond, so n = 10, 11 use the
     # sparse one and n = 12 the lemma's value
-    levels = range(min(n // 2, n - 1) + 1)
+    levels = range(n // 2 + 1)
     if n <= 11:
         oracle = rank_gauss_dense if n <= 9 else rank_gauss_sparse
         oracle_ranks = [oracle(averaging_matrix(up_map(n, i))) for i in levels]
@@ -126,7 +142,7 @@ def test_every_level_is_certified_mod_p(monkeypatch):
 
     monkeypatch.setattr(exactalg, "rank", no_fallback)
     for n in range(1, 13):
-        for i in range(min(n // 2, n - 1) + 1):
+        for i in range(n // 2 + 1):
             m = up_map(n, i)
             assert exactalg.rank_certified(m) == min(comb(n, i), comb(n, i + 1))
             assert exactalg.rank_certified_path(m)[1] == "mod-p"
@@ -251,10 +267,19 @@ def test_a_doctored_chain_family_is_invalid(kind):
         # saturated, disjoint, C(4, 1) chains from level 1 to 3, but on element 5
         ChainFamily(4, 1, ((16, 17, 19), (2, 6, 14), (4, 5, 13), (8, 9, 11))),
         ChainFamily(2, 1, ((4,), (8,))),
+        # one member exactly 1 << n, the first bitset past [n]
+        ChainFamily(2, 1, ((1,), (4,))),
     ],
 )
 def test_a_chain_family_outside_the_ground_set_is_invalid(fam):
     assert not chains_are_valid(fam)
+
+
+def test_a_chain_that_breaks_nesting_between_neighbours_only_is_invalid():
+    # {} < {1} and {1} < {1, 2, 3} nest two steps apart, but {1} is not in {2, 3}
+    fam = ChainFamily(3, 0, ((0b000, 0b001, 0b110, 0b111),))
+    assert not chains_are_valid(fam)
+    assert chains_are_valid(ChainFamily(3, 0, ((0b000, 0b001, 0b011, 0b111),)))
 
 
 def test_exhausted_successor_is_an_internal_error(monkeypatch, capsys):
@@ -294,6 +319,12 @@ def test_chain_steps_are_matrix_entries():
 def test_bits_set_roundtrip():
     for bits in range(32):
         assert set_to_bits(bits_to_set(bits)) == bits
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_unmatched_openers_match_the_positional_scan(n):
+    for bits in range(1 << n):
+        assert boollattice.unmatched_openers(n, bits) == unmatched_openers_by_positions(n, bits)
 
 
 @pytest.mark.parametrize("n", range(0, 11))

@@ -1,15 +1,19 @@
+import gc
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from equimatch import cli, graphcli, phimap, polyring
+from equimatch import boollattice, cli, graphcli, phimap, polyring
 from equimatch.cli import run
+from equimatch.graph import generate
+from equimatch.matchings import matching_table
 
 
 def test_gen_stdout(capsys):
@@ -383,6 +387,20 @@ def test_group_size_goes_to_stderr_not_the_report(tmp_path, capsys):
         assert "generators" not in path.read_text()
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """`python args` in a fresh interpreter on this package's source, output captured as bytes.
+
+    stdout is block-buffered, as for any process writing to a file or pipe,
+    so output that the exit path fails to flush is lost here too.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, *args], env={**env, "PYTHONPATH": src},
+        capture_output=True, timeout=120,
+    )
+
+
 def _modules_loaded_after(argv: list[str]) -> tuple[int, set[str]]:
     """Exit code of `argv` in a fresh interpreter, and the names of the modules it loaded."""
     code = (
@@ -391,13 +409,9 @@ def _modules_loaded_after(argv: list[str]) -> tuple[int, set[str]]:
         f"rc = cli.run({argv!r})\n"
         "print(rc, *sys.modules)\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    rc, *loaded = proc.stdout.splitlines()[-1].split()
+    rc, *loaded = proc.stdout.decode().splitlines()[-1].split()
     return int(rc), set(loaded)
 
 
@@ -468,14 +482,10 @@ def test_a_level_whose_identity_fails_compiles_exactalg_and_falls_back():
         "rc = cli.run(['boolean', '--n', '6'])\n"
         "print(rc, before, 'equimatch.exactalg' in sys.modules)\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False True"
-    assert "4 levels, identity 0 / mod-p 4 / bareiss 0" in proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == "0 False True"
+    assert b"4 levels, identity 0 / mod-p 4 / bareiss 0" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["version", "boolean", "verify", "batch"])
@@ -488,3 +498,95 @@ def test_no_command_loads_dataclasses(command, tmp_path):
     }[command]
     rc, loaded = _modules_loaded_after(argv)
     assert rc == 0 and "dataclasses" not in loaded
+
+
+# --- the process runs with the cyclic collector off ---
+
+
+@contextmanager
+def collector_off():
+    """The collector off, with every earlier cycle collected; restored afterwards.
+
+    Entered inside the test body: pytest's own machinery between a fixture
+    and the body may drop cycles of its own.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("spec", ["cycle:6", "petersen", "complete:6", "gnp:8:1:2:7"])
+def test_a_verify_report_leaves_no_cyclic_garbage(spec):
+    # reference counting alone frees everything a report drops, so `main`
+    # loses nothing by running without the collector
+    with collector_off():
+        g = generate(spec)
+        t = matching_table(g)
+        slots = [(ell, k) for k in range(1, t.r + 1) for ell in range(1, k + 1)]
+        report, group = graphcli._verify_report(g, spec, slots, cli.ALL_CHECKS, cli.DEFAULT_BUDGET, t)
+        passed = report["overall"] == "pass" and group is not None
+        del g, t, report, group
+        garbage = gc.collect()
+    assert passed and garbage == 0
+
+
+def test_the_boolean_suite_leaves_no_cyclic_garbage():
+    with collector_off():
+        passed = boollattice.verify_lemma(8).passed
+        passed &= all(boollattice.chains_are_valid(boollattice.symmetric_chains(8, i)) for i in range(5))
+        garbage = gc.collect()
+    assert passed and garbage == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv", [["--version"], ["verify", "--gen", "cycle:6"], ["boolean", "--n", "4"]])
+def test_run_leaves_the_collector_as_it_found_it(enabled, argv, capsys):
+    was_enabled = gc.isenabled()
+    frozen = gc.get_freeze_count()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert run(argv) == 0
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def test_main_runs_with_the_collector_off_and_freezes_the_heap_before_exit():
+    code = (
+        "import atexit, gc, sys\n"
+        "from equimatch import cli\n"
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['equimatch', 'count', '--gen', 'cycle:6']\n"
+        "cli.main()\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == "False True"
+
+
+# the Boolean report (2 kB) sits in stdout's buffer until the process exits
+@pytest.mark.parametrize("argv", [["verify", "--gen", "petersen"], ["boolean", "--n", "8"]], ids=" ".join)
+def test_a_process_writes_the_same_report_to_stdout_as_to_its_json_file(argv, tmp_path):
+    out = tmp_path / "report.json"
+    to_stdout = _python("-m", "equimatch", *argv)
+    to_file = _python("-m", "equimatch", *argv, "--json", str(out))
+    assert to_stdout.returncode == to_file.returncode == 0
+    assert to_file.stdout == b""
+    assert to_stdout.stdout == out.read_bytes()
+    assert json.loads(to_stdout.stdout)["overall"] == "pass"
+
+
+def test_a_process_keeps_its_exit_codes():
+    version = _python("-m", "equimatch", "--version")
+    assert version.returncode == 0
+    assert version.stdout.decode().strip() == cli.__version__
+    usage = _python("-m", "equimatch", "verify", "--gen", "cycle:6", "--ell", "1")
+    assert usage.returncode == 2
+    assert usage.stdout == b""
+    assert b"--ell and --k must be given together" in usage.stderr
