@@ -14,6 +14,17 @@ commands that read a graph, and the `verify` check table, live in
 module alone, and `boolean` adds only `boollattice` and `gram` (and
 `exactalg` for a level whose identity fails).
 
+The command line is described once, by the table `COMMANDS`.  `run` reads
+argv with `_fast_parse`, which accepts only the plain shape of a command
+(its own options spelled in full, each once, each value in its own token)
+and builds the namespace argparse would build.  Anything else (`--help`,
+`--opt=value`, an abbreviation, an unknown or repeated token, a missing
+or bad value) goes to `build_parser`, the argparse parser built from the
+same table, which prints the help or the usage error and its exit code.
+So a command that runs never loads `argparse`, `gettext` or `locale`,
+whose import and parser construction cost as much as the rest of the
+front end; only help and usage errors pay for them.
+
 A process started by `main` (`python -m equimatch` or the console script)
 does no cyclic garbage collection: `main` turns the collector off before
 `run` and freezes the heap after it, so neither the run nor interpreter
@@ -21,18 +32,19 @@ teardown scans the millions of small acyclic tuples a `verify` allocates.
 Nothing is lost by that: the library builds no reference cycles, so the
 collector would find no garbage (a test runs one report of every check
 with the collector off and finds that `gc.collect()` returns 0).  The one
-cycle left is argparse's parser, about 300 objects once per process.
-`run` itself leaves the collector as it was, for tests and library callers
-that call it in-process.
+cycle left is argparse's parser, about 300 objects, built only for help
+and usage errors.  `run` itself leaves the collector as it was, for tests
+and library callers that call it in-process.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import __version__
 
@@ -42,14 +54,21 @@ DEFAULT_BUDGET = 10**6
 ALL_CHECKS = ("diagram", "equivariant", "f-equivariance", "injective", "nonneg", "parts")
 
 
+def _type_error(message: str) -> Exception:
+    """argparse's `ArgumentTypeError`, which argparse prints as "argument --opt: message"."""
+    from argparse import ArgumentTypeError  # here, so that a good value never loads argparse
+
+    return ArgumentTypeError(message)
+
+
 def _check_list(text: str) -> list[str]:
     """The sorted distinct names of a comma-separated check list; each must be a check."""
     names = set(text.split(","))
     if "" in names:
-        raise argparse.ArgumentTypeError(f"empty check name in {text!r}")
+        raise _type_error(f"empty check name in {text!r}")
     unknown = sorted(names.difference(ALL_CHECKS))
     if unknown:
-        raise argparse.ArgumentTypeError(f"unknown checks: {', '.join(unknown)}")
+        raise _type_error(f"unknown checks: {', '.join(unknown)}")
     return sorted(names)
 
 
@@ -60,14 +79,90 @@ def _budget(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        raise _type_error(f"must be a positive integer, got {text!r}")
     return value
 
 
-def _add_source(parser):
-    src = parser.add_mutually_exclusive_group(required=True)
-    src.add_argument("--gen", help="generator spec, e.g. cycle:6")
-    src.add_argument("--file", help="edge-list file")
+class Option(NamedTuple):
+    """One argument of a command, as `add_argument` takes it; a positional's flag has no dash."""
+
+    flag: str
+    short: str | None = None
+    type: Callable[[str], object] | None = None
+    default: object = None
+    store_true: bool = False
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-")
+
+
+class Command(NamedTuple):
+    help: str
+    options: tuple[Option, ...]
+    # the required choice of --gen or --file, listed before the options
+    source: bool = False
+
+    @property
+    def arguments(self) -> tuple[Option, ...]:
+        return (*SOURCE, *self.options) if self.source else self.options
+
+
+SOURCE = (
+    Option("--gen", help="generator spec, e.g. cycle:6"),
+    Option("--file", help="edge-list file"),
+)
+BUDGET = Option("--budget", type=_budget, default=DEFAULT_BUDGET)
+
+# the whole command line, in the order `--help` lists it
+COMMANDS = {
+    "gen": Command(
+        "emit an edge-list file for a generator spec",
+        (Option("spec"), Option("--output", short="-o")),
+    ),
+    "count": Command("matching numbers and numeric log-concavity", (), source=True),
+    "aut": Command("automorphism group order and elements", (), source=True),
+    "verify": Command(
+        "run the verification suite",
+        (
+            Option("--ell", type=int),
+            Option("--k", type=int),
+            Option("--all", default=False, store_true=True, help="all (ell, k) slots (default)"),
+            Option(
+                "--check",
+                type=_check_list,
+                default=list(ALL_CHECKS),
+                help="comma-separated subset of: " + ",".join(ALL_CHECKS),
+            ),
+            BUDGET,
+            Option("--json", help="write the JSON report here instead of stdout"),
+        ),
+        source=True,
+    ),
+    "boolean": Command(
+        "Boolean-lattice rank and chain suite",
+        (Option("--n", type=int, required=True), Option("--json")),
+    ),
+    "transfer": Command(
+        "decompose a matching pair and list neighbors",
+        (
+            Option("--blue", required=True, help="comma-separated u-v edge tokens"),
+            Option("--pink", required=True, help="comma-separated u-v edge tokens"),
+            Option("--kratt", default=False, store_true=True, help="also apply the single-output map"),
+        ),
+        source=True,
+    ),
+    "batch": Command(
+        "one verify report per spec line",
+        (
+            Option("--specs", required=True),
+            Option("--json", required=True, help="output directory"),
+            BUDGET,
+        ),
+    ),
+}
 
 
 def emit(report: dict, json_path: str | None) -> None:
@@ -140,62 +235,97 @@ def cmd_boolean(args) -> int:
     return report_exit(report)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would build from a plain argv, or None to leave argv to argparse.
+
+    Plain means: a command, then only its own options spelled in full, each
+    at most once, each value in the next token and not starting with "-",
+    its positional, every required argument, exactly one of --gen and
+    --file, and values its converters accept.  Whatever is not plain, help
+    included, argparse parses, or refuses with its own message.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    arguments = command.arguments
+    by_flag = {flag: opt for opt in arguments for flag in (opt.flag, opt.short) if flag}
+    positionals = [opt for opt in arguments if not opt.flag.startswith("-")]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if not positionals:
+                return None
+            opt, value = positionals.pop(0), token
+        else:
+            opt = by_flag.get(token)
+            if opt is None or opt.dest in given:
+                return None
+            if opt.store_true:
+                given[opt.dest] = True
+                continue
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        if opt.type is not None:
+            try:
+                value = opt.type(value)
+            except Exception:  # argparse calls the converter again and reports the error
+                return None
+        given[opt.dest] = value
+    if positionals or any(opt.required and opt.dest not in given for opt in arguments):
+        return None
+    if command.source and sum(opt.dest in given for opt in SOURCE) != 1:
+        return None
+    return SimpleNamespace(
+        command=argv[0], **{opt.dest: given.get(opt.dest, opt.default) for opt in arguments}
+    )
+
+
+def _add_argument(target, opt: Option) -> None:
+    """`opt` added to an argparse parser or group."""
+    kwargs = {"default": opt.default, "help": opt.help}
+    if opt.store_true:
+        kwargs["action"] = "store_true"
+    else:
+        kwargs["type"] = opt.type
+    if opt.flag.startswith("-"):  # argparse refuses `required` for a positional
+        kwargs["required"] = opt.required
+    target.add_argument(*filter(None, (opt.short, opt.flag)), **kwargs)
+
+
+def build_parser():
+    """The argparse parser of `COMMANDS`: for help, and for the argv `_fast_parse` leaves."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="equimatch",
         description="Exact verification of matching-space injections on small graphs.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="emit an edge-list file for a generator spec")
-    p.add_argument("spec")
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("count", help="matching numbers and numeric log-concavity")
-    _add_source(p)
-
-    p = sub.add_parser("aut", help="automorphism group order and elements")
-    _add_source(p)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    _add_source(p)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--all", action="store_true", help="all (ell, k) slots (default)")
-    p.add_argument(
-        "--check",
-        type=_check_list,
-        default=list(ALL_CHECKS),
-        help="comma-separated subset of: " + ",".join(ALL_CHECKS),
-    )
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    p.add_argument("--json", help="write the JSON report here instead of stdout")
-
-    p = sub.add_parser("boolean", help="Boolean-lattice rank and chain suite")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json")
-
-    p = sub.add_parser("transfer", help="decompose a matching pair and list neighbors")
-    _add_source(p)
-    p.add_argument("--blue", required=True, help="comma-separated u-v edge tokens")
-    p.add_argument("--pink", required=True, help="comma-separated u-v edge tokens")
-    p.add_argument("--kratt", action="store_true", help="also apply the single-output map")
-
-    p = sub.add_parser("batch", help="one verify report per spec line")
-    p.add_argument("--specs", required=True)
-    p.add_argument("--json", required=True, help="output directory")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.source:
+            src = p.add_mutually_exclusive_group(required=True)
+            for opt in SOURCE:
+                _add_argument(src, opt)
+        for opt in command.options:
+            _add_argument(p, opt)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code in (0, 2) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv == ["--version"]:
+        print(__version__)  # the line argparse's version action prints
+        return 0
+    args = _fast_parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if exc.code in (0, 2) else 2
     # a slot's own arguments are refused before the matchings are enumerated
     if args.command == "verify" and (args.ell, args.k) != (None, None):
         if None in (args.ell, args.k):

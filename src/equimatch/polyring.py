@@ -93,8 +93,6 @@ def verify_diagram(
     """
     t = table or matching_table(g)
     t.check_slot(ell, k)
-    if k + 1 > t.r:
-        return DiagramReport(ell, k, 0, ())
     phi = phi or build_phi(g, ell, k, table=t)
     failures = []
     for (blue, pink), column in zip(phi.col_pairs, phi.columns):

@@ -1,19 +1,22 @@
 import gc
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equimatch import boollattice, cli, graphcli, phimap, polyring
 from equimatch.cli import run
 from equimatch.graph import generate
-from equimatch.matchings import matching_table
+from equimatch.matchings import MatchingTable, matching_table
 
 
 def test_gen_stdout(capsys):
@@ -36,6 +39,21 @@ def test_count_petersen(capsys):
     assert run(["count", "--gen", "petersen"]) == 0
     out = capsys.readouterr().out
     assert "m = [1, 15, 75, 145, 90, 6]" in out
+
+
+def test_count_exits_1_on_a_logconcavity_violation(monkeypatch, capsys):
+    # a doctored table: C6's level 1 cut to two edges, so m_1^2 < m_0 m_2
+    def cut(g):
+        t = matching_table(g)
+        return MatchingTable(g, (t.level(0), t.level(1)[:2], *t.by_size[2:]))
+
+    monkeypatch.setattr(graphcli, "matching_table", cut)
+    assert run(["count", "--gen", "cycle:6"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "m = [1, 2, 9, 2]",
+        "r = 3",
+        "log-concavity VIOLATED at (l, k) = (1, 1): slack -5",
+    ]
 
 
 def test_aut(capsys):
@@ -197,6 +215,174 @@ def test_nonsense_limits_and_check_lists_are_usage_errors(argv, message, monkeyp
 
 def test_check_table_is_the_one_the_parser_names():
     assert tuple(sorted(graphcli.CHECKS)) == cli.ALL_CHECKS
+
+
+# --- the command line is parsed from one table ---
+
+
+def _argparse_vars(argv: list[str]) -> dict | None:
+    """vars() of the namespace argparse builds from argv, or None where it prints help or an error."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "cycle:6"],
+        ["gen", "-o", "c6.txt", "cycle:6"],
+        ["gen", "cycle:6", "--output", "c6.txt"],
+        ["count", "--gen", "petersen"],
+        ["aut", "--file", "c6.txt"],
+        ["verify", "--file", "graph.txt"],
+        ["verify", "--gen", "cycle:6", "--ell", "1", "--k", "2", "--check", "parts,injective,parts",
+         "--budget", "10", "--json", "report.json"],
+        ["verify", "--all", "--gen", "cycle:6"],
+        ["boolean", "--n", "11"],
+        ["boolean", "--json", "bool.json", "--n", "3"],
+        ["transfer", "--gen", "cycle:6", "--blue", "0-1", "--pink", "2-3", "--kratt"],
+        ["batch", "--specs", "specs.txt", "--json", "reports", "--budget", "5"],
+    ],
+    ids=" ".join,
+)
+def test_a_plain_argv_is_parsed_without_argparse_as_argparse_parses_it(argv):
+    fast = cli._fast_parse(argv)
+    assert fast is not None
+    assert vars(fast) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--help"],
+        ["verify", "--gen=cycle:6"],
+        ["verify", "--gen", "cycle:6", "--che", "injective"],
+        ["verify", "--gen", "cycle:6", "--bogus"],
+        ["verify", "--gen", "cycle:6", "--ell", "-1", "--k", "1"],
+        ["verify", "--gen", "cycle:6", "--gen", "petersen"],
+        ["gen", "-o", "a.txt", "--output", "b.txt", "cycle:6"],
+        ["verify", "--gen", "cycle:6", "--file", "c6.txt"],
+        ["verify"],
+        ["boolean"],
+        ["gen"],
+        ["verify", "--gen", "cycle:6", "--budget", "x"],
+        ["verify", "--gen", "cycle:6", "--json"],
+        ["count", "--gen", "cycle:6", "stray"],
+        ["verif", "--gen", "cycle:6"],
+        [],
+    ],
+    ids=repr,
+)
+def test_the_fast_parse_leaves_every_other_argv_to_argparse(argv):
+    # help, inline values, abbreviations, unknown tokens, dash values,
+    # repeats, no source or two, a missing required argument, a bad value
+    assert cli._fast_parse(argv) is None
+
+
+# values each converter accepts, and values that some converter or argparse refuses
+GOOD = {
+    int: ("1", "2", "12", "1_0"),
+    cli._budget: ("1", "1000"),
+    cli._check_list: ("injective", "nonneg,injective,nonneg"),
+    None: ("cycle:6", "petersen", "0-1,2-3", "out.json"),
+}
+BAD = ("-1", "0", "x", "", "injective,", "parts,bogus", ",", "a b", "verify", "-o")
+# help, inline values, abbreviations, other commands' options and stray tokens
+JUNK = ("-h", "--help", "--version", "--", "-", "--bogus", "--gen=cycle:6", "--n=3", "-ox",
+        "--che", "--bud", "--out", "--ki", "--al", "stray",
+        *sorted({opt.flag for c in cli.COMMANDS.values() for opt in c.arguments}))
+
+
+@st.composite
+def argvs(draw):
+    """A command (or a near miss), its own options in any order, valued well or badly, and junk."""
+    name = draw(st.sampled_from([*cli.COMMANDS, "verif", "--version", "-h"]))
+    own = cli.COMMANDS[name].arguments if name in cli.COMMANDS else ()
+    pieces = []
+    for opt in own:
+        positional = not opt.flag.startswith("-")
+        # a required argument is left out one time in eight, any other one time in two
+        if draw(st.integers(0, 7)) >= (7 if opt.required or positional else 4):
+            continue
+        piece = [] if positional else [draw(st.sampled_from([f for f in (opt.flag, opt.short) if f]))]
+        if not opt.store_true:
+            piece.append(draw(st.sampled_from(GOOD[opt.type] + (BAD if draw(st.booleans()) else ()))))
+        pieces.append(piece)
+    if pieces and draw(st.integers(0, 5)) == 0:
+        pieces.append(draw(st.sampled_from(pieces)))  # a repeated option
+    if draw(st.booleans()):
+        pieces.append([draw(st.sampled_from(JUNK))])
+    return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_the_fast_parse_accepts_only_what_argparse_accepts_alike(argv):
+    # whatever the fast parse accepts, argparse accepts with the same
+    # namespace, defaults included; so whatever argparse refuses is deferred
+    fast = cli._fast_parse(argv)
+    assert fast is None or vars(fast) == _argparse_vars(argv)
+
+
+def test_version_prints_the_bytes_argparse_prints(capsys):
+    assert run(["--version"]) == 0
+    fast = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == fast == cli.__version__ + "\n"
+
+
+# argparse's help for an 80-column terminal, pinned: the table must give the same parser
+HELP = {
+    ("--help",): """\
+usage: equimatch [-h] [--version]
+                 {gen,count,aut,verify,boolean,transfer,batch} ...
+
+Exact verification of matching-space injections on small graphs.
+
+positional arguments:
+  {gen,count,aut,verify,boolean,transfer,batch}
+    gen                 emit an edge-list file for a generator spec
+    count               matching numbers and numeric log-concavity
+    aut                 automorphism group order and elements
+    verify              run the verification suite
+    boolean             Boolean-lattice rank and chain suite
+    transfer            decompose a matching pair and list neighbors
+    batch               one verify report per spec line
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    ("verify", "--help"): """\
+usage: equimatch verify [-h] (--gen GEN | --file FILE) [--ell ELL] [--k K]
+                        [--all] [--check CHECK] [--budget BUDGET]
+                        [--json JSON]
+
+options:
+  -h, --help       show this help message and exit
+  --gen GEN        generator spec, e.g. cycle:6
+  --file FILE      edge-list file
+  --ell ELL
+  --k K
+  --all            all (ell, k) slots (default)
+  --check CHECK    comma-separated subset of:
+                   diagram,equivariant,f-equivariance,injective,nonneg,parts
+  --budget BUDGET
+  --json JSON      write the JSON report here instead of stdout
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP), ids=" ".join)
+def test_help_is_unchanged(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(list(argv)) == 0
+    assert capsys.readouterr().out == HELP[argv]
 
 
 def test_boolean_report(tmp_path):
@@ -498,6 +684,37 @@ def test_no_command_loads_dataclasses(command, tmp_path):
     }[command]
     rc, loaded = _modules_loaded_after(argv)
     assert rc == 0 and "dataclasses" not in loaded
+
+
+FRONT_END = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize(
+    "command, code, parsed_by_argparse",
+    [
+        ("version", 0, False),
+        ("boolean", 0, False),
+        ("verify", 0, False),
+        ("batch", 0, False),
+        ("help", 0, True),
+        ("usage-error", 2, True),
+    ],
+)
+def test_only_help_and_usage_errors_load_argparse(command, code, parsed_by_argparse, tmp_path):
+    argv = {
+        "version": ["--version"],
+        "boolean": ["boolean", "--n", "8"],
+        "verify": ["verify", "--gen", "gnp:8:1:2:7"],
+        "batch": _batch_argv(tmp_path, "cycle:6\npath:4\n"),
+        "help": ["--help"],
+        "usage-error": ["verify", "--gen", "cycle:6", "--bogus"],
+    }[command]
+    rc, loaded = _modules_loaded_after(argv)
+    assert rc == code
+    if parsed_by_argparse:
+        assert "argparse" in loaded
+    else:
+        assert not FRONT_END & loaded
 
 
 # --- the process runs with the cyclic collector off ---

@@ -2,6 +2,7 @@ from hypothesis import given, settings, strategies as st
 
 from equimatch.graph import generate
 from equimatch.matchings import (
+    MatchingTable,
     check_numeric_logconcavity,
     is_matching,
     logconcavity_violations,
@@ -78,6 +79,26 @@ def test_logconcavity_examples(c6, path4):
     assert triples[(3, 3)] == 2 * 2
     assert not logconcavity_violations(t6)
     assert not logconcavity_violations(tp)
+
+
+def test_every_slot_has_one_slack(c6, path4, petersen):
+    for g in (c6, path4, petersen):
+        t = matching_table(g)
+        slots = [(l, k) for (l, k, _) in check_numeric_logconcavity(t)]
+        assert sorted(slots) == [(l, k) for l in range(1, t.r + 1) for k in range(l, t.r + 1)]
+
+
+def test_a_table_with_m1_squared_below_m2_violates_logconcavity(c6):
+    # C6's level 1 cut to two edges: m = [1, 2, 9, 2], and m_1^2 - m_0 m_2 = 4 - 9;
+    # cut to three edges, the slack is 0, which is no violation
+    t = matching_table(c6)
+
+    def cut(edges):
+        return MatchingTable(c6, (t.level(0), t.level(1)[:edges], t.level(2), t.level(3)))
+
+    assert logconcavity_violations(cut(2)) == [(1, 1, -5)]
+    assert (1, 1, 0) in check_numeric_logconcavity(cut(3))
+    assert logconcavity_violations(cut(3)) == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from equimatch import graphcli
 from equimatch.autgroup import automorphisms, edge_action
 from equimatch.graph import edge_bits, generate
 from equimatch.matchings import MatchingTable, check_numeric_logconcavity, matching_table
@@ -90,8 +91,9 @@ def test_verify_diagram_examples(c6, path4):
     assert verify_diagram(path4, 1, 1).passed
     rep = verify_diagram(c6, 2, 2)
     assert rep.passed and rep.columns == 12
-    # vacuous when there are no columns
-    assert verify_diagram(c6, 3, 3).passed
+    # vacuous when there are no columns: every slot (l, r)
+    for ell in (1, 2, 3):
+        assert verify_diagram(c6, ell, 3) == (ell, 3, 0, ())
 
 
 @pytest.mark.parametrize("spec", ["cycle:6", "path:4", "complete:5", "kbipartite:2:3"])
@@ -180,3 +182,68 @@ def test_diagram_flags_the_columns_the_oracle_flags(c6):
     bad = PhiMatrix(phi.table, phi.ell, phi.k, tuple(columns), phi.col_groups)
     rep = verify_diagram(c6, 2, 2, phi=bad)
     assert list(rep.failures) == diagram_failures_by_pi(c6, bad) == list(phi.col_pairs[:2])
+
+
+@pytest.mark.parametrize("kept", ["intersection", "union"])
+def test_diagram_flags_a_row_that_keeps_half_of_its_columns_key(kept, c6):
+    # a row of the column's intersection but another union, or of its union
+    # but another intersection, changes the column's monomial
+    phi = build_phi(c6, 2, 2)
+
+    def key(pair):
+        return pair[0] | pair[1], pair[0] & pair[1]
+
+    same = 1 if kept == "intersection" else 0
+    j, row = next(
+        (j, r)
+        for j, col in enumerate(phi.col_pairs)
+        for r, pair in enumerate(phi.row_pairs)
+        if key(pair)[same] == key(col)[same] and key(pair)[1 - same] != key(col)[1 - same]
+    )
+    columns = list(phi.columns)
+    columns[j] = tuple(sorted((row,) + columns[j][1:]))
+    bad = PhiMatrix(phi.table, phi.ell, phi.k, tuple(columns), phi.col_groups)
+    rep = verify_diagram(c6, 2, 2, phi=bad)
+    assert list(rep.failures) == diagram_failures_by_pi(c6, bad) == [phi.col_pairs[j]]
+
+
+def _doctored(g, level, drop):
+    """g's matching table with the matchings in `drop` taken out of one level."""
+    t = matching_table(g)
+    by_size = list(t.by_size)
+    by_size[level] = tuple(m for m in by_size[level] if m not in drop)
+    return MatchingTable(g, tuple(by_size))
+
+
+def _exponent_vector(g, powers):
+    """The exponent vector of the monomial with the given power on each (u, v) edge."""
+    exponents = [0] * g.num_edges
+    for edge, power in powers.items():
+        exponents[g.edge_index[edge]] = power
+    return tuple(exponents)
+
+
+def test_nonneg_names_each_monomial_a_missing_edge_makes_negative(c6):
+    # without edge e on level 1, a 2-matching {e, f} is no longer the union
+    # of two 1-matchings: its (1, 1) coefficient is 0 - 1
+    fake = _doctored(c6, 1, {edge_bits(c6, [(0, 1)])})
+    expected = sorted((_exponent_vector(c6, {(0, 1): 1, f: 1}), -1) for f in [(2, 3), (3, 4), (4, 5)])
+    assert list(verify_nonneg(c6, 1, 1, table=fake).violations) == expected
+    # the report names the first of them
+    passed, details = graphcli._nonneg(c6, 1, 1, fake, None, None, None)
+    assert not passed
+    assert details["violating_monomial"] == {"exponents": list(expected[0][0]), "coefficient": "-1"}
+
+
+def test_nonneg_gives_a_shared_edge_exponent_2(c6):
+    # take {a, x} out of level 2, for the perfect matching {a, x, y}: the
+    # (1, 3) pair (a, {a, x, y}) still counts once, but the (2, 2) pairs of
+    # its monomial, {a, x} and {a, y} in either order, are gone, and so for
+    # x; the monomial of {a, x} beside {1-2, y} loses both of its pairs
+    a, x, y = (0, 1), (2, 3), (4, 5)
+    rep = verify_nonneg(c6, 2, 2, table=_doctored(c6, 2, {edge_bits(c6, [a, x])}))
+    expected = sorted(
+        (_exponent_vector(c6, powers), -1)
+        for powers in ({a: 2, x: 1, y: 1}, {a: 1, x: 2, y: 1}, {a: 1, (1, 2): 1, x: 1, y: 1})
+    )
+    assert list(rep.violations) == expected
