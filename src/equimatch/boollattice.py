@@ -1,4 +1,4 @@
-"""Boolean-lattice level maps and symmetric chain families.
+"""Boolean-lattice level maps and symmetric chain families, and the `boolean` command.
 
 Subsets of [n] use positions 1..n; as bitsets (bit i-1 for element i) the
 numeric order of same-size subsets coincides with colex order, which is the
@@ -8,22 +8,25 @@ certified by the sl₂ commutation identity DU − UD = (n − 2i)·I (Proctor
 1982), checked in exact integers by `gram.gram_identity_holds` on the up
 maps' columns (at the middle level, their row lists); exact elimination
 runs only where the identity fails, so the lemma never loads numpy.  Every
-chain comes from one bracket scan of its start (`unmatched_openers`): it
-adds the start's unmatched openers from left to right, which is the walk of
-the bracket-matching successor `bracket_successor` (the f scan's subset
-injection, which `transfer` reads), truncating the full symmetric chain
-decomposition to levels [i, n-i].  Of the package it reads the init and
-`gram` (the 0/1 pattern and the identity), and `exactalg` only for a level
-whose identity fails, so neither the `boolean` command nor the f scan
-compiles any rank code it does not run.
+chain comes from one bracket scan of its start (`brackets.unmatched_openers`):
+it adds the start's unmatched openers from left to right, which is the walk
+of the bracket-matching successor `brackets.bracket_successor` (the f scan's
+subset injection), truncating the full symmetric chain decomposition to
+levels [i, n-i].  Of the package it reads the init, `brackets` and `gram`
+(the 0/1 pattern and the identity), and `exactalg` only for a level whose
+identity fails.  Only the `boolean` command compiles this module: the f
+scan imports `brackets` alone.
 """
 
 from __future__ import annotations
 
+import sys
+import time
 from math import comb
 from typing import NamedTuple
 
-from . import InternalError
+from . import InternalError, __version__
+from .brackets import unmatched_openers
 from .gram import Pattern, gram_identity_holds
 
 SIZE_LIMIT = 14  # the largest n whose lemma `verify_lemma` runs
@@ -151,35 +154,6 @@ def verify_lemma(n: int) -> LemmaReport:
     return LemmaReport(n, tuple(_level_rank(n, i, ups) for i in range(top + 1)))
 
 
-def unmatched_openers(n: int, members: int) -> int:
-    """The unmatched openers of the bracket word of the bitset `members` of [n], as a bitset.
-
-    Position i in 1..n (bit i-1) is a closer ")" iff i is a member, else an
-    opener "(".  Each closer matches the nearest unmatched opener to its
-    left, the top of the opener stack.  Only the closers are visited: the
-    openers between one closer and the next join the stack together.
-    """
-    openers = 0
-    seen = 0  # the positions up to the last closer visited
-    rest = members
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        openers |= (bit - 1) ^ seen
-        seen = (bit << 1) - 1
-        if openers:
-            openers ^= 1 << openers.bit_length() - 1
-    return openers | ((1 << n) - 1) ^ seen
-
-
-def bracket_successor(n: int, members: int) -> int | None:
-    """Add the leftmost unmatched opener of the bracket word of `members`; None if there is none."""
-    openers = unmatched_openers(n, members)
-    if not openers:
-        return None
-    return members | openers & -openers
-
-
 class ChainFamily(NamedTuple):
     n: int
     i: int
@@ -191,9 +165,9 @@ def symmetric_chains(n: int, i: int) -> ChainFamily:
 
     Each chain starts at an i-subset and adds its unmatched openers from
     left to right, one scan per start.  That is the walk of
-    `bracket_successor`: the leftmost unmatched opener, once a closer, has
-    no unmatched opener to its left and stays unmatched, and every other
-    match is unchanged.  Injectivity of that successor on every level makes
+    `brackets.bracket_successor`: the leftmost unmatched opener, once a
+    closer, has no unmatched opener to its left and stays unmatched, and
+    every other match is unchanged.  Injectivity of that successor on every level makes
     the chains disjoint.  An i-subset has at least n - 2i unmatched
     openers, so a start with fewer is an internal error.
     """
@@ -236,3 +210,59 @@ def chains_are_valid(fam: ChainFamily) -> bool:
         and 0 <= min(members, default=0)
         and max(members, default=0) < 1 << fam.n
     )
+
+
+def cmd_boolean(args) -> int:
+    """The `boolean` command: the lemma's level ranks and the chain families, as one report."""
+    from .cli import SCHEMA_VERSION, emit, report_exit  # here, so the library never loads the front end
+
+    n = args.n
+    started = time.monotonic()
+    rep = verify_lemma(n)
+    records = []
+    for lv in rep.levels:
+        records.append(
+            {
+                "check": "lemma-rank",
+                "ell": lv.i,
+                "k": lv.i + 1,
+                "status": "pass" if lv.passed else "fail",
+                "details": {
+                    "dim_src": lv.dim_src,
+                    "dim_dst": lv.dim_dst,
+                    "rank": lv.rank,
+                    "injective": lv.injective,
+                    "injectivity_expected": lv.injectivity_expected,
+                },
+            }
+        )
+    for i in range(n // 2 + 1):
+        fam = symmetric_chains(n, i)
+        ok = chains_are_valid(fam)
+        records.append(
+            {
+                "check": "chains",
+                "ell": i,
+                "k": n - i,
+                "status": "pass" if ok else "fail",
+                "details": {"count": len(fam.chains)},
+            }
+        )
+    records.sort(key=lambda r: (r["check"], r["ell"], r["k"]))
+    overall = "fail" if any(r["status"] == "fail" for r in records) else "pass"
+    report = {
+        "schema": SCHEMA_VERSION,
+        "tool": "equimatch",
+        "version": __version__,
+        "boolean_lattice": {"n": n},
+        "checks": records,
+        "overall": overall,
+    }
+    emit(report, args.json)
+    paths = [lv.path for lv in rep.levels]
+    counts = " / ".join(f"{p} {paths.count(p)}" for p in ("identity", "mod-p", "bareiss"))
+    print(
+        f"boolean n={n}: {len(paths)} levels, {counts}, {time.monotonic() - started:.2f}s",
+        file=sys.stderr,
+    )
+    return report_exit(report)

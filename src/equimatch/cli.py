@@ -8,22 +8,26 @@ JSON reports are byte-identical across runs for fixed inputs: ordering is
 canonical everywhere and wall-clock timings are printed to the terminal
 only, never serialized.
 
-This module parses and checks every argument, and runs `boolean`.  The
-commands that read a graph, and the `verify` check table, live in
-`graphcli`, which `run` imports only for them: `--version` compiles this
-module alone, and `boolean` adds only `boollattice` and `gram` (and
-`exactalg` for a level whose identity fails).
+This module parses and checks every argument and runs no command: the
+table `COMMANDS` names the module that holds each one, and `run` imports
+that module only for its command.  `verify` and `batch` live in
+`graphcli`, `gen`, `count`, `aut` and `transfer` in `graphtools`, and
+`boolean` in `boollattice`, so each command compiles only the code it
+runs: `--version` compiles this module alone, `boolean` adds only
+`boollattice`, `brackets` and `gram` (and `exactalg` for a level whose
+identity fails), and `verify` and `batch` never compile the Boolean suite,
+the other commands or the parser used for help.
 
-The command line is described once, by the table `COMMANDS`.  `run` reads
-argv with `_fast_parse`, which accepts only the plain shape of a command
-(its own options spelled in full, each once, each value in its own token)
-and builds the namespace argparse would build.  Anything else (`--help`,
+The command line is described once, by `COMMANDS`.  `run` reads argv with
+`_fast_parse`, which accepts only the plain shape of a command (its own
+options spelled in full, each once, each value in its own token) and
+builds the namespace argparse would build.  Anything else (`--help`,
 `--opt=value`, an abbreviation, an unknown or repeated token, a missing
-or bad value) goes to `build_parser`, the argparse parser built from the
-same table, which prints the help or the usage error and its exit code.
-So a command that runs never loads `argparse`, `gettext` or `locale`,
-whose import and parser construction cost as much as the rest of the
-front end; only help and usage errors pay for them.
+or bad value) goes to `usage.build_parser`, the argparse parser built
+from the same table, which prints the help or the usage error and its
+exit code.  So a command that runs never loads `argparse`, `gettext` or
+`locale`, whose import and parser construction cost as much as the rest
+of the front end; only help and usage errors pay for them.
 
 A process started by `main` (`python -m equimatch` or the console script)
 does no cyclic garbage collection: `main` turns the collector off before
@@ -41,7 +45,6 @@ from __future__ import annotations
 
 import gc
 import sys
-import time
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -102,6 +105,8 @@ class Option(NamedTuple):
 class Command(NamedTuple):
     help: str
     options: tuple[Option, ...]
+    # the module that holds `cmd_<name>`, imported only when the command runs
+    module: str
     # the required choice of --gen or --file, listed before the options
     source: bool = False
 
@@ -121,9 +126,12 @@ COMMANDS = {
     "gen": Command(
         "emit an edge-list file for a generator spec",
         (Option("spec"), Option("--output", short="-o")),
+        module="graphtools",
     ),
-    "count": Command("matching numbers and numeric log-concavity", (), source=True),
-    "aut": Command("automorphism group order and elements", (), source=True),
+    "count": Command(
+        "matching numbers and numeric log-concavity", (), module="graphtools", source=True
+    ),
+    "aut": Command("automorphism group order and elements", (), module="graphtools", source=True),
     "verify": Command(
         "run the verification suite",
         (
@@ -139,11 +147,13 @@ COMMANDS = {
             BUDGET,
             Option("--json", help="write the JSON report here instead of stdout"),
         ),
+        module="graphcli",
         source=True,
     ),
     "boolean": Command(
         "Boolean-lattice rank and chain suite",
         (Option("--n", type=int, required=True), Option("--json")),
+        module="boollattice",
     ),
     "transfer": Command(
         "decompose a matching pair and list neighbors",
@@ -152,6 +162,7 @@ COMMANDS = {
             Option("--pink", required=True, help="comma-separated u-v edge tokens"),
             Option("--kratt", default=False, store_true=True, help="also apply the single-output map"),
         ),
+        module="graphtools",
         source=True,
     ),
     "batch": Command(
@@ -161,6 +172,7 @@ COMMANDS = {
             Option("--json", required=True, help="output directory"),
             BUDGET,
         ),
+        module="graphcli",
     ),
 }
 
@@ -177,62 +189,6 @@ def emit(report: dict, json_path: str | None) -> None:
 
 def report_exit(report: dict) -> int:
     return {"pass": 0, "fail": 1, "skipped": 3}[report["overall"]]
-
-
-def cmd_boolean(args) -> int:
-    # imported here, so `--version` never compiles it
-    from . import boollattice
-
-    n = args.n
-    started = time.monotonic()
-    rep = boollattice.verify_lemma(n)
-    records = []
-    for lv in rep.levels:
-        records.append(
-            {
-                "check": "lemma-rank",
-                "ell": lv.i,
-                "k": lv.i + 1,
-                "status": "pass" if lv.passed else "fail",
-                "details": {
-                    "dim_src": lv.dim_src,
-                    "dim_dst": lv.dim_dst,
-                    "rank": lv.rank,
-                    "injective": lv.injective,
-                    "injectivity_expected": lv.injectivity_expected,
-                },
-            }
-        )
-    for i in range(n // 2 + 1):
-        fam = boollattice.symmetric_chains(n, i)
-        ok = boollattice.chains_are_valid(fam)
-        records.append(
-            {
-                "check": "chains",
-                "ell": i,
-                "k": n - i,
-                "status": "pass" if ok else "fail",
-                "details": {"count": len(fam.chains)},
-            }
-        )
-    records.sort(key=lambda r: (r["check"], r["ell"], r["k"]))
-    overall = "fail" if any(r["status"] == "fail" for r in records) else "pass"
-    report = {
-        "schema": SCHEMA_VERSION,
-        "tool": "equimatch",
-        "version": __version__,
-        "boolean_lattice": {"n": n},
-        "checks": records,
-        "overall": overall,
-    }
-    emit(report, args.json)
-    paths = [lv.path for lv in rep.levels]
-    counts = " / ".join(f"{p} {paths.count(p)}" for p in ("identity", "mod-p", "bareiss"))
-    print(
-        f"boolean n={n}: {len(paths)} levels, {counts}, {time.monotonic() - started:.2f}s",
-        file=sys.stderr,
-    )
-    return report_exit(report)
 
 
 def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
@@ -282,39 +238,6 @@ def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
     )
 
 
-def _add_argument(target, opt: Option) -> None:
-    """`opt` added to an argparse parser or group."""
-    kwargs = {"default": opt.default, "help": opt.help}
-    if opt.store_true:
-        kwargs["action"] = "store_true"
-    else:
-        kwargs["type"] = opt.type
-    if opt.flag.startswith("-"):  # argparse refuses `required` for a positional
-        kwargs["required"] = opt.required
-    target.add_argument(*filter(None, (opt.short, opt.flag)), **kwargs)
-
-
-def build_parser():
-    """The argparse parser of `COMMANDS`: for help, and for the argv `_fast_parse` leaves."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="equimatch",
-        description="Exact verification of matching-space injections on small graphs.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        if command.source:
-            src = p.add_mutually_exclusive_group(required=True)
-            for opt in SOURCE:
-                _add_argument(src, opt)
-        for opt in command.options:
-            _add_argument(p, opt)
-    return parser
-
-
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv == ["--version"]:
@@ -322,6 +245,8 @@ def run(argv=None) -> int:
         return 0
     args = _fast_parse(argv)
     if args is None:
+        from .usage import build_parser  # help and usage errors only
+
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
@@ -335,12 +260,9 @@ def run(argv=None) -> int:
             print("--all runs every slot; it cannot be given with --ell and --k", file=sys.stderr)
             return 2
     try:
-        if args.command == "boolean":
-            return cmd_boolean(args)
-        # every other command runs on a graph; only they compile that side
-        from . import graphcli
-
-        return getattr(graphcli, f"cmd_{args.command}")(args)
+        name = f"{__package__}.{COMMANDS[args.command].module}"
+        __import__(name)  # not `importlib.import_module`, whose imports `-X importtime` omits
+        return getattr(sys.modules[name], f"cmd_{args.command}")(args)
     except (ValueError, OSError) as exc:
         # bad input: every input error of the library is a ValueError
         print(f"error: {exc}", file=sys.stderr)

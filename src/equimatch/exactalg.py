@@ -19,11 +19,15 @@ not at module load, so callers that never certify a rank never load it.
 
 Full column rank with no elimination at all is the Gram identity of
 `gram`, which does not import this module, so a caller whose identities
-all hold never compiles it.
+all hold never compiles it.  The same holds for Φ: `rank_by_groups` ranks
+a Φ that fails its slot identity, and `pattern_commutes` is the numpy
+pre-filter of Φ's equivariance on a large slot, so `phimap` compiles no
+numpy code and imports this module only for those two.
 """
 
 from __future__ import annotations
 
+from . import InternalError
 from .gram import Pattern
 
 _CERT_PRIME = 2_147_483_647  # fits in int64 with safe products
@@ -135,3 +139,60 @@ def rank_certified_path(m: Pattern) -> tuple[int, str]:
 def rank_certified(m: Pattern) -> int:
     """Exact rank; modular certificate when full, Bareiss otherwise."""
     return rank_certified_path(m)[0]
+
+
+def rank_by_groups(phi) -> int:
+    """Exact rank of Φ (a `phimap.PhiMatrix`) as the sum of its column groups' ranks.
+
+    Two groups that share a row are a fault of the build: `InternalError`.
+    """
+    owner: dict[int, int] = {}
+    total = 0
+    for g_index, cols in enumerate(phi.col_groups.values()):
+        rows = sorted({r for j in cols for r in phi.columns[j]})
+        if any(owner.setdefault(r, g_index) != g_index for r in rows):
+            raise InternalError("nonzero entry escapes its block")
+        row_map = {r: i for i, r in enumerate(rows)}
+        total += rank(Pattern(
+            len(rows), tuple(tuple(row_map[r] for r in phi.columns[j]) for j in cols)
+        ))
+    return total
+
+
+def pattern_commutes(t, ell: int, k: int, columns):
+    """`commutes(sigma)`: whether sigma maps the (l, k) slot map with these columns to itself.
+
+    `t` is the slot's `MatchingTable` and `columns[j]` the sorted rows of
+    column j.  The pattern becomes sorted column-major (col, row) codes
+    once; each automorphism moves them by the table's memoised moves, and
+    uniform 1/len weights make pattern equality equivalent to matrix
+    equality.  A False only says that some column fails:
+    `MatchingTable.noncommuting_column` names it.
+    """
+    import numpy as np
+
+    ncols = len(columns)
+    len_k1, len_k = t.m(k + 1), t.m(k)
+    nrows = t.m(ell) * len_k
+    col_of_nz = np.repeat(
+        np.arange(ncols, dtype=np.int64),
+        np.fromiter((len(c) for c in columns), dtype=np.int64, count=ncols),
+    )
+    row_of_nz = np.fromiter(
+        (r for col in columns for r in col),
+        dtype=np.int64,
+        count=len(col_of_nz),
+    )
+    base_codes = np.sort(col_of_nz * nrows + row_of_nz)
+    i1, i2 = np.divmod(np.arange(ncols, dtype=np.int64), len_k1)
+    r1, r2 = np.divmod(row_of_nz, len_k)
+
+    def commutes(sigma) -> bool:
+        col_a, col_b, row_a, row_b = (
+            np.asarray(t.moves(sigma, s), dtype=np.int64) for s in (ell - 1, k + 1, ell, k)
+        )
+        cimg = col_a[i1] * len_k1 + col_b[i2]
+        moved = np.sort(cimg[col_of_nz] * nrows + row_a[r1] * len_k + row_b[r2])
+        return np.array_equal(moved, base_codes)
+
+    return commutes

@@ -1,10 +1,12 @@
-"""The graph commands of the command line and the `verify` check table.
+"""The `verify` and `batch` commands and the `verify` check table.
 
-`cli.run` imports this module for every command but `boolean`, so
+`cli.run` imports this module only for `verify` and `batch`, so
 `equimatch --version` and `equimatch boolean` never compile the graph side
-(`graph`, `matchings`, `autgroup`, `transfer`, `phimap`, `polyring`).
-Arguments reach these commands already parsed and checked by `cli`, all
-but those that need the graph (a `verify` slot must lie within 1..r).
+(`graph`, `matchings`, `autgroup`, `transfer`, `phimap`, `polyring`), and
+these two commands never compile the others (`graphtools`) or the Boolean
+suite.  Arguments reach them already parsed and checked by `cli`, all but
+those that need the graph (a `verify` slot must lie within 1..r).
+`load_graph` and `edge_token` are shared with `graphtools`.
 """
 
 from __future__ import annotations
@@ -18,40 +20,39 @@ from typing import Callable, NamedTuple
 from . import __version__, phimap, polyring
 from .autgroup import automorphisms, check_vertex_limit
 from .cli import ALL_CHECKS, SCHEMA_VERSION, emit, report_exit
-from .graph import Graph, bits_to_edges, edge_bits, generate, parse_graph
-from .matchings import logconcavity_violations, matching_table
+from .graph import Graph, bits_to_edges, generate, parse_graph
+from .matchings import matching_table
 from .phimap import BudgetExceededError, build_phi
-from .transfer import MatchingPair, decompose, f_equivariance_counterexample, krattenthaler_f, neighbor_set
+from .transfer import f_equivariance_counterexample
 
 
-def _edge_token(g: Graph, bits: int) -> str:
+def edge_token(g: Graph, bits: int) -> str:
     return ",".join(f"{u}-{v}" for (u, v) in bits_to_edges(g, bits))
 
 
 def _witness(g: Graph, sigma, blue: int, pink: int) -> dict:
-    return {"sigma": list(sigma), "blue": _edge_token(g, blue), "pink": _edge_token(g, pink)}
+    return {"sigma": list(sigma), "blue": edge_token(g, blue), "pink": edge_token(g, pink)}
 
 
-def _parse_matching_tokens(g: Graph, text: str) -> int:
-    if not text.strip():
-        return 0
-    pairs = []
-    for tok in text.split(","):
-        m = re.fullmatch(r"\s*(\d+)-(\d+)\s*", tok)
-        if not m:
-            raise ValueError(f"bad edge token {tok!r}; expected 'u-v'")
-        pairs.append((int(m.group(1)), int(m.group(2))))
-    return edge_bits(g, pairs)
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 of `data` in hex, from CPython's own digest module.
+
+    `hashlib` would load OpenSSL's `_hashlib`, which costs a `verify --file`
+    process a few milliseconds of start-up for one digest.
+    """
+    try:
+        sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:  # an interpreter built without CPython's digest modules
+        from hashlib import sha256
+    return sha256(data).hexdigest()
 
 
-def _load_graph(args) -> tuple[Graph, str]:
-    if getattr(args, "gen", None):
+def load_graph(args) -> tuple[Graph, str]:
+    """The graph of `--gen` or `--file`, and its report descriptor."""
+    if args.gen is not None:
         return generate(args.gen), f"gen:{args.gen}"
-    import hashlib
-
     text = Path(args.file).read_text()
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return parse_graph(text), f"file:sha256:{digest}"
+    return parse_graph(text), f"file:sha256:{sha256_hex(text.encode())}"
 
 
 class Check(NamedTuple):
@@ -188,41 +189,8 @@ def _progress(descriptor: str, report: dict, group, elapsed: float) -> str:
     )
 
 
-def cmd_gen(args) -> int:
-    g = generate(args.spec)
-    text = g.serialize()
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def cmd_count(args) -> int:
-    g, _ = _load_graph(args)
-    t = matching_table(g)
-    print(f"m = {list(t.counts)}")
-    print(f"r = {t.r}")
-    bad = logconcavity_violations(t)
-    for (ell, k, slack) in bad:
-        print(f"log-concavity VIOLATED at (l, k) = ({ell}, {k}): slack {slack}")
-    if bad:
-        return 1
-    print(f"log-concavity: all {t.r * (t.r + 1) // 2} slacks nonnegative")
-    return 0
-
-
-def cmd_aut(args) -> int:
-    g, _ = _load_graph(args)
-    group = automorphisms(g)
-    print(f"order = {group.order}")
-    for sigma in group:
-        print(" ".join(map(str, sigma)))
-    return 0
-
-
 def cmd_verify(args) -> int:
-    g, descriptor = _load_graph(args)
+    g, descriptor = load_graph(args)
     t = matching_table(g)
     if args.ell is not None:
         # `cli` has checked that --ell and --k come together, without --all
@@ -238,27 +206,6 @@ def cmd_verify(args) -> int:
     emit(report, args.json)
     print(_progress(descriptor, report, group, elapsed), file=sys.stderr)
     return report_exit(report)
-
-
-def cmd_transfer(args) -> int:
-    g, _ = _load_graph(args)
-    blue = _parse_matching_tokens(g, args.blue)
-    pink = _parse_matching_tokens(g, args.pink)
-    pair = MatchingPair(blue, pink)
-    dec = decompose(g, pair)
-    if args.kratt and blue.bit_count() >= pink.bit_count():
-        raise ValueError("--kratt needs |blue| < |pink|: f maps (l-1, k+1) pairs")
-    print(f"blue = [{_edge_token(g, blue)}]  pink = [{_edge_token(g, pink)}]")
-    print(f"two-colored = [{_edge_token(g, pair.intersection)}]")
-    for comp in dec.components:
-        print(f"component [{_edge_token(g, comp.edges)}]: {comp.kind}")
-    print(f"b = {dec.b}, p = {dec.p}")
-    for q in neighbor_set(g, pair):
-        print(f"neighbor: blue=[{_edge_token(g, q.blue)}] pink=[{_edge_token(g, q.pink)}]")
-    if args.kratt:
-        out = krattenthaler_f(g, pair)
-        print(f"f: blue=[{_edge_token(g, out.blue)}] pink=[{_edge_token(g, out.pink)}]")
-    return 0
 
 
 def cmd_batch(args) -> int:

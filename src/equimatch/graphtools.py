@@ -1,0 +1,159 @@
+"""The commands that show one graph: `gen`, `count`, `aut` and `transfer`.
+
+`cli.run` imports this module only for these four commands, so `verify`
+and `batch` never compile it, nor the code that only these commands read:
+the edge-token parser, the full chain decomposition with a named kind for
+every component (`decompose`), the neighbor set of one pair, and the
+numeric log-concavity of the matching numbers.  Φ's build reads the same
+chains through `transfer.odd_chains`, which `neighbor_set` reads too.
+"""
+
+from __future__ import annotations
+
+import re
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
+from . import graph as graphlib
+from .autgroup import automorphisms
+from .graph import Graph, edge_bits, generate
+from .graphcli import edge_token, load_graph
+from .matchings import MatchingTable, is_matching, matching_table
+from .transfer import MatchingPair, end_edge, krattenthaler_f, odd_chains
+
+BLUE_CHAIN = "blue"
+PINK_CHAIN = "pink"
+EVEN_PATH = "even_path"
+EVEN_CYCLE = "even_cycle"
+
+
+class ChainComponent(NamedTuple):
+    edges: int
+    kind: str
+
+
+class ChainDecomposition(NamedTuple):
+    pair: MatchingPair
+    components: tuple[ChainComponent, ...]
+
+    @property
+    def b(self) -> int:
+        return sum(1 for c in self.components if c.kind == BLUE_CHAIN)
+
+    @property
+    def p(self) -> int:
+        return sum(1 for c in self.components if c.kind == PINK_CHAIN)
+
+
+def decompose(g: Graph, pair: MatchingPair) -> ChainDecomposition:
+    """Check that both sides are matchings and name the kind of every component.
+
+    Components are listed by minimum edge index; p - b always equals
+    |pink| - |blue|.  Colors alternate along a component of two matchings,
+    so its cycles are even and both end edges of an odd chain share a color.
+    """
+    if not (is_matching(g, pair.blue) and is_matching(g, pair.pink)):
+        raise ValueError("both sides of the pair must be matchings")
+    comps = []
+    for comp in graphlib.components(g, pair.one_colored):
+        end = end_edge(g, comp)
+        if comp.bit_count() % 2:
+            kind = PINK_CHAIN if pair.pink & end else BLUE_CHAIN
+        else:
+            kind = EVEN_PATH if end else EVEN_CYCLE
+        comps.append(ChainComponent(comp, kind))
+    return ChainDecomposition(pair, tuple(comps))
+
+
+def neighbor_set(g: Graph, pair: MatchingPair) -> tuple[MatchingPair, ...]:
+    """All pairs obtained by swapping exactly one pink chain, sorted.
+
+    Swapping chain c gives (blue ^ c, pink ^ c).  The pair is trusted to be
+    two matchings, as in `transfer.odd_chains`.
+    """
+    blue, pink = pair.blue, pair.pink
+    chains = odd_chains(g, blue ^ pink)[0]
+    out = [MatchingPair(blue ^ c, pink ^ c) for (c, end) in chains if pink & end]
+    out.sort(key=lambda q: (q.blue, q.pink))
+    return tuple(out)
+
+
+def check_numeric_logconcavity(t: MatchingTable) -> list[tuple[int, int, int]]:
+    """All (l, k, slack) triples with slack = m_l*m_k - m_{l-1}*m_{k+1}."""
+    out = []
+    for k in range(1, t.r + 1):
+        for l in range(1, k + 1):
+            slack = t.m(l) * t.m(k) - t.m(l - 1) * t.m(k + 1)
+            out.append((l, k, slack))
+    return out
+
+
+def logconcavity_violations(t: MatchingTable) -> list[tuple[int, int, int]]:
+    return [trip for trip in check_numeric_logconcavity(t) if trip[2] < 0]
+
+
+def _parse_matching_tokens(g: Graph, text: str) -> int:
+    if not text.strip():
+        return 0
+    pairs = []
+    for tok in text.split(","):
+        m = re.fullmatch(r"\s*(\d+)-(\d+)\s*", tok)
+        if not m:
+            raise ValueError(f"bad edge token {tok!r}; expected 'u-v'")
+        pairs.append((int(m.group(1)), int(m.group(2))))
+    return edge_bits(g, pairs)
+
+
+def cmd_gen(args) -> int:
+    g = generate(args.spec)
+    text = g.serialize()
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+def cmd_count(args) -> int:
+    g, _ = load_graph(args)
+    t = matching_table(g)
+    print(f"m = {list(t.counts)}")
+    print(f"r = {t.r}")
+    bad = logconcavity_violations(t)
+    for (ell, k, slack) in bad:
+        print(f"log-concavity VIOLATED at (l, k) = ({ell}, {k}): slack {slack}")
+    if bad:
+        return 1
+    print(f"log-concavity: all {t.r * (t.r + 1) // 2} slacks nonnegative")
+    return 0
+
+
+def cmd_aut(args) -> int:
+    g, _ = load_graph(args)
+    group = automorphisms(g)
+    print(f"order = {group.order}")
+    for sigma in group:
+        print(" ".join(map(str, sigma)))
+    return 0
+
+
+def cmd_transfer(args) -> int:
+    g, _ = load_graph(args)
+    blue = _parse_matching_tokens(g, args.blue)
+    pink = _parse_matching_tokens(g, args.pink)
+    pair = MatchingPair(blue, pink)
+    dec = decompose(g, pair)
+    if args.kratt and blue.bit_count() >= pink.bit_count():
+        raise ValueError("--kratt needs |blue| < |pink|: f maps (l-1, k+1) pairs")
+    print(f"blue = [{edge_token(g, blue)}]  pink = [{edge_token(g, pink)}]")
+    print(f"two-colored = [{edge_token(g, pair.intersection)}]")
+    for comp in dec.components:
+        print(f"component [{edge_token(g, comp.edges)}]: {comp.kind}")
+    print(f"b = {dec.b}, p = {dec.p}")
+    for q in neighbor_set(g, pair):
+        print(f"neighbor: blue=[{edge_token(g, q.blue)}] pink=[{edge_token(g, q.pink)}]")
+    if args.kratt:
+        out = krattenthaler_f(g, pair)
+        print(f"f: blue=[{edge_token(g, out.blue)}] pink=[{edge_token(g, out.pink)}]")
+    return 0

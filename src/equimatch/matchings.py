@@ -123,17 +123,3 @@ def matching_table(g: Graph) -> MatchingTable:
     if not levels[-1]:
         levels.pop()
     return MatchingTable(g, tuple(tuple(sorted(level)) for level in levels))
-
-
-def check_numeric_logconcavity(t: MatchingTable) -> list[tuple[int, int, int]]:
-    """All (l, k, slack) triples with slack = m_l*m_k - m_{l-1}*m_{k+1}."""
-    out = []
-    for k in range(1, t.r + 1):
-        for l in range(1, k + 1):
-            slack = t.m(l) * t.m(k) - t.m(l - 1) * t.m(k + 1)
-            out.append((l, k, slack))
-    return out
-
-
-def logconcavity_violations(t: MatchingTable) -> list[tuple[int, int, int]]:
-    return [trip for trip in check_numeric_logconcavity(t) if trip[2] < 0]

@@ -15,8 +15,11 @@ swapped pair's row index arithmetically, and groups the columns by block key
 as it goes.  Injectivity is certified on the whole slot by one integer
 identity (`slot_identity_holds`, which builds the down-pair witnesses for
 `gram.gram_identity_holds`); only a Φ that fails it is ranked, group by
-group, and only then is `exactalg` loaded.  Equivariance is the table's one
-group scan (`MatchingTable.noncommuting_column`) over Φ's stored columns.
+group (`exactalg.rank_by_groups`), and only then is `exactalg` loaded.
+Equivariance is the table's one group scan
+(`MatchingTable.noncommuting_column`) over Φ's stored columns, after the
+numpy pre-filter `exactalg.pattern_commutes` on a large slot; this module
+compiles no numpy code.
 """
 
 from __future__ import annotations
@@ -174,23 +177,6 @@ def slot_identity_holds(phi: PhiMatrix) -> bool:
     return gram_identity_holds(phi.columns, shift, downs.values())
 
 
-def _rank_by_groups(phi: PhiMatrix) -> int:
-    """Exact rank of Φ as the sum of its column groups' ranks; groups sharing a row raise."""
-    from . import exactalg  # only a Φ that fails the slot identity gets here
-
-    owner: dict[int, int] = {}
-    total = 0
-    for g_index, cols in enumerate(phi.col_groups.values()):
-        rows = sorted({r for j in cols for r in phi.columns[j]})
-        if any(owner.setdefault(r, g_index) != g_index for r in rows):
-            raise InternalError("nonzero entry escapes its block")
-        row_map = {r: i for i, r in enumerate(rows)}
-        total += exactalg.rank(exactalg.Pattern(
-            len(rows), tuple(tuple(row_map[r] for r in phi.columns[j]) for j in cols)
-        ))
-    return total
-
-
 class InjectivityReport(NamedTuple):
     ell: int
     k: int
@@ -218,7 +204,12 @@ def verify_injective(
         return InjectivityReport(ell, k, 0, 0, 0)
     phi = phi or build_phi(g, ell, k, table=t)
     ncols = len(phi.columns)
-    rank = ncols if slot_identity_holds(phi) else _rank_by_groups(phi)
+    if slot_identity_holds(phi):
+        rank = ncols
+    else:
+        from .exactalg import rank_by_groups  # only a Φ that fails the slot identity gets here
+
+        rank = rank_by_groups(phi)
     return InjectivityReport(ell, k, len(phi.col_groups), rank, ncols)
 
 
@@ -256,8 +247,9 @@ def verify_equivariant(
 
     On a slot with fewer than `EQUIVARIANCE_SCAN_LIMIT` nonzeros times
     generators, that scan is the check itself.  Larger slots load numpy
-    and compare sorted (col, row) codes first, scanning only a failing
-    generator for its witness.  Both read the table's memoised moves.
+    and compare sorted (col, row) codes first (`exactalg.pattern_commutes`),
+    scanning only a failing generator for its witness.  Both read the
+    table's memoised moves.
     """
     t = table or matching_table(g)
     t.check_slot(ell, k)
@@ -270,34 +262,10 @@ def verify_equivariant(
         return EquivarianceReport(ell, k, grp.order, ncols, ())
     commutes = None
     if phi.nnz * len(grp.generators) >= EQUIVARIANCE_SCAN_LIMIT:
-        # imported here so small slots and trivial groups never load numpy
-        import numpy as np
+        # imported here so small slots and trivial groups never compile numpy code
+        from .exactalg import pattern_commutes
 
-        len_k1, len_k = t.m(k + 1), t.m(k)
-        nrows = t.m(ell) * len_k
-        # sparse pattern as column-major (col, row) codes; uniform 1/len
-        # weights make pattern equality equivalent to matrix equality
-        col_of_nz = np.repeat(
-            np.arange(ncols, dtype=np.int64),
-            np.fromiter((len(c) for c in phi.columns), dtype=np.int64, count=ncols),
-        )
-        row_of_nz = np.fromiter(
-            (r for col in phi.columns for r in col),
-            dtype=np.int64,
-            count=len(col_of_nz),
-        )
-        base_codes = np.sort(col_of_nz * nrows + row_of_nz)
-        i1, i2 = np.divmod(np.arange(ncols, dtype=np.int64), len_k1)
-        r1, r2 = np.divmod(row_of_nz, len_k)
-
-        def commutes(sigma) -> bool:
-            col_a, col_b, row_a, row_b = (
-                np.asarray(t.moves(sigma, s), dtype=np.int64) for s in (ell - 1, k + 1, ell, k)
-            )
-            cimg = col_a[i1] * len_k1 + col_b[i2]
-            moved = np.sort(cimg[col_of_nz] * nrows + row_a[r1] * len_k + row_b[r2])
-            return np.array_equal(moved, base_codes)
-
+        commutes = pattern_commutes(t, ell, k, phi.columns)
     failures = []
     for sigma in grp.generators:
         if commutes and commutes(sigma):

@@ -1,4 +1,4 @@
-"""Chain decomposition of two-colored matching pairs and the transfer maps.
+"""Chain decomposition of two-colored matching pairs and the single-output transfer map.
 
 Given a pair (blue, pink) of matchings, the edges carrying exactly one color
 form a subgraph whose components are paths ("chains") or even cycles.  Odd
@@ -6,12 +6,13 @@ chains whose end edges are blue (resp. pink) are the swappable currency: the
 neighbor set of a pair swaps the colors inside one pink chain at a time,
 while the single-output map `krattenthaler_f` picks one pink chain through a
 vertex-order-dependent subset injection (the bracket matching of
-`boollattice.bracket_successor`, imported only where f is applied).
+`brackets.bracket_successor`, imported only where f is applied).
 
 `odd_chains` is the one chain decomposition: each odd chain with one end
-edge, memoised per one-colored set, so Φ's build, the neighbor sets and the
-single-output map share it.  None of them checks its pair; `decompose`
-does, for the `transfer` command, and names the kind of every component.
+edge, memoised per one-colored set, so Φ's build, the union-part counts and
+the single-output map share it, and so do the neighbor sets and the
+`transfer` command's `decompose` (both in `graphtools`, which `verify` and
+`batch` never compile).  None of them checks its pair; `decompose` does.
 The f-equivariance counterexample runs the table's one group scan
 (`MatchingTable.noncommuting_column`) on f's lazily applied columns.
 """
@@ -23,13 +24,7 @@ from typing import NamedTuple
 from . import InternalError
 from . import graph as graphlib
 from .graph import Graph
-from .matchings import MatchingTable, is_matching, matching_table
-
-BLUE_CHAIN = "blue"
-PINK_CHAIN = "pink"
-EVEN_PATH = "even_path"
-EVEN_CYCLE = "even_cycle"
-
+from .matchings import MatchingTable, matching_table
 
 class MatchingPair(NamedTuple):
     """An ordered pair of matchings on a shared host; blue first, pink second."""
@@ -53,25 +48,7 @@ class MatchingPair(NamedTuple):
         return (self.blue.bit_count(), self.pink.bit_count())
 
 
-class ChainComponent(NamedTuple):
-    edges: int
-    kind: str
-
-
-class ChainDecomposition(NamedTuple):
-    pair: MatchingPair
-    components: tuple[ChainComponent, ...]
-
-    @property
-    def b(self) -> int:
-        return sum(1 for c in self.components if c.kind == BLUE_CHAIN)
-
-    @property
-    def p(self) -> int:
-        return sum(1 for c in self.components if c.kind == PINK_CHAIN)
-
-
-def _end_edge(g: Graph, component: int) -> int:
+def end_edge(g: Graph, component: int) -> int:
     """One end edge of a path component, as a single-bit edge set; 0 for a cycle."""
     if not component & (component - 1):
         return component
@@ -101,7 +78,7 @@ def odd_chains(g: Graph, one_colored: int) -> tuple[tuple[tuple[int, int], ...],
     Chains come by minimum edge index; components share no vertex and edges
     sort lexicographically, so that is also ascending minimum vertex.  The
     set must be the symmetric difference of two matchings; that is not
-    checked here (`decompose` checks it).  Then the pair's intersection
+    checked here (`graphtools.decompose` checks it).  Then the pair's intersection
     edges are isolated single-edge components of its union, so the even
     part and its component count are also those of the union.  Memoised on
     `g` per set, so all pairs sharing a union and an intersection search its
@@ -113,7 +90,7 @@ def odd_chains(g: Graph, one_colored: int) -> tuple[tuple[tuple[int, int], ...],
         even = count = 0
         for comp in graphlib.components(g, one_colored):
             if comp.bit_count() % 2:
-                end = _end_edge(g, comp)
+                end = end_edge(g, comp)
                 if not end:
                     raise InternalError("odd component without an end vertex")
                 chains.append((comp, end))
@@ -124,50 +101,17 @@ def odd_chains(g: Graph, one_colored: int) -> tuple[tuple[tuple[int, int], ...],
     return hit
 
 
-def decompose(g: Graph, pair: MatchingPair) -> ChainDecomposition:
-    """Check that both sides are matchings and name the kind of every component.
-
-    Components are listed by minimum edge index; p - b always equals
-    |pink| - |blue|.  Colors alternate along a component of two matchings,
-    so its cycles are even and both end edges of an odd chain share a color.
-    """
-    if not (is_matching(g, pair.blue) and is_matching(g, pair.pink)):
-        raise ValueError("both sides of the pair must be matchings")
-    comps = []
-    for comp in graphlib.components(g, pair.one_colored):
-        end = _end_edge(g, comp)
-        if comp.bit_count() % 2:
-            kind = PINK_CHAIN if pair.pink & end else BLUE_CHAIN
-        else:
-            kind = EVEN_PATH if end else EVEN_CYCLE
-        comps.append(ChainComponent(comp, kind))
-    return ChainDecomposition(pair, tuple(comps))
-
-
-def neighbor_set(g: Graph, pair: MatchingPair) -> tuple[MatchingPair, ...]:
-    """All pairs obtained by swapping exactly one pink chain, sorted.
-
-    Swapping chain c gives (blue ^ c, pink ^ c).  The pair is trusted to be
-    two matchings, as in `odd_chains`.
-    """
-    blue, pink = pair.blue, pair.pink
-    chains = odd_chains(g, blue ^ pink)[0]
-    out = [MatchingPair(blue ^ c, pink ^ c) for (c, end) in chains if pink & end]
-    out.sort(key=lambda q: (q.blue, q.pink))
-    return tuple(out)
-
-
 def krattenthaler_f(g: Graph, pair: MatchingPair, successor=None) -> MatchingPair:
     """The vertex-order-dependent single-output transfer map.
 
     Odd chains are ordered by minimum vertex label (the order of
     `odd_chains`); the positions of the blue chains form a bitset subset of
-    [b+p], and the position `boollattice.bracket_successor` adds names the
+    [b+p], and the position `brackets.bracket_successor` adds names the
     pink chain to swap (a caller applying f many times passes it in).  The
     pair is trusted to be two matchings with |blue| < |pink|.
     """
     if successor is None:
-        from .boollattice import bracket_successor as successor
+        from .brackets import bracket_successor as successor
     blue, pink = pair.blue, pair.pink
     chains = odd_chains(g, blue ^ pink)[0]
     blue_positions = 0
@@ -205,7 +149,7 @@ def f_equivariance_counterexample(
     blues, pinks = t.level(ell - 1), t.level(k + 1)
     if not pinks:
         return None
-    from .boollattice import bracket_successor
+    from .brackets import bracket_successor
 
     m_k, m_k1 = t.m(k), len(pinks)
     row_of_blue, row_of_pink = t.positions[ell], t.positions[k]

@@ -30,7 +30,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd, lcm
 
-from equimatch.boollattice import bracket_successor
+from equimatch.brackets import bracket_successor
 from equimatch.exactalg import Pattern
 from equimatch.graph import Graph, InternalError
 from equimatch.matchings import matching_table

@@ -14,14 +14,10 @@ from equimatch import boollattice, phimap, polyring
 from equimatch.autgroup import automorphisms
 from equimatch.cli import run
 from equimatch.graph import edge_bits
-from equimatch.matchings import check_numeric_logconcavity, matching_table
+from equimatch.graphtools import check_numeric_logconcavity, decompose, neighbor_set
+from equimatch.matchings import matching_table
 from equimatch.phimap import BudgetExceededError, build_phi
-from equimatch.transfer import (
-    MatchingPair,
-    decompose,
-    f_equivariance_counterexample,
-    neighbor_set,
-)
+from equimatch.transfer import MatchingPair, f_equivariance_counterexample
 from oracles import (
     atlas_graphs,
     brute_force_matchings,

@@ -6,13 +6,13 @@ import pytest
 from equimatch import boollattice, exactalg
 from equimatch.boollattice import (
     ChainFamily,
-    bracket_successor,
     chains_are_valid,
     level_subsets,
     symmetric_chains,
     up_map,
     verify_lemma,
 )
+from equimatch.brackets import bracket_successor
 from equimatch.cli import run
 from equimatch.exactalg import Pattern
 from equimatch.gram import gram_identity_holds

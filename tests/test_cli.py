@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equimatch import boollattice, cli, graphcli, phimap, polyring
+from equimatch import boollattice, cli, graphcli, graphtools, phimap, polyring, usage
 from equimatch.cli import run
 from equimatch.graph import generate
 from equimatch.matchings import MatchingTable, matching_table
@@ -47,7 +47,7 @@ def test_count_exits_1_on_a_logconcavity_violation(monkeypatch, capsys):
         t = matching_table(g)
         return MatchingTable(g, (t.level(0), t.level(1)[:2], *t.by_size[2:]))
 
-    monkeypatch.setattr(graphcli, "matching_table", cut)
+    monkeypatch.setattr(graphtools, "matching_table", cut)
     assert run(["count", "--gen", "cycle:6"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "m = [1, 2, 9, 2]",
@@ -224,7 +224,7 @@ def _argparse_vars(argv: list[str]) -> dict | None:
     """vars() of the namespace argparse builds from argv, or None where it prints help or an error."""
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
-            return vars(cli.build_parser().parse_args(argv))
+            return vars(usage.build_parser().parse_args(argv))
         except SystemExit:
             return None
 
@@ -331,7 +331,7 @@ def test_version_prints_the_bytes_argparse_prints(capsys):
     assert run(["--version"]) == 0
     fast = capsys.readouterr().out
     with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args(["--version"])
+        usage.build_parser().parse_args(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == fast == cli.__version__ + "\n"
 
@@ -539,6 +539,20 @@ PINNED_DIGESTS = {
     ("verify", "--gen", "petersen"): "7835d62b9024774b4c4819e203db4f16b26e2c6134a9836a392c76acfed442c9",
     ("verify", "--gen", "gnp:8:1:2:7"): "324e937c6fcb2bc96d3298b83c1370882f5dfd8b1d3b5be2af05616f56b16865",
     ("aut", "--gen", "kbipartite:3:3"): "0e1911df7cdfd115192759c2b00bf0876e9eb0a5559f7adea67e8a42377615bb",
+    ("boolean", "--n", "9"): "e117ec807499811bd2fb219351213b8dc81c948aa69122eafd8663ba2235b4b2",
+    ("count", "--gen", "petersen"): "5dc7b034c90d688cfddb80220103f3ed8806515440f0be189c38b2669209f32b",
+    ("gen", "cycle:6"): "bfb5b0e7bc7ef780bd592500a43f482fa2055a92eb84ef0c44b8ef0ff96ac49a",
+    ("transfer", "--gen", "cycle:6", "--blue", "0-1", "--pink", "0-1,2-3,4-5", "--kratt"): (
+        "2a2d904803c47ec127d12af8558dbe9eb8d9f3fc6b13e5af341641619b831d2d"
+    ),
+}
+# C6 with the chord 1-4 (|Aut| = 4), as an edge-list file
+CHORDED_C6 = "6 7\n0 1\n0 5\n1 2\n1 4\n2 3\n3 4\n4 5\n"
+# reports that read their graph from a file, or write themselves to one
+PINNED_FILE_DIGESTS = {
+    "verify --file chorded_c6": "e8c3e96d58bd495964f07b6d67e75ba3dc672c47612517f7516aae537220236d",
+    # the same report as `verify --gen complete:6`
+    "batch complete:6": "14053a41afba2db1bd2b8757f1f9c56bc0eda4af6b7ee95d59de0eba04fdabdb",
 }
 
 
@@ -547,6 +561,51 @@ def test_report_bytes_are_pinned(argv, capsys):
     assert run(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FILE_DIGESTS))
+def test_file_report_bytes_are_pinned(name, tmp_path, capsys):
+    (tmp_path / "chorded_c6.txt").write_text(CHORDED_C6)
+    (tmp_path / "specs.txt").write_text("complete:6\n")
+    if name == "batch complete:6":
+        assert run(["batch", "--specs", str(tmp_path / "specs.txt"), "--json", str(tmp_path / "reports")]) == 0
+        out = (tmp_path / "reports" / "complete_6.json").read_text()
+    else:
+        assert run(["verify", "--file", str(tmp_path / "chorded_c6.txt")]) == 0
+        out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FILE_DIGESTS[name]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300))
+def test_the_file_digest_is_hashlibs(data):
+    assert graphcli.sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_the_file_digest_of_an_edge_list_is_hashlibs(tmp_path, capsys):
+    assert graphcli.sha256_hex(CHORDED_C6.encode()) == hashlib.sha256(CHORDED_C6.encode()).hexdigest()
+    (tmp_path / "chorded_c6.txt").write_text(CHORDED_C6)
+    assert run(["verify", "--file", str(tmp_path / "chorded_c6.txt"), "--check", "nonneg"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["graph"]["descriptor"] == "file:sha256:" + hashlib.sha256(CHORDED_C6.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--gen", ""],
+        ["count", "--gen", ""],
+        ["aut", "--gen", ""],
+        ["transfer", "--gen", "", "--blue", "0-1", "--pink", "0-1,2-3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_empty_generator_spec_is_bad_input(argv, capsys):
+    # an empty spec names no family; it is not a missing one, so no file is read
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown graph family ''\n"
 
 
 def test_group_size_goes_to_stderr_not_the_report(tmp_path, capsys):
@@ -633,29 +692,45 @@ def test_small_symmetric_graph_never_loads_numpy(command, tmp_path):
 
 
 GRAPH_SIDE = {"graphcli", "graph", "matchings", "autgroup", "transfer", "phimap", "polyring"}
+# what `gen`, `count`, `aut` and `transfer` compile besides the graph side
+TOOLS = GRAPH_SIDE | {"graphtools", "gram"}
 
 
 @pytest.mark.parametrize(
     "argv, own",
     [
         (["--version"], set()),
-        (["boolean", "--n", "12"], {"boollattice", "gram"}),
+        # no graph module, and not the parser built for help (`usage`)
+        (["boolean", "--n", "12"], {"boollattice", "brackets", "gram"}),
         # a trivial group applies no f, and the slot identity certifies every
         # rank, so neither the bracket successor nor a rank is compiled
         (["verify", "--gen", "gnp:8:1:2:7"], GRAPH_SIDE | {"gram"}),
-        # the f scan of a nontrivial group brings in the bracket successor,
-        # which compiles no exact algebra
-        (["verify", "--gen", "complete:6"], GRAPH_SIDE | {"boollattice", "gram"}),
+        # the f scan of a nontrivial group brings in the bracket successor
+        # alone: no Boolean suite and no exact algebra
+        (["verify", "--gen", "complete:6"], GRAPH_SIDE | {"brackets", "gram"}),
+        (["batch", "--specs", "{tmp}/specs.txt", "--json", "{tmp}/reports"], GRAPH_SIDE | {"brackets", "gram"}),
+        # C6 with a chord has |Aut| = 4; its file's digest loads no `hashlib`
+        (["verify", "--file", "{tmp}/chorded_c6.txt"], GRAPH_SIDE | {"brackets", "gram"}),
+        (["gen", "cycle:6"], TOOLS),
+        (["count", "--gen", "petersen"], TOOLS),
+        (["aut", "--gen", "cycle:6"], TOOLS),
+        (["transfer", "--gen", "cycle:6", "--blue", "0-1", "--pink", "0-1,2-3,4-5", "--kratt"], TOOLS | {"brackets"}),
     ],
-    ids=["version", "boolean", "verify-trivial-group", "verify-symmetric"],
+    ids=[
+        "version", "boolean", "verify-trivial-group", "verify-symmetric", "batch", "verify-file",
+        "gen", "count", "aut", "transfer",
+    ],
 )
-def test_command_loads_only_the_modules_it_runs(argv, own):
-    # `--version` and `boolean` read no graph, so neither compiles the graph side
-    rc, loaded = _modules_loaded_after(argv)
+def test_command_loads_only_the_modules_it_runs(argv, own, tmp_path):
+    # `--version` and `boolean` read no graph, so neither compiles the graph side;
+    # `verify` and `batch` never compile `graphtools`, `boollattice` or `usage`
+    (tmp_path / "specs.txt").write_text("complete:6\n")
+    (tmp_path / "chorded_c6.txt").write_text(CHORDED_C6)
+    rc, loaded = _modules_loaded_after([token.format(tmp=tmp_path) for token in argv])
     assert rc == 0
     ours = {name for name in loaded if name.split(".")[0] == "equimatch"}
     assert ours == {"equimatch", "equimatch.cli"} | {f"equimatch.{m}" for m in own}
-    assert "numpy" not in loaded
+    assert not {"numpy", "hashlib", "_hashlib"} & loaded
 
 
 def test_a_level_whose_identity_fails_compiles_exactalg_and_falls_back():

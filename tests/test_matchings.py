@@ -1,13 +1,8 @@
 from hypothesis import given, settings, strategies as st
 
 from equimatch.graph import generate
-from equimatch.matchings import (
-    MatchingTable,
-    check_numeric_logconcavity,
-    is_matching,
-    logconcavity_violations,
-    matching_table,
-)
+from equimatch.graphtools import check_numeric_logconcavity, logconcavity_violations
+from equimatch.matchings import MatchingTable, is_matching, matching_table
 from oracles import brute_force_counts, brute_force_matchings, enumerate_matchings
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from equimatch import exactalg, matchings, phimap
 from equimatch.autgroup import apply_edge_perm, automorphisms, edge_action
 from equimatch.graph import InternalError, edge_bits, generate
-from equimatch.matchings import logconcavity_violations, matching_table
+from equimatch.graphtools import logconcavity_violations
+from equimatch.matchings import matching_table
 from equimatch.phimap import (
     BudgetExceededError,
     PhiMatrix,

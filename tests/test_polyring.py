@@ -5,7 +5,8 @@ import pytest
 from equimatch import graphcli
 from equimatch.autgroup import automorphisms, edge_action
 from equimatch.graph import edge_bits, generate
-from equimatch.matchings import MatchingTable, check_numeric_logconcavity, matching_table
+from equimatch.graphtools import check_numeric_logconcavity
+from equimatch.matchings import MatchingTable, matching_table
 from equimatch.phimap import PhiMatrix, build_phi
 from equimatch.polyring import verify_diagram, verify_nonneg
 from oracles import (

@@ -6,15 +6,12 @@ from hypothesis import given, settings, strategies as st
 from equimatch import transfer
 from equimatch.autgroup import apply_edge_perm, automorphisms, edge_action
 from equimatch.graph import edge_bits, generate
+from equimatch.graphtools import BLUE_CHAIN, PINK_CHAIN, decompose, neighbor_set
 from equimatch.matchings import is_matching, matching_table
 from equimatch.transfer import (
-    BLUE_CHAIN,
-    PINK_CHAIN,
     MatchingPair,
-    decompose,
     f_equivariance_counterexample,
     krattenthaler_f,
-    neighbor_set,
     odd_chains,
 )
 from oracles import (
