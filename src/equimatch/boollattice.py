@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import namedtuple
 from math import comb
-from typing import NamedTuple
 
 from . import InternalError, __version__
 from .brackets import unmatched_openers
@@ -74,12 +74,11 @@ def up_map(n: int, i: int) -> Pattern:
     return Pattern(len(dst_index), tuple(columns))
 
 
-class LevelRank(NamedTuple):
-    i: int
-    dim_src: int
-    dim_dst: int
-    rank: int
-    path: str  # what certified the rank: "identity", "mod-p" or "bareiss"
+class LevelRank(namedtuple("LevelRank", "i dim_src dim_dst rank path")):
+    """The rank of the up map from level i; `path` names what certified it:
+    "identity", "mod-p" or "bareiss"."""
+
+    __slots__ = ()
 
     @property
     def injective(self) -> bool:
@@ -97,9 +96,8 @@ class LevelRank(NamedTuple):
         return self.rank == min(self.dim_src, self.dim_dst)
 
 
-class LemmaReport(NamedTuple):
-    n: int
-    levels: tuple[LevelRank, ...]
+class LemmaReport(namedtuple("LemmaReport", "n levels")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -154,10 +152,10 @@ def verify_lemma(n: int) -> LemmaReport:
     return LemmaReport(n, tuple(_level_rank(n, i, ups) for i in range(top + 1)))
 
 
-class ChainFamily(NamedTuple):
-    n: int
-    i: int
-    chains: tuple[tuple[int, ...], ...]  # each chain: bitsets from level i to n-i
+class ChainFamily(namedtuple("ChainFamily", "n i chains")):
+    """Symmetric chains of the Boolean lattice of [n]; each chain lists bitsets from level i to n-i."""
+
+    __slots__ = ()
 
 
 def symmetric_chains(n: int, i: int) -> ChainFamily:

@@ -30,24 +30,32 @@ exit code.  So a command that runs never loads `argparse`, `gettext` or
 of the front end; only help and usage errors pay for them.
 
 A process started by `main` (`python -m equimatch` or the console script)
-does no cyclic garbage collection: `main` turns the collector off before
-`run` and freezes the heap after it, so neither the run nor interpreter
-teardown scans the millions of small acyclic tuples a `verify` allocates.
-Nothing is lost by that: the library builds no reference cycles, so the
-collector would find no garbage (a test runs one report of every check
-with the collector off and finds that `gc.collect()` returns 0).  The one
-cycle left is argparse's parser, about 300 objects, built only for help
-and usage errors.  `run` itself leaves the collector as it was, for tests
-and library callers that call it in-process.
+does no cyclic garbage collection and no interpreter teardown: `main`
+turns the collector off before `run`, then flushes stdout and stderr and
+ends the process by `os._exit`, so neither the run nor the exit scans or
+frees the millions of small acyclic tuples a `verify` allocates, and no
+`atexit` handler runs (the program registers none).  Nothing is lost by
+that: the library builds no reference cycles, so the collector would find
+no garbage (a test runs one report of every check with the collector off
+and finds that `gc.collect()` returns 0), and every file the program
+writes is closed before `run` returns.  The one cycle left is argparse's
+parser, about 300 objects, built only for help and usage errors.  A flush
+that fails (stdout a closed pipe) ends the process with 120, the status
+the interpreter's own exit gives.  `run` itself leaves the collector as it
+was, for tests and library callers that call it in-process.
+
+Reports are written by `report_text`, which gives the bytes of
+`json.dumps(report, indent=2, sort_keys=True)` without importing `json`.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
 
 from . import __version__
 
@@ -86,29 +94,28 @@ def _budget(text: str) -> int:
     return value
 
 
-class Option(NamedTuple):
+class Option(
+    namedtuple(
+        "Option",
+        "flag short type default store_true required help",
+        defaults=(None, None, None, False, False, None),
+    )
+):
     """One argument of a command, as `add_argument` takes it; a positional's flag has no dash."""
 
-    flag: str
-    short: str | None = None
-    type: Callable[[str], object] | None = None
-    default: object = None
-    store_true: bool = False
-    required: bool = False
-    help: str | None = None
+    __slots__ = ()
 
     @property
     def dest(self) -> str:
         return self.flag.lstrip("-")
 
 
-class Command(NamedTuple):
-    help: str
-    options: tuple[Option, ...]
-    # the module that holds `cmd_<name>`, imported only when the command runs
-    module: str
-    # the required choice of --gen or --file, listed before the options
-    source: bool = False
+class Command(namedtuple("Command", "help options module source", defaults=(False,))):
+    """A command's help, its `Option`s, and `module`, the module that holds
+    `cmd_<name>`, imported only when the command runs; `source` is the
+    required choice of --gen or --file, listed before the options."""
+
+    __slots__ = ()
 
     @property
     def arguments(self) -> tuple[Option, ...]:
@@ -177,10 +184,66 @@ COMMANDS = {
 }
 
 
-def emit(report: dict, json_path: str | None) -> None:
-    import json  # not at the top: `--version` and `gen` write no report
+def report_text(report: dict) -> str:
+    """`json.dumps(report, indent=2, sort_keys=True) + "\\n"`, byte for byte, without the `json` package.
 
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    A report holds dicts with str keys, lists, tuples, str, bool, int and
+    None; any other value, a float included, raises TypeError.  Importing
+    `json` compiles its decoder's regexes, and its indenting encoder is
+    pure Python anyway, so a report process pays only for this writer.
+    """
+    try:
+        from _json import encode_basestring_ascii as quote
+    except ImportError:  # an interpreter built without the `_json` accelerator
+        from json.encoder import encode_basestring_ascii as quote
+    out: list[str] = []
+    _write(report, "\n", out.append, quote)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(v, newline: str, write, quote) -> None:
+    """Write `v` as JSON, its nested lines starting with `newline` plus two spaces per level."""
+    if isinstance(v, str):
+        write(quote(v))
+    elif v is None:
+        write("null")
+    elif v is True:
+        write("true")
+    elif v is False:
+        write("false")
+    elif isinstance(v, int):
+        write(int.__repr__(v))
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in v:
+            write(sep)
+            _write(item, inner, write, quote)
+            sep = "," + inner
+        write(newline + "]")
+    elif isinstance(v, dict):
+        if not v:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(v):
+            write(sep)
+            write(quote(key))  # a key that is no str raises TypeError here
+            write(": ")
+            _write(v[key], inner, write, quote)
+            sep = "," + inner
+        write(newline + "}")
+    else:
+        raise TypeError(f"a report holds no {type(v).__name__}")
+
+
+def emit(report: dict, json_path: str | None) -> None:
+    text = report_text(report)
     if json_path:
         Path(json_path).write_text(text)
     else:
@@ -278,15 +341,22 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    """The process entry: `run` with the cyclic collector off, then exit with its code.
+    """The process entry: `run` with the cyclic collector off, then end the process with its code.
 
-    Reference counting frees everything the library drops; the collector
-    would only rescan the live heap, during the run and once more at exit.
+    Reference counting frees everything the library drops, so the collector
+    would only rescan the live heap.  The process ends by `os._exit` once
+    stdout and stderr are flushed, so interpreter teardown, which frees
+    every object one by one, never runs.
     """
     gc.disable()
     code = run()
-    gc.freeze()
-    sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None and not stream.closed:
+            try:
+                stream.flush()
+            except OSError:  # a closed pipe: the status the interpreter's own exit gives
+                code = 120
+    os._exit(code)
 
 
 if __name__ == "__main__":

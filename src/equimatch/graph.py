@@ -6,11 +6,17 @@ and bitsets off this single ordering, so it must be a pure function of the
 labeled graph.
 
 Edge sets are plain Python ints used as bitsets over edge indices.
+
+`load_graph` reads the graph a command names by `--gen` or `--file`; it
+lives here, with `edge_token`, so that both command modules (`graphcli`
+and `graphtools`) share it and neither compiles the other.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
+from pathlib import Path
 
 from . import InternalError  # noqa: F401  (defined in the package init; importable from here too)
 
@@ -305,3 +311,29 @@ def edge_bits(g: Graph, pairs) -> int:
 
 def bits_to_edges(g: Graph, bits: int) -> list[tuple[int, int]]:
     return [g.edges[i] for i in range(g.num_edges) if bits >> i & 1]
+
+
+def edge_token(g: Graph, bits: int) -> str:
+    """The edges of `bits` as comma-separated `u-v` tokens, as reports and `transfer` print them."""
+    return ",".join(f"{u}-{v}" for (u, v) in bits_to_edges(g, bits))
+
+
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 of `data` in hex, from CPython's own digest module.
+
+    `hashlib` would load OpenSSL's `_hashlib`, which costs a `verify --file`
+    process a few milliseconds of start-up for one digest.
+    """
+    try:
+        sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:  # an interpreter built without CPython's digest modules
+        from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+def load_graph(args) -> tuple[Graph, str]:
+    """The graph of `--gen` or `--file`, and its report descriptor."""
+    if args.gen is not None:
+        return generate(args.gen), f"gen:{args.gen}"
+    text = Path(args.file).read_text()
+    return parse_graph(text), f"file:sha256:{sha256_hex(text.encode())}"

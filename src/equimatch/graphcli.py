@@ -6,7 +6,6 @@
 these two commands never compile the others (`graphtools`) or the Boolean
 suite.  Arguments reach them already parsed and checked by `cli`, all but
 those that need the graph (a `verify` slot must lie within 1..r).
-`load_graph` and `edge_token` are shared with `graphtools`.
 """
 
 from __future__ import annotations
@@ -14,57 +13,30 @@ from __future__ import annotations
 import re
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from . import __version__, phimap, polyring
 from .autgroup import automorphisms, check_vertex_limit
 from .cli import ALL_CHECKS, SCHEMA_VERSION, emit, report_exit
-from .graph import Graph, bits_to_edges, generate, parse_graph
+from .graph import Graph, edge_token, generate, load_graph
 from .matchings import matching_table
 from .phimap import BudgetExceededError, build_phi
 from .transfer import f_equivariance_counterexample
-
-
-def edge_token(g: Graph, bits: int) -> str:
-    return ",".join(f"{u}-{v}" for (u, v) in bits_to_edges(g, bits))
 
 
 def _witness(g: Graph, sigma, blue: int, pink: int) -> dict:
     return {"sigma": list(sigma), "blue": edge_token(g, blue), "pink": edge_token(g, pink)}
 
 
-def sha256_hex(data: bytes) -> str:
-    """The SHA-256 of `data` in hex, from CPython's own digest module.
-
-    `hashlib` would load OpenSSL's `_hashlib`, which costs a `verify --file`
-    process a few milliseconds of start-up for one digest.
-    """
-    try:
-        sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
-    except ImportError:  # an interpreter built without CPython's digest modules
-        from hashlib import sha256
-    return sha256(data).hexdigest()
-
-
-def load_graph(args) -> tuple[Graph, str]:
-    """The graph of `--gen` or `--file`, and its report descriptor."""
-    if args.gen is not None:
-        return generate(args.gen), f"gen:{args.gen}"
-    text = Path(args.file).read_text()
-    return parse_graph(text), f"file:sha256:{sha256_hex(text.encode())}"
-
-
-class Check(NamedTuple):
+class Check(namedtuple("Check", "reads_phi reads_group run")):
     """One `verify` check and what it reads besides the matching table.
 
     `run(g, ell, k, table, group, phi, budget)` returns (passed, details),
     or None when the check's own work would exceed the budget.
     """
 
-    reads_phi: bool
-    reads_group: bool
-    run: Callable
+    __slots__ = ()
 
 
 def _injective(g, ell, k, t, group, phi, budget):
@@ -212,22 +184,27 @@ def cmd_batch(args) -> int:
     lines = (line.strip() for line in Path(args.specs).read_text().splitlines())
     specs = [line for line in lines if line and not line.startswith("#")]
     outdir = Path(args.json)
+    # two specs writing one file, a bad spec, or a graph too large for the
+    # group checks batch always runs, is refused before the first report is written
+    paths: dict[Path, str] = {}
+    for spec in specs:
+        path = outdir / (re.sub(r"[^A-Za-z0-9_.-]", "_", spec) + ".json")
+        if path in paths:
+            raise ValueError(f"specs {paths[path]!r} and {spec!r} would both write {path}")
+        paths[path] = spec
     outdir.mkdir(parents=True, exist_ok=True)
-    # a bad spec, or a graph too large for the group checks batch always
-    # runs, is refused before the first report is written
     graphs = [generate(spec) for spec in specs]
     for g in graphs:
         check_vertex_limit(g.n)
     codes = []
-    for spec, g in zip(specs, graphs):
+    for (path, spec), g in zip(paths.items(), graphs):
         started = time.monotonic()
         t = matching_table(g)
         slots = [(l, k) for k in range(1, t.r + 1) for l in range(1, k + 1)]
         descriptor = f"gen:{spec}"
         report, group = _verify_report(g, descriptor, slots, ALL_CHECKS, args.budget, t)
         print(_progress(descriptor, report, group, time.monotonic() - started), file=sys.stderr)
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", spec)
-        emit(report, str(outdir / f"{safe}.json"))
+        emit(report, str(path))
         codes.append(report_exit(report))
     if 1 in codes:
         return 1

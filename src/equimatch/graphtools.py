@@ -6,19 +6,20 @@ the edge-token parser, the full chain decomposition with a named kind for
 every component (`decompose`), the neighbor set of one pair, and the
 numeric log-concavity of the matching numbers.  Φ's build reads the same
 chains through `transfer.odd_chains`, which `neighbor_set` reads too.
+These commands in turn compile none of the `verify` side (`graphcli`,
+`phimap`, `polyring`, `gram`).
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from . import graph as graphlib
 from .autgroup import automorphisms
-from .graph import Graph, edge_bits, generate
-from .graphcli import edge_token, load_graph
+from .graph import Graph, edge_bits, edge_token, generate, load_graph
 from .matchings import MatchingTable, is_matching, matching_table
 from .transfer import MatchingPair, end_edge, krattenthaler_f, odd_chains
 
@@ -28,14 +29,12 @@ EVEN_PATH = "even_path"
 EVEN_CYCLE = "even_cycle"
 
 
-class ChainComponent(NamedTuple):
-    edges: int
-    kind: str
+class ChainComponent(namedtuple("ChainComponent", "edges kind")):
+    __slots__ = ()
 
 
-class ChainDecomposition(NamedTuple):
-    pair: MatchingPair
-    components: tuple[ChainComponent, ...]
+class ChainDecomposition(namedtuple("ChainDecomposition", "pair components")):
+    __slots__ = ()
 
     @property
     def b(self) -> int:

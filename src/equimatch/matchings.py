@@ -4,8 +4,9 @@ Matchings are edge bitsets (ints) over the host graph's canonical edge
 indexing.  Enumeration backtracks over edge indices in increasing order with
 a used-vertex bitmask; results are sorted by bitset value, which is the basis
 ordering contract shared with the matrix modules.
-The table memoises each automorphism's moves on each level, and holds the
-one scan that tests a slot map (Φ or the single-output map) against it.
+The table memoises each automorphism's edge permutation and its moves on
+each level, and holds the one scan that tests a slot map (Φ or the
+single-output map) against it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ class MatchingTable:
         self.graph = graph
         self.by_size = by_size
         self._moves: dict[tuple[Permutation, int], tuple[int, ...]] = {}
+        self._edge_perms: dict[Permutation, tuple[int, ...]] = {}
 
     @property
     def r(self) -> int:
@@ -64,10 +66,16 @@ class MatchingTable:
         return tuple({bits: i for i, bits in enumerate(level)} for level in self.by_size)
 
     def moves(self, sigma: Permutation, s: int) -> tuple[int, ...]:
-        """The position in level s of sigma's image of each s-matching, computed once per table."""
+        """The position in level s of sigma's image of each s-matching, computed once per table.
+
+        sigma's edge permutation is computed once too, for all of its levels.
+        """
         hit = self._moves.get((sigma, s))
         if hit is None:
-            eperm, position = edge_action(sigma, self.graph), self.positions[s]
+            eperm = self._edge_perms.get(sigma)
+            if eperm is None:
+                eperm = self._edge_perms[sigma] = edge_action(sigma, self.graph)
+            position = self.positions[s]
             hit = self._moves[(sigma, s)] = tuple(
                 position[apply_edge_perm(eperm, bits)] for bits in self.by_size[s]
             )

@@ -24,8 +24,8 @@ compiles no numpy code.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from . import InternalError
 from .autgroup import AutomorphismGroup, automorphisms
@@ -51,9 +51,8 @@ def _tensor_pairs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[PairBits, ...
     return tuple((x, y) for x in a for y in b)
 
 
-class Block(NamedTuple):
-    key: BlockKey
-    col_indices: tuple[int, ...]
+class Block(namedtuple("Block", "key col_indices")):
+    __slots__ = ()
 
 
 class PhiMatrix:
@@ -177,12 +176,10 @@ def slot_identity_holds(phi: PhiMatrix) -> bool:
     return gram_identity_holds(phi.columns, shift, downs.values())
 
 
-class InjectivityReport(NamedTuple):
-    ell: int
-    k: int
-    blocks: int  # column groups
-    total_rank: int
-    expected: int
+class InjectivityReport(namedtuple("InjectivityReport", "ell k blocks total_rank expected")):
+    """Φ's rank on one slot against its column count; `blocks` counts the column groups ranked."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -213,12 +210,11 @@ def verify_injective(
     return InjectivityReport(ell, k, len(phi.col_groups), rank, ncols)
 
 
-class EquivarianceReport(NamedTuple):
-    ell: int
-    k: int
-    group_order: int
-    columns: int
-    failures: tuple[tuple[tuple[int, ...], PairBits], ...]  # failing generators
+class EquivarianceReport(namedtuple("EquivarianceReport", "ell k group_order columns failures")):
+    """Φ's equivariance on one slot; `failures` lists each failing generator
+    with a witness column."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -278,12 +274,12 @@ def verify_equivariant(
     return EquivarianceReport(ell, k, grp.order, ncols, tuple(failures))
 
 
-class PartRecord(NamedTuple):
-    union: int
-    source_classes: int
-    target_classes: int
-    even_edges: int  # edge count of the even part
-    even_components: int
+class PartRecord(
+    namedtuple("PartRecord", "union source_classes target_classes even_edges even_components")
+):
+    """Class counts of one union; `even_edges` is the edge count of its even part."""
+
+    __slots__ = ()
 
     @property
     def counts_equal(self) -> bool:

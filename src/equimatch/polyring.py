@@ -10,8 +10,7 @@ arithmetic.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from . import InternalError
 from .graph import Graph
@@ -33,11 +32,11 @@ def _exponents(g: Graph, key: MonomialKey) -> tuple[int, ...]:
     return tuple((union >> i & 1) + (inter >> i & 1) for i in range(g.num_edges))
 
 
-class NonnegReport(NamedTuple):
-    ell: int
-    k: int
-    term_count: int
-    violations: tuple[tuple[tuple[int, ...], int], ...]  # (exponents, coefficient), sorted
+class NonnegReport(namedtuple("NonnegReport", "ell k term_count violations")):
+    """The matching-polynomial difference of one slot; `violations` lists its
+    negative terms as (exponents, coefficient), sorted."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -63,11 +62,10 @@ def verify_nonneg(
     return NonnegReport(ell, k, terms, tuple(violations))
 
 
-class DiagramReport(NamedTuple):
-    ell: int
-    k: int
-    columns: int
-    failures: tuple[tuple[int, int], ...]  # offending column pairs
+class DiagramReport(namedtuple("DiagramReport", "ell k columns failures")):
+    """The diagram check of one slot; `failures` lists the offending column pairs."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

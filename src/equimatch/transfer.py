@@ -19,18 +19,17 @@ The f-equivariance counterexample runs the table's one group scan
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import InternalError
 from . import graph as graphlib
 from .graph import Graph
 from .matchings import MatchingTable, matching_table
 
-class MatchingPair(NamedTuple):
+class MatchingPair(namedtuple("MatchingPair", "blue pink")):
     """An ordered pair of matchings on a shared host; blue first, pink second."""
 
-    blue: int
-    pink: int
+    __slots__ = ()
 
     @property
     def union(self) -> int:

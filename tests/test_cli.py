@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equimatch import boollattice, cli, graphcli, graphtools, phimap, polyring, usage
+from equimatch import boollattice, cli, graph, graphcli, graphtools, phimap, polyring, usage
 from equimatch.cli import run
 from equimatch.graph import generate
 from equimatch.matchings import MatchingTable, matching_table
@@ -493,6 +493,18 @@ def test_batch_refuses_an_oversize_graph_before_any_report(tmp_path, capsys):
     assert not list(outdir.glob("*.json"))
 
 
+def test_batch_refuses_two_specs_that_write_one_file(tmp_path, capsys):
+    # `complete:6` and `complete_6` would both be written to complete_6.json
+    specs = tmp_path / "specs.txt"
+    outdir = tmp_path / "reports"
+    for lines in ("cycle:6\ncycle:6\n", "complete:6\npath:4\ncomplete_6\n"):
+        specs.write_text(lines)
+        assert run(["batch", "--specs", str(specs), "--json", str(outdir)]) == 2
+        name = lines.split()[0].replace(":", "_") + ".json"
+        assert f"would both write {outdir / name}" in capsys.readouterr().err
+        assert not list(outdir.glob("*.json"))
+
+
 def test_check_subset_without_group_checks_skips_the_group(capsys):
     # n = 13 is past the automorphism search's vertex limit, but neither
     # check needs the group, so the group is never built
@@ -576,14 +588,76 @@ def test_file_report_bytes_are_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FILE_DIGESTS[name]
 
 
+# every kind of value a report holds, and the strings that need escapes:
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+REPORT_TEXT = st.text(st.characters(codec=None, exclude_categories=()), max_size=12)
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**300), 10**300) | REPORT_TEXT,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(REPORT_TEXT, inner, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(REPORT_VALUES)
+def test_the_report_writer_writes_the_bytes_json_writes(value):
+    assert cli.report_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+class _LoudInt(int):
+    """An int whose repr and str are not its digits; json writes the digits."""
+
+    def __repr__(self):
+        return "loud"
+
+    __str__ = __repr__
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {}, [], (), "", 0, -1, 10**200, -(10**200), True, False, None, [_LoudInt(7)],
+        {"a": {}, "b": [], "c": ()}, [[[]], [{}]],
+        'quote " backslash \\ slash /', "\x00\x01\x1f\x7f\t\n\r\b\f",
+        "é ü ∑ 😀 \u2028", "\ud800 \udfff \ud83d",
+        {"\n": 1, "é": 2, "\ud800": 3, "": 4, "Z": 5, "a": 6},
+    ],
+    ids=repr,
+)
+def test_the_report_writer_on_edge_values(value):
+    assert cli.report_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_the_report_writer_without_the_json_accelerator(monkeypatch):
+    # an interpreter built without `_json` quotes with `json.encoder`'s function
+    monkeypatch.setitem(sys.modules, "_json", None)
+    value = {"b": ["é\n", None, (True, -3)], "a": {"\ud800": "\""}}
+    assert cli.report_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {"a": [0.0]}, {1: "a"}, {None: 1}, {("a",): 1}, {"a": {1, 2}}, [b"a"], [object()]],
+    ids=repr,
+)
+def test_the_report_writer_refuses_values_a_report_never_holds(value):
+    # json.dumps would write floats and turn int or None keys into strings
+    with pytest.raises(TypeError):
+        cli.report_text(value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.binary(max_size=300))
 def test_the_file_digest_is_hashlibs(data):
-    assert graphcli.sha256_hex(data) == hashlib.sha256(data).hexdigest()
+    assert graph.sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_the_file_digest_of_an_edge_list_is_hashlibs(tmp_path, capsys):
-    assert graphcli.sha256_hex(CHORDED_C6.encode()) == hashlib.sha256(CHORDED_C6.encode()).hexdigest()
+    assert graph.sha256_hex(CHORDED_C6.encode()) == hashlib.sha256(CHORDED_C6.encode()).hexdigest()
     (tmp_path / "chorded_c6.txt").write_text(CHORDED_C6)
     assert run(["verify", "--file", str(tmp_path / "chorded_c6.txt"), "--check", "nonneg"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -632,7 +706,7 @@ def test_group_size_goes_to_stderr_not_the_report(tmp_path, capsys):
         assert "generators" not in path.read_text()
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """`python args` in a fresh interpreter on this package's source, output captured as bytes.
 
     stdout is block-buffered, as for any process writing to a file or pipe,
@@ -642,7 +716,7 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     return subprocess.run(
         [sys.executable, *args], env={**env, "PYTHONPATH": src},
-        capture_output=True, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, timeout=120,
     )
 
 
@@ -691,9 +765,10 @@ def test_small_symmetric_graph_never_loads_numpy(command, tmp_path):
     assert rc == 0 and "numpy" not in loaded
 
 
-GRAPH_SIDE = {"graphcli", "graph", "matchings", "autgroup", "transfer", "phimap", "polyring"}
-# what `gen`, `count`, `aut` and `transfer` compile besides the graph side
-TOOLS = GRAPH_SIDE | {"graphtools", "gram"}
+GRAPH = {"graph", "matchings", "autgroup", "transfer"}
+GRAPH_SIDE = GRAPH | {"graphcli", "phimap", "polyring"}
+# `gen`, `count`, `aut` and `transfer` compile none of the `verify` side
+TOOLS = GRAPH | {"graphtools"}
 
 
 @pytest.mark.parametrize(
@@ -730,7 +805,8 @@ def test_command_loads_only_the_modules_it_runs(argv, own, tmp_path):
     assert rc == 0
     ours = {name for name in loaded if name.split(".")[0] == "equimatch"}
     assert ours == {"equimatch", "equimatch.cli"} | {f"equimatch.{m}" for m in own}
-    assert not {"numpy", "hashlib", "_hashlib"} & loaded
+    # a report is written without the `json` package
+    assert not {"numpy", "hashlib", "_hashlib", "json", "json.decoder"} & loaded
 
 
 def test_a_level_whose_identity_fails_compiles_exactalg_and_falls_back():
@@ -849,17 +925,27 @@ def test_run_leaves_the_collector_as_it_found_it(enabled, argv, capsys):
         gc.enable() if was_enabled else gc.disable()
 
 
-def test_main_runs_with_the_collector_off_and_freezes_the_heap_before_exit():
+def test_main_runs_the_command_with_the_collector_off_and_runs_no_atexit_handler():
+    # `main` ends the process by `os._exit` once stdout is flushed: the
+    # command's own output arrives, and interpreter teardown never runs
     code = (
         "import atexit, gc, sys\n"
-        "from equimatch import cli\n"
-        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+        "from equimatch import cli, graphtools\n"
+        "atexit.register(print, 'atexit handler ran')\n"
+        "count = graphtools.cmd_count\n"
+        "graphtools.cmd_count = lambda args: print('collector on:', gc.isenabled()) or count(args)\n"
         "sys.argv = ['equimatch', 'count', '--gen', 'cycle:6']\n"
         "cli.main()\n"
+        "print('main returned')\n"
     )
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().splitlines()[-1] == "False True"
+    assert proc.stdout.decode().splitlines() == [
+        "collector on: False",
+        "m = [1, 6, 9, 2]",
+        "r = 3",
+        "log-concavity: all 6 slacks nonnegative",
+    ]
 
 
 # the Boolean report (2 kB) sits in stdout's buffer until the process exits
@@ -882,3 +968,29 @@ def test_a_process_keeps_its_exit_codes():
     assert usage.returncode == 2
     assert usage.stdout == b""
     assert b"--ell and --k must be given together" in usage.stderr
+    skipped = _python("-m", "equimatch", "verify", "--gen", "cycle:6", "--ell", "1", "--k", "1",
+                      "--check", "injective", "--budget", "1")
+    assert skipped.returncode == 3
+    assert json.loads(skipped.stdout)["overall"] == "skipped"
+
+
+# K6's report (7 kB) and the Boolean one (2 kB) wait in stdout's buffer for
+# `main`'s flush; Petersen's (19 kB) overflows it, so `emit` meets the closed
+# pipe itself and the run ends as an input error
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--gen", "complete:6"], 120),
+        (["boolean", "--n", "8"], 120),
+        (["verify", "--gen", "petersen"], 2),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+)
+def test_a_process_whose_stdout_is_closed_exits_as_the_interpreter_would(argv, code):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _python("-m", "equimatch", *argv, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == code, proc.stderr
