@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or input
 error, 3 every requested check was skipped (budget exceeded), 4 internal
-error (a fault in equimatch; the traceback goes to stderr).
+error (a fault in equimatch; the traceback goes to stderr), 120 stdout could
+not be written.
 
 JSON reports are byte-identical across runs for fixed inputs: ordering is
 canonical everywhere and wall-clock timings are printed to the terminal
@@ -39,10 +40,11 @@ that: the library builds no reference cycles, so the collector would find
 no garbage (a test runs one report of every check with the collector off
 and finds that `gc.collect()` returns 0), and every file the program
 writes is closed before `run` returns.  The one cycle left is argparse's
-parser, about 300 objects, built only for help and usage errors.  A flush
-that fails (stdout a closed pipe) ends the process with 120, the status
-the interpreter's own exit gives.  `run` itself leaves the collector as it
-was, for tests and library callers that call it in-process.
+parser, about 300 objects, built only for help and usage errors.  A write
+to stdout that fails (a closed pipe), in `write_stdout` or in `main`'s
+flush, ends the process with 120, the status the interpreter's own exit
+gives.  `run` itself leaves the collector as it was, for tests and library
+callers that call it in-process.
 
 Reports are written by `report_text`, which gives the bytes of
 `json.dumps(report, indent=2, sort_keys=True)` without importing `json`.
@@ -242,12 +244,24 @@ def _write(v, newline: str, write, quote) -> None:
         raise TypeError(f"a report holds no {type(v).__name__}")
 
 
+class StdoutError(Exception):
+    """A write to stdout failed; `run` returns 120 for it, as for `main`'s failed flush."""
+
+
+def write_stdout(text: str) -> None:
+    """Every command's output to stdout; an `OSError` there is no input error but a `StdoutError`."""
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise StdoutError(exc) from exc
+
+
 def emit(report: dict, json_path: str | None) -> None:
     text = report_text(report)
     if json_path:
         Path(json_path).write_text(text)
     else:
-        sys.stdout.write(text)
+        write_stdout(text)
 
 
 def report_exit(report: dict) -> int:
@@ -303,29 +317,31 @@ def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv == ["--version"]:
-        print(__version__)  # the line argparse's version action prints
-        return 0
-    args = _fast_parse(argv)
-    if args is None:
-        from .usage import build_parser  # help and usage errors only
-
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if exc.code in (0, 2) else 2
-    # a slot's own arguments are refused before the matchings are enumerated
-    if args.command == "verify" and (args.ell, args.k) != (None, None):
-        if None in (args.ell, args.k):
-            print("--ell and --k must be given together", file=sys.stderr)
-            return 2
-        if args.all:
-            print("--all runs every slot; it cannot be given with --ell and --k", file=sys.stderr)
-            return 2
     try:
+        if argv == ["--version"]:
+            write_stdout(f"{__version__}\n")  # the line argparse's version action prints
+            return 0
+        args = _fast_parse(argv)
+        if args is None:
+            from .usage import build_parser  # help and usage errors only
+
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as exc:
+                return exc.code if exc.code in (0, 2) else 2
+        # a slot's own arguments are refused before the matchings are enumerated
+        if args.command == "verify" and (args.ell, args.k) != (None, None):
+            if None in (args.ell, args.k):
+                print("--ell and --k must be given together", file=sys.stderr)
+                return 2
+            if args.all:
+                print("--all runs every slot; it cannot be given with --ell and --k", file=sys.stderr)
+                return 2
         name = f"{__package__}.{COMMANDS[args.command].module}"
         __import__(name)  # not `importlib.import_module`, whose imports `-X importtime` omits
         return getattr(sys.modules[name], f"cmd_{args.command}")(args)
+    except StdoutError:
+        return 120
     except (ValueError, OSError) as exc:
         # bad input: every input error of the library is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -20,9 +20,10 @@ not at module load, so callers that never certify a rank never load it.
 Full column rank with no elimination at all is the Gram identity of
 `gram`, which does not import this module, so a caller whose identities
 all hold never compiles it.  The same holds for Φ: `rank_by_groups` ranks
-a Φ that fails its slot identity, and `pattern_commutes` is the numpy
-pre-filter of Φ's equivariance on a large slot, so `phimap` compiles no
-numpy code and imports this module only for those two.
+the blocks (`phimap.block_partition`) of a Φ that fails its slot identity,
+and `pattern_commutes` is the numpy pre-filter of Φ's equivariance on a
+large slot, so `phimap` compiles no numpy code and imports this module only
+for those two.
 """
 
 from __future__ import annotations
@@ -141,20 +142,20 @@ def rank_certified(m: Pattern) -> int:
     return rank_certified_path(m)[0]
 
 
-def rank_by_groups(phi) -> int:
-    """Exact rank of Φ (a `phimap.PhiMatrix`) as the sum of its column groups' ranks.
+def rank_by_groups(columns, groups) -> int:
+    """Exact rank of `columns` as the sum of the ranks of its `groups` of column indices.
 
     Two groups that share a row are a fault of the build: `InternalError`.
     """
     owner: dict[int, int] = {}
     total = 0
-    for g_index, cols in enumerate(phi.col_groups.values()):
-        rows = sorted({r for j in cols for r in phi.columns[j]})
+    for g_index, cols in enumerate(groups):
+        rows = sorted({r for j in cols for r in columns[j]})
         if any(owner.setdefault(r, g_index) != g_index for r in rows):
             raise InternalError("nonzero entry escapes its block")
         row_map = {r: i for i, r in enumerate(rows)}
         total += rank(Pattern(
-            len(rows), tuple(tuple(row_map[r] for r in phi.columns[j]) for j in cols)
+            len(rows), tuple(tuple(row_map[r] for r in columns[j]) for j in cols)
         ))
     return total
 

@@ -13,12 +13,12 @@ These commands in turn compile none of the `verify` side (`graphcli`,
 from __future__ import annotations
 
 import re
-import sys
 from collections import namedtuple
 from pathlib import Path
 
 from . import graph as graphlib
 from .autgroup import automorphisms
+from .cli import write_stdout
 from .graph import Graph, edge_bits, edge_token, generate, load_graph
 from .matchings import MatchingTable, is_matching, matching_table
 from .transfer import MatchingPair, end_edge, krattenthaler_f, odd_chains
@@ -110,30 +110,30 @@ def cmd_gen(args) -> int:
     if args.output:
         Path(args.output).write_text(text)
     else:
-        sys.stdout.write(text)
+        write_stdout(text)
     return 0
 
 
 def cmd_count(args) -> int:
     g, _ = load_graph(args)
     t = matching_table(g)
-    print(f"m = {list(t.counts)}")
-    print(f"r = {t.r}")
+    write_stdout(f"m = {list(t.counts)}\n")
+    write_stdout(f"r = {t.r}\n")
     bad = logconcavity_violations(t)
     for (ell, k, slack) in bad:
-        print(f"log-concavity VIOLATED at (l, k) = ({ell}, {k}): slack {slack}")
+        write_stdout(f"log-concavity VIOLATED at (l, k) = ({ell}, {k}): slack {slack}\n")
     if bad:
         return 1
-    print(f"log-concavity: all {t.r * (t.r + 1) // 2} slacks nonnegative")
+    write_stdout(f"log-concavity: all {t.r * (t.r + 1) // 2} slacks nonnegative\n")
     return 0
 
 
 def cmd_aut(args) -> int:
     g, _ = load_graph(args)
     group = automorphisms(g)
-    print(f"order = {group.order}")
+    write_stdout(f"order = {group.order}\n")
     for sigma in group:
-        print(" ".join(map(str, sigma)))
+        write_stdout(" ".join(map(str, sigma)) + "\n")
     return 0
 
 
@@ -145,14 +145,14 @@ def cmd_transfer(args) -> int:
     dec = decompose(g, pair)
     if args.kratt and blue.bit_count() >= pink.bit_count():
         raise ValueError("--kratt needs |blue| < |pink|: f maps (l-1, k+1) pairs")
-    print(f"blue = [{edge_token(g, blue)}]  pink = [{edge_token(g, pink)}]")
-    print(f"two-colored = [{edge_token(g, pair.intersection)}]")
+    write_stdout(f"blue = [{edge_token(g, blue)}]  pink = [{edge_token(g, pink)}]\n")
+    write_stdout(f"two-colored = [{edge_token(g, pair.intersection)}]\n")
     for comp in dec.components:
-        print(f"component [{edge_token(g, comp.edges)}]: {comp.kind}")
-    print(f"b = {dec.b}, p = {dec.p}")
+        write_stdout(f"component [{edge_token(g, comp.edges)}]: {comp.kind}\n")
+    write_stdout(f"b = {dec.b}, p = {dec.p}\n")
     for q in neighbor_set(g, pair):
-        print(f"neighbor: blue=[{edge_token(g, q.blue)}] pink=[{edge_token(g, q.pink)}]")
+        write_stdout(f"neighbor: blue=[{edge_token(g, q.blue)}] pink=[{edge_token(g, q.pink)}]\n")
     if args.kratt:
         out = krattenthaler_f(g, pair)
-        print(f"f: blue=[{edge_token(g, out.blue)}] pink=[{edge_token(g, out.pink)}]")
+        write_stdout(f"f: blue=[{edge_token(g, out.blue)}] pink=[{edge_token(g, out.pink)}]\n")
     return 0

@@ -11,11 +11,12 @@ All pairs of a block share one one-colored set and so one chain
 decomposition; only the color of each odd chain differs between them.  The
 build therefore decomposes each one-colored set once (`transfer.odd_chains`,
 memoised on the graph), reads a chain's color off one end edge, computes a
-swapped pair's row index arithmetically, and groups the columns by block key
-as it goes.  Injectivity is certified on the whole slot by one integer
-identity (`slot_identity_holds`, which builds the down-pair witnesses for
-`gram.gram_identity_holds`); only a Φ that fails it is ranked, group by
-group (`exactalg.rank_by_groups`), and only then is `exactalg` loaded.
+swapped pair's row index arithmetically, and counts a block at its one column
+whose first N − p odd chains are blue.  Injectivity is certified on the whole
+slot by one integer identity (`slot_identity_holds`, which builds the
+down-pair witnesses for `gram.gram_identity_holds`); only a Φ that fails it
+is grouped (`block_partition`) and ranked block by block
+(`exactalg.rank_by_groups`), and only then is `exactalg` loaded.
 Equivariance is the table's one group scan
 (`MatchingTable.noncommuting_column`) over Φ's stored columns, after the
 numpy pre-filter `exactalg.pattern_commutes` on a large slot; this module
@@ -59,9 +60,9 @@ class PhiMatrix:
     """Φ on one (l, k) slot of a matching table.
 
     Column j is the pair `col_pairs[j]` and row i the pair `row_pairs[i]`,
-    both in sorted (blue, pink) order.  `columns[j]` lists the sorted row
-    indices of column j's neighbor set; `col_groups` maps each block key to
-    its columns, in column order.
+    both in sorted (blue, pink) order, built only when read.  `columns[j]`
+    lists the sorted row indices of column j's neighbor set; `blocks` counts
+    the blocks (`block_partition` groups them).
     """
 
     def __init__(
@@ -70,13 +71,13 @@ class PhiMatrix:
         ell: int,
         k: int,
         columns: tuple[tuple[int, ...], ...],
-        col_groups: dict[BlockKey, list[int]],
+        blocks: int,
     ):
         self.table = table
         self.ell = ell
         self.k = k
         self.columns = columns
-        self.col_groups = col_groups
+        self.blocks = blocks
 
     @property
     def graph(self) -> Graph:
@@ -89,16 +90,6 @@ class PhiMatrix:
     @cached_property
     def row_pairs(self) -> tuple[PairBits, ...]:
         return _tensor_pairs(self.table.level(self.ell), self.table.level(self.k))
-
-    @cached_property
-    def _row_levels(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        pinks = self.table.level(self.k)
-        return self.table.level(self.ell), pinks, len(pinks)
-
-    def row_pairs_at(self, rows) -> list[PairBits]:
-        """The row pairs of the given row indices, without building `row_pairs`."""
-        blues, pinks, m_k = self._row_levels
-        return [(blues[r // m_k], pinks[r % m_k]) for r in rows]
 
     @property
     def nnz(self) -> int:
@@ -123,11 +114,10 @@ def build_phi(
     row_of_blue, row_of_pink = t.positions[ell], t.positions[k]
     forced = k - ell + 2  # p - b for every column pair
     columns = []
-    groups: dict[BlockKey, list[int]] = {}
-    nnz = 0
+    nnz = blocks = 0
     for blue in t.level(ell - 1):
         for pink in t.level(k + 1):
-            chains, even, _ = odd_chains(g, blue ^ pink)
+            chains = odd_chains(g, blue ^ pink)[0]
             rows = sorted(
                 row_of_blue[blue ^ c] * m_k + row_of_pink[pink ^ c]
                 for (c, end) in chains
@@ -140,14 +130,18 @@ def build_phi(
                 raise BudgetExceededError(
                     f"nonzero count exceeds budget {budget} at ({ell}, {k})"
                 )
-            groups.setdefault((blue | pink, blue & pink, blue & even), []).append(len(columns))
+            blocks += all(pink & end for (_, end) in chains[-len(rows):])
             columns.append(tuple(rows))
-    return PhiMatrix(t, ell, k, tuple(columns), groups)
+    return PhiMatrix(t, ell, k, tuple(columns), blocks)
 
 
 def block_partition(phi: PhiMatrix) -> list[Block]:
-    """The column groups by block key, sorted by key; every group has a column."""
-    return [Block(key, tuple(cols)) for key, cols in sorted(phi.col_groups.items())]
+    """The columns by block key, sorted by key: the one grouping, read from the chain memo."""
+    groups: dict[BlockKey, list[int]] = {}
+    for j, (blue, pink) in enumerate(phi.col_pairs):
+        even = odd_chains(phi.graph, blue ^ pink)[1]
+        groups.setdefault((blue | pink, blue & pink, blue & even), []).append(j)
+    return [Block(key, tuple(cols)) for key, cols in sorted(groups.items())]
 
 
 def slot_identity_holds(phi: PhiMatrix) -> bool:
@@ -177,7 +171,7 @@ def slot_identity_holds(phi: PhiMatrix) -> bool:
 
 
 class InjectivityReport(namedtuple("InjectivityReport", "ell k blocks total_rank expected")):
-    """Φ's rank on one slot against its column count; `blocks` counts the column groups ranked."""
+    """Φ's rank on one slot against its column count, and Φ's block count."""
 
     __slots__ = ()
 
@@ -193,7 +187,7 @@ def verify_injective(
     table: MatchingTable | None = None,
     phi: PhiMatrix | None = None,
 ) -> InjectivityReport:
-    """Full column rank by the slot identity, or else by exact rank per column group."""
+    """Full column rank by the slot identity, or else by exact rank per block."""
     t = table or matching_table(g)
     t.check_slot(ell, k)
     if k + 1 > t.r:
@@ -206,8 +200,8 @@ def verify_injective(
     else:
         from .exactalg import rank_by_groups  # only a Φ that fails the slot identity gets here
 
-        rank = rank_by_groups(phi)
-    return InjectivityReport(ell, k, len(phi.col_groups), rank, ncols)
+        rank = rank_by_groups(phi.columns, (b.col_indices for b in block_partition(phi)))
+    return InjectivityReport(ell, k, phi.blocks, rank, ncols)
 
 
 class EquivarianceReport(namedtuple("EquivarianceReport", "ell k group_order columns failures")):

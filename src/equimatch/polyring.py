@@ -49,17 +49,23 @@ def verify_nonneg(
     """Expand m_l*m_k - m_{l-1}*m_{k+1} in edge variables; all coefficients >= 0?
 
     The coefficient of a monomial is the number of (l, k) pairs with its key
-    minus the number of (l-1, k+1) pairs with it.
+    minus the number of (l-1, k+1) pairs with it.  Every top count is
+    positive, so only a bottom key can cancel a term or go negative, and
+    one pass over the bottom product's keys finds both.
     """
     t = table or matching_table(g)
     t.check_slot(ell, k)
-    diff = _key_counts(t.level(ell), t.level(k))
-    diff.subtract(_key_counts(t.level(ell - 1), t.level(k + 1)))
-    terms = sum(1 for c in diff.values() if c)
-    violations = sorted(
-        (_exponents(g, key), c) for key, c in diff.items() if c < 0
-    )
-    return NonnegReport(ell, k, terms, tuple(violations))
+    top = _key_counts(t.level(ell), t.level(k))
+    terms = len(top)
+    violations = []
+    for key, c in _key_counts(t.level(ell - 1), t.level(k + 1)).items():
+        coeff = top.get(key, 0) - c
+        if coeff == 0:
+            terms -= 1
+        elif coeff < 0:
+            terms += key not in top
+            violations.append((_exponents(g, key), coeff))
+    return NonnegReport(ell, k, terms, tuple(sorted(violations)))
 
 
 class DiagramReport(namedtuple("DiagramReport", "ell k columns failures")):
@@ -92,12 +98,16 @@ def verify_diagram(
     t = table or matching_table(g)
     t.check_slot(ell, k)
     phi = phi or build_phi(g, ell, k, table=t)
+    row_blues, row_pinks = t.level(ell), t.level(k)
+    m_k = len(row_pinks)
+    col_pairs = ((blue, pink) for blue in t.level(ell - 1) for pink in t.level(k + 1))
     failures = []
-    for (blue, pink), column in zip(phi.col_pairs, phi.columns):
+    for (blue, pink), column in zip(col_pairs, phi.columns):
         union, inter = blue | pink, blue & pink
         even = odd_chains(g, blue ^ pink)[1]
         kept = bool(column)
-        for (b, p) in phi.row_pairs_at(column):
+        for r in column:
+            b, p = row_blues[r // m_k], row_pinks[r % m_k]
             if b | p != union or b & p != inter:
                 kept = False
             elif (b ^ blue) & even:

@@ -11,7 +11,16 @@ from __future__ import annotations
 import argparse
 
 from . import __version__
-from .cli import COMMANDS, SOURCE, Option
+from .cli import COMMANDS, SOURCE, Option, write_stdout
+
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        """Help on stdout goes through `write_stdout`: argparse's own writer ignores a closed pipe."""
+        if file is None:
+            write_stdout(self.format_help())
+        else:
+            super().print_help(file)
 
 
 def _add_argument(target, opt: Option) -> None:
@@ -28,7 +37,7 @@ def _add_argument(target, opt: Option) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of `COMMANDS`: for help, and for the argv `cli._fast_parse` leaves."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="equimatch",
         description="Exact verification of matching-space injections on small graphs.",
     )

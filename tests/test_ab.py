@@ -1,0 +1,38 @@
+"""The whole-process A/B harness, `tools/ab.py`, run on one tree against itself."""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+from equimatch import __version__
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _ab():
+    spec = importlib.util.spec_from_file_location("ab", REPO / "tools" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_pairs_of_version_on_one_tree_agree():
+    result = _ab().compare(REPO, REPO, ["--version"], pairs=2)
+    (row,) = result["runs"]
+    assert row["pairs"] == 2 and row["exit_codes"] == {"base": [0], "head": [0]}
+    assert row["same_output"]
+    assert row["digest"] == hashlib.sha256(f"{__version__}\n".encode()).hexdigest()
+    for name in ("wall_s", "cpu_s", "peak_rss_mb"):
+        assert 1 / 3 < row[name]["median_ratio"] < 3, name  # one tree: near 1 on a quiet host
+        for side in ("base", "head"):
+            stats = row[name][side]
+            assert 0 < stats["q1"] <= stats["median"] <= stats["q3"], (name, side)
+    assert result["harness_peak_rss_mb"] > 0
+
+
+def test_outputs_that_differ_are_named():
+    ab = _ab()
+    run = {"wall_s": 1.0, "cpu_s": 1.0, "peak_rss_mb": 1.0, "code": 0}
+    row = ab.summarize("--version", {"base": [{**run, "digest": "a"}], "head": [{**run, "digest": "b"}]})
+    assert not row["same_output"] and row["digest"] == {"base": ["a"], "head": ["b"]}
+    assert row["wall_s"]["median_ratio"] == 1.0 and row["wall_s"]["head_lower_in"] == 0

@@ -706,14 +706,17 @@ def test_group_size_goes_to_stderr_not_the_report(tmp_path, capsys):
         assert "generators" not in path.read_text()
 
 
-def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def _python(*args: str, stdout=subprocess.PIPE, unbuffered=False) -> subprocess.CompletedProcess:
     """`python args` in a fresh interpreter on this package's source, output captured as bytes.
 
     stdout is block-buffered, as for any process writing to a file or pipe,
-    so output that the exit path fails to flush is lost here too.
+    so output that the exit path fails to flush is lost here too, unless
+    `unbuffered` sets PYTHONUNBUFFERED=1.
     """
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, *args], env={**env, "PYTHONPATH": src},
         stdout=stdout, stderr=subprocess.PIPE, timeout=120,
@@ -888,6 +891,29 @@ def collector_off():
             gc.enable()
 
 
+@pytest.mark.parametrize("spec, ell, k", [("petersen", 2, 2), ("complete:8", 2, 3)])
+def test_an_all_check_slot_decodes_its_pairs_from_the_levels(spec, ell, k, monkeypatch):
+    # every check reads Φ's columns and the table's levels, so neither pair
+    # tuple is built; complete:8's slot takes the numpy equivariance path,
+    # and its f-equivariance record is skipped by the budget
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(phimap.build_phi(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(graphcli, "build_phi", build)
+    g = generate(spec)
+    t = matching_table(g)
+    group = graphcli.automorphisms(g)
+    records = graphcli._run_checks(g, ell, k, cli.ALL_CHECKS, cli.DEFAULT_BUDGET, group, t)
+    statuses = {r["check"]: r["status"] for r in records}
+    assert all(statuses[c] == "pass" for c in cli.ALL_CHECKS if graphcli.CHECKS[c].reads_phi)
+    assert "fail" not in statuses.values()
+    assert len(built) == 1 and built[0].blocks > 0
+    assert not {"col_pairs", "row_pairs"} & vars(built[0]).keys()
+
+
 @pytest.mark.parametrize("spec", ["cycle:6", "petersen", "complete:6", "gnp:8:1:2:7"])
 def test_a_verify_report_leaves_no_cyclic_garbage(spec):
     # reference counting alone frees everything a report drops, so `main`
@@ -976,21 +1002,34 @@ def test_a_process_keeps_its_exit_codes():
 
 # K6's report (7 kB) and the Boolean one (2 kB) wait in stdout's buffer for
 # `main`'s flush; Petersen's (19 kB) overflows it, so `emit` meets the closed
-# pipe itself and the run ends as an input error
+# pipe itself, as every write does when stdout is unbuffered.  Either way the
+# process ends with 120, while a --json path that cannot be written is still
+# an input error.
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, unbuffered",
     [
-        (["verify", "--gen", "complete:6"], 120),
-        (["boolean", "--n", "8"], 120),
-        (["verify", "--gen", "petersen"], 2),
+        (["verify", "--gen", "complete:6"], 120, False),
+        (["boolean", "--n", "8"], 120, False),
+        (["verify", "--gen", "petersen"], 120, False),
+        (["--version"], 120, False),
+        (["verify", "--gen", "complete:6"], 120, True),
+        (["verify", "--gen", "petersen"], 120, True),
+        (["--version"], 120, True),
+        (["count", "--gen", "petersen"], 120, True),
+        (["verify", "--help"], 120, True),
+        (["verify", "--gen", "cycle:6", "--json", os.devnull + "/report.json"], 2, True),
     ],
-    ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+    ids=lambda value: (
+        " ".join(value) if isinstance(value, list)
+        else ("unbuffered" if value else "buffered") if isinstance(value, bool) else str(value)
+    ),
 )
-def test_a_process_whose_stdout_is_closed_exits_as_the_interpreter_would(argv, code):
+def test_a_process_whose_stdout_is_closed_exits_as_the_interpreter_would(argv, code, unbuffered):
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = _python("-m", "equimatch", *argv, stdout=write)
+        proc = _python("-m", "equimatch", *argv, stdout=write, unbuffered=unbuffered)
     finally:
         os.close(write)
     assert proc.returncode == code, proc.stderr
+    assert b"Traceback" not in proc.stderr

@@ -68,7 +68,6 @@ def test_columns_sum_to_one(c6):
     phi = build_phi(c6, 2, 2)
     for col in phi.columns:
         assert col and list(col) == sorted(set(col))
-        assert phi.row_pairs_at(col) == [phi.row_pairs[r] for r in col]
     for col in phi_matrix(phi).cols:
         assert sum(v for (_, v) in col) == 1
 
@@ -289,7 +288,7 @@ def test_entry_outside_its_block_is_an_internal_error():
     )
     columns = list(phi.columns)
     columns[j] = tuple(sorted((stray,) + columns[j][1:]))
-    bad = PhiMatrix(phi.table, phi.ell, phi.k, tuple(columns), phi.col_groups)
+    bad = PhiMatrix(phi.table, phi.ell, phi.k, tuple(columns), phi.blocks)
     with pytest.raises(InternalError):
         verify_diagram(g, 2, 2, phi=bad)
     # the slot identity fails, and the exact fallback finds two groups sharing a row
@@ -308,8 +307,6 @@ def _assert_block_build_matches_pair_oracle(g, t, ell, k):
     phi = build_phi(g, ell, k, table=t)
     oracle = phi_by_neighbor_sets(g, ell, k, table=t)
     assert (phi.row_pairs, phi.col_pairs) == (oracle.row_pairs, oracle.col_pairs)
-    for col, ocol in zip(phi.columns, oracle.columns):
-        assert phi.row_pairs_at(col) == [oracle.row_pairs[r] for (r, _) in ocol]
     assert phi_matrix(phi).cols == oracle.columns
     # the oracle keys every row pair; the build keys the columns only
     blocks = block_partition(phi)
@@ -348,6 +345,26 @@ def test_block_build_matches_pair_oracle_on_gnp(n, num, seed):
 
 def _slots_with_columns(t):
     return [(l, k) for k in range(1, t.r) for l in range(1, k + 1)]
+
+
+def _assert_the_build_counts_the_blocks(g):
+    """The build's count of block heads is the number of groups and of distinct block keys."""
+    t = matching_table(g)
+    for (ell, k) in _slots_with_columns(t):
+        phi = build_phi(g, ell, k, table=t)
+        keys = {block_key(g, *pair) for pair in phi.col_pairs}
+        assert phi.blocks == len(block_partition(phi)) == len(keys)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_the_build_counts_the_blocks_on_gnp(n, num, seed):
+    _assert_the_build_counts_the_blocks(generate(f"gnp:{n}:{num}:6:{seed}"))
+
+
+def test_the_build_counts_the_blocks_on_atlas():
+    for g in atlas_graphs(6):
+        _assert_the_build_counts_the_blocks(g)
 
 
 # EQUIVARIANCE_SCAN_LIMIT values that force each path of verify_equivariant
@@ -421,7 +438,7 @@ def _doctored(phi: PhiMatrix, sigma, columns=None) -> PhiMatrix:
         columns = list(phi.columns)
         for jj, ((old, new),) in moves.items():
             columns[jj] = tuple(sorted([r for r in columns[jj] if r != old] + [new]))
-        return PhiMatrix(phi.table, phi.ell, phi.k, tuple(columns), phi.col_groups)
+        return PhiMatrix(phi.table, phi.ell, phi.k, tuple(columns), phi.blocks)
     raise ValueError("no entry can be moved")
 
 
@@ -531,7 +548,7 @@ def _doctored_pattern(phi, how):
         j = next(j for j in range(len(columns)) if _free_row(phi, j) is not None)
         columns[j] = tuple(sorted(columns[j] + (_free_row(phi, j),)))
     elif how == "copied":
-        cols = next(cols for cols in phi.col_groups.values() if len(cols) > 1)
+        cols = next(b.col_indices for b in block_partition(phi) if len(b.col_indices) > 1)
         columns[cols[1]] = columns[cols[0]]
     elif how == "moved":
         return _doctored(phi, tuple(range(phi.graph.n))).columns
@@ -540,12 +557,18 @@ def _doctored_pattern(phi, how):
 
 @pytest.mark.parametrize("how", ["dropped", "added", "copied", "moved"])
 @pytest.mark.parametrize("spec, ell, k", [("cycle:8", 2, 2), ("path:8", 2, 2), ("cycle:9", 2, 2)])
-def test_doctored_pattern_fails_the_identity_and_gets_the_oracle_rank(spec, ell, k, how):
+def test_doctored_pattern_fails_the_identity_and_gets_the_oracle_rank(spec, ell, k, how, monkeypatch):
     g = generate(spec)
     phi = build_phi(g, ell, k)
-    bad = PhiMatrix(phi.table, ell, k, _doctored_pattern(phi, how), phi.col_groups)
+    bad = PhiMatrix(phi.table, ell, k, _doctored_pattern(phi, how), phi.blocks)
     assert not slot_identity_holds(bad)
+    # the fallback ranks the doctored Φ block by block, one elimination per block
+    ranked = []
+    real_rank = exactalg.rank
+    monkeypatch.setattr(exactalg, "rank", lambda m: ranked.append(m.ncols) or real_rank(m))
     rep = verify_injective(g, ell, k, phi=bad)
+    assert ranked == [len(b.col_indices) for b in block_partition(bad)]
+    assert len(ranked) == rep.blocks == phi.blocks
     assert rep.total_rank == rank_gauss_sparse(phi_matrix(bad))
     if how == "copied":
         assert rep.total_rank == rep.expected - 1 and not rep.passed

@@ -180,7 +180,7 @@ def test_diagram_flags_the_columns_the_oracle_flags(c6):
     columns = list(phi.columns)
     columns[0] = ()
     columns[1] = tuple(sorted((other,) + columns[1][1:]))
-    bad = PhiMatrix(phi.table, phi.ell, phi.k, tuple(columns), phi.col_groups)
+    bad = PhiMatrix(phi.table, phi.ell, phi.k, tuple(columns), phi.blocks)
     rep = verify_diagram(c6, 2, 2, phi=bad)
     assert list(rep.failures) == diagram_failures_by_pi(c6, bad) == list(phi.col_pairs[:2])
 
@@ -203,7 +203,7 @@ def test_diagram_flags_a_row_that_keeps_half_of_its_columns_key(kept, c6):
     )
     columns = list(phi.columns)
     columns[j] = tuple(sorted((row,) + columns[j][1:]))
-    bad = PhiMatrix(phi.table, phi.ell, phi.k, tuple(columns), phi.col_groups)
+    bad = PhiMatrix(phi.table, phi.ell, phi.k, tuple(columns), phi.blocks)
     rep = verify_diagram(c6, 2, 2, phi=bad)
     assert list(rep.failures) == diagram_failures_by_pi(c6, bad) == [phi.col_pairs[j]]
 
