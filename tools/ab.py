@@ -135,7 +135,7 @@ def compare(base: Path, head: Path, argvs: list[str], pairs: int, log=None) -> d
             rows.append(summarize(line, runs))
     return {
         "tool": "tools/ab.py",
-        "trees": {side: {"path": str(trees[side]), "commit": commit(trees[side])} for side in SIDES},
+        "trees": {side: {"dir": trees[side].name, "commit": commit(trees[side])} for side in SIDES},
         "host": {
             "platform": platform.platform(),
             "machine": platform.machine(),
