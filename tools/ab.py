@@ -46,7 +46,7 @@ MEASURES = ("wall_s", "cpu_s", "peak_rss_mb")
 
 
 def commit(tree: Path) -> str | None:
-    """The tree's HEAD commit, marked "+dirty" when its work tree differs; None outside git."""
+    """The tree's HEAD commit, marked "+dirty" when a tracked file differs; None outside git."""
     if not (tree / ".git").exists():
         return None
 
@@ -54,7 +54,7 @@ def commit(tree: Path) -> str | None:
         return subprocess.run(["git", "-C", str(tree), *args], capture_output=True,
                               text=True, check=True).stdout.strip()
 
-    return git("rev-parse", "--short", "HEAD") + ("+dirty" if git("status", "--porcelain") else "")
+    return git("rev-parse", "--short", "HEAD") + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
 def _digest(stdout: Path, out: Path) -> str:
