@@ -15,7 +15,8 @@ subset injection), truncating the full symmetric chain decomposition to
 levels [i, n-i].  Of the package it reads the init, `brackets` and `gram`
 (the 0/1 pattern and the identity), and `exactalg` only for a level whose
 identity fails.  Only the `boolean` command compiles this module: the f
-scan imports `brackets` alone.
+scan imports `brackets` alone.  The command hands its records to
+`cli.make_report`, which builds every report.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import time
 from collections import namedtuple
 from math import comb
 
-from . import InternalError, __version__
+from . import InternalError
 from .brackets import unmatched_openers
 from .gram import Pattern, gram_identity_holds
 
@@ -212,55 +213,30 @@ def chains_are_valid(fam: ChainFamily) -> bool:
 
 def cmd_boolean(args) -> int:
     """The `boolean` command: the lemma's level ranks and the chain families, as one report."""
-    from .cli import SCHEMA_VERSION, emit, report_exit  # here, so the library never loads the front end
+    from .cli import emit, make_report, report_exit  # here, so the library never loads the front end
 
     n = args.n
     started = time.monotonic()
     rep = verify_lemma(n)
     records = []
     for lv in rep.levels:
-        records.append(
-            {
-                "check": "lemma-rank",
-                "ell": lv.i,
-                "k": lv.i + 1,
-                "status": "pass" if lv.passed else "fail",
-                "details": {
-                    "dim_src": lv.dim_src,
-                    "dim_dst": lv.dim_dst,
-                    "rank": lv.rank,
-                    "injective": lv.injective,
-                    "injectivity_expected": lv.injectivity_expected,
-                },
-            }
-        )
+        details = {
+            "dim_src": lv.dim_src,
+            "dim_dst": lv.dim_dst,
+            "rank": lv.rank,
+            "injective": lv.injective,
+            "injectivity_expected": lv.injectivity_expected,
+        }
+        records.append(("lemma-rank", lv.i, lv.i + 1, "pass" if lv.passed else "fail", details))
     for i in range(n // 2 + 1):
         fam = symmetric_chains(n, i)
         ok = chains_are_valid(fam)
-        records.append(
-            {
-                "check": "chains",
-                "ell": i,
-                "k": n - i,
-                "status": "pass" if ok else "fail",
-                "details": {"count": len(fam.chains)},
-            }
-        )
-    records.sort(key=lambda r: (r["check"], r["ell"], r["k"]))
-    overall = "fail" if any(r["status"] == "fail" for r in records) else "pass"
-    report = {
-        "schema": SCHEMA_VERSION,
-        "tool": "equimatch",
-        "version": __version__,
-        "boolean_lattice": {"n": n},
-        "checks": records,
-        "overall": overall,
-    }
-    emit(report, args.json)
+        records.append(("chains", i, n - i, "pass" if ok else "fail", {"count": len(fam.chains)}))
+    status = emit(make_report({"boolean_lattice": {"n": n}}, records), args.json)
     paths = [lv.path for lv in rep.levels]
     counts = " / ".join(f"{p} {paths.count(p)}" for p in ("identity", "mod-p", "bareiss"))
     print(
         f"boolean n={n}: {len(paths)} levels, {counts}, {time.monotonic() - started:.2f}s",
         file=sys.stderr,
     )
-    return report_exit(report)
+    return report_exit(status)

@@ -46,7 +46,9 @@ flush, ends the process with 120, the status the interpreter's own exit
 gives.  `run` itself leaves the collector as it was, for tests and library
 callers that call it in-process.
 
-Reports are written by `report_text`, which gives the bytes of
+Every report is built by `make_report`, the one code that knows its
+format, from what was checked and its (check, ell, k, status, details)
+records.  It is written by `report_text`, which gives the bytes of
 `json.dumps(report, indent=2, sort_keys=True)` without importing `json`.
 """
 
@@ -62,6 +64,7 @@ from types import SimpleNamespace
 from . import __version__
 
 SCHEMA_VERSION = 1
+RECORD_KEYS = ("check", "ell", "k", "status", "details")
 DEFAULT_BUDGET = 10**6
 # the names of `graphcli.CHECKS`, here so that parsing loads no graph module
 ALL_CHECKS = ("diagram", "equivariant", "f-equivariance", "injective", "nonneg", "parts")
@@ -256,16 +259,39 @@ def write_stdout(text: str) -> None:
         raise StdoutError(exc) from exc
 
 
-def emit(report: dict, json_path: str | None) -> None:
+def emit(report: dict, json_path: str | None) -> str:
+    """Write the report to the file `json_path`, or else to stdout; return its overall status."""
     text = report_text(report)
     if json_path:
         Path(json_path).write_text(text)
     else:
         write_stdout(text)
+    return report["overall"]
 
 
-def report_exit(report: dict) -> int:
-    return {"pass": 0, "fail": 1, "skipped": 3}[report["overall"]]
+def overall(statuses) -> str:
+    """fail if any status is "fail", skipped if every one is "skipped" (and there is one), else pass."""
+    statuses = set(statuses)
+    return "fail" if "fail" in statuses else ("skipped" if statuses == {"skipped"} else "pass")
+
+
+def make_report(subject: dict, records) -> dict:
+    """The report of `subject`, the keys that name what was checked, and of
+    its (check, ell, k, status, details) records, sorted by (check, ell, k)."""
+    records = sorted(records, key=lambda r: r[:3])
+    return {
+        "schema": SCHEMA_VERSION,
+        "tool": "equimatch",
+        "version": __version__,
+        **subject,
+        "checks": [dict(zip(RECORD_KEYS, r)) for r in records],
+        "overall": overall(r[3] for r in records),
+    }
+
+
+def report_exit(status: str) -> int:
+    """The exit code of an overall status."""
+    return {"pass": 0, "fail": 1, "skipped": 3}[status]
 
 
 def _fast_parse(argv: list[str]) -> SimpleNamespace | None:

@@ -309,13 +309,9 @@ def edge_bits(g: Graph, pairs) -> int:
     return bits
 
 
-def bits_to_edges(g: Graph, bits: int) -> list[tuple[int, int]]:
-    return [g.edges[i] for i in range(g.num_edges) if bits >> i & 1]
-
-
 def edge_token(g: Graph, bits: int) -> str:
     """The edges of `bits` as comma-separated `u-v` tokens, as reports and `transfer` print them."""
-    return ",".join(f"{u}-{v}" for (u, v) in bits_to_edges(g, bits))
+    return ",".join(f"{u}-{v}" for i, (u, v) in enumerate(g.edges) if bits >> i & 1)
 
 
 def sha256_hex(data: bytes) -> str:

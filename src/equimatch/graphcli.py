@@ -5,7 +5,11 @@
 (`graph`, `matchings`, `autgroup`, `transfer`, `phimap`, `polyring`), and
 these two commands never compile the others (`graphtools`) or the Boolean
 suite.  Arguments reach them already parsed and checked by `cli`, all but
-those that need the graph (a `verify` slot must lie within 1..r).
+those that need the graph (a `verify` slot must lie within 1..r).  Both
+run one graph at a time through `_verify_graph`, which walks the slots in
+the table's order (`MatchingTable.slots`), hands the records to
+`cli.make_report` and writes the report.  `batch` makes its output
+directory only once every spec is generated and within the vertex limit.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import time
 from collections import namedtuple
 from pathlib import Path
 
-from . import __version__, phimap, polyring
+from . import phimap, polyring
 from .autgroup import automorphisms, check_vertex_limit
-from .cli import ALL_CHECKS, SCHEMA_VERSION, emit, report_exit
+from .cli import ALL_CHECKS, emit, make_report, overall, report_exit
 from .graph import Graph, edge_token, generate, load_graph
 from .matchings import matching_table
 from .phimap import BudgetExceededError, build_phi
@@ -101,15 +105,15 @@ CHECKS = {
 }
 
 
-def _run_checks(g: Graph, ell: int, k: int, checks, budget: int, group, t) -> list[dict]:
-    """Records of one (l, k) slot; `t` is the graph's matching table, shared by every slot.
+def _run_checks(g: Graph, ell: int, k: int, checks, budget: int, group, t) -> list[tuple]:
+    """The (check, ell, k, status, details) records of one slot; `t` is the graph's matching table.
 
     Φ is built once, and only if a requested check reads it.  A check whose
     Φ or own work exceeds the budget gets a `skipped` record.
     """
     phi = None
     phi_over_budget = False
-    if k + 1 <= t.r and any(CHECKS[c].reads_phi for c in checks):
+    if any(CHECKS[c].reads_phi for c in checks):
         try:
             phi = build_phi(g, ell, k, table=t, budget=budget)
         except BudgetExceededError:
@@ -123,42 +127,36 @@ def _run_checks(g: Graph, ell: int, k: int, checks, budget: int, group, t) -> li
             status, details = "skipped", {"reason": f"budget {budget} exceeded"}
         else:
             status, details = ("pass" if result[0] else "fail"), result[1]
-        records.append({"check": name, "ell": ell, "k": k, "status": status, "details": details})
+        records.append((name, ell, k, status, details))
     return records
 
 
 def _verify_report(g: Graph, descriptor: str, slots, checks, budget: int, t):
     """The report of `checks` over `slots`, and the group, built only if a check needs it (else None)."""
     group = automorphisms(g) if any(CHECKS[c].reads_group for c in checks) else None
-    records = []
-    for (ell, k) in slots:
-        records.extend(_run_checks(g, ell, k, checks, budget, group, t))
-    records.sort(key=lambda r: (r["check"], r["ell"], r["k"]))
-    statuses = {r["status"] for r in records}
-    overall = "fail" if "fail" in statuses else ("skipped" if statuses == {"skipped"} else "pass")
-    return {
-        "schema": SCHEMA_VERSION,
-        "tool": "equimatch",
-        "version": __version__,
+    records = [rec for (ell, k) in slots for rec in _run_checks(g, ell, k, checks, budget, group, t)]
+    subject = {
         "graph": {"descriptor": descriptor, "n": g.n, "m": g.num_edges},
         "matching_numbers": list(t.counts),
         "r": t.r,
         "group_order": None if group is None else group.order,
-        "checks": records,
-        "overall": overall,
-    }, group
+    }
+    return make_report(subject, records), group
 
 
-def _progress(descriptor: str, report: dict, group, elapsed: float) -> str:
-    """The stderr summary of one verify report; the group's size stays out of the report."""
+def _verify_graph(g: Graph, descriptor: str, slots, checks, budget: int, t, json_path) -> str:
+    """Write the report of `checks` over `slots`, and to stderr its summary with the group's size."""
+    started = time.monotonic()
+    report, group = _verify_report(g, descriptor, slots, checks, budget, t)
+    elapsed = time.monotonic() - started
+    status = emit(report, json_path)
     aut = ""
     if group is not None:
         gens = len(group.generators)
         aut = f", |Aut| {group.order} from {gens} generator{'' if gens == 1 else 's'}"
-    return (
-        f"verify {descriptor}: {report['overall']} "
-        f"({len(report['checks'])} records{aut}, {elapsed:.2f}s)"
-    )
+    summary = f"{len(report['checks'])} records{aut}, {elapsed:.2f}s"
+    print(f"verify {descriptor}: {status} ({summary})", file=sys.stderr)
+    return status
 
 
 def cmd_verify(args) -> int:
@@ -171,13 +169,8 @@ def cmd_verify(args) -> int:
             return 2
         slots = [(args.ell, args.k)]
     else:
-        slots = [(l, k) for k in range(1, t.r + 1) for l in range(1, k + 1)]
-    started = time.monotonic()
-    report, group = _verify_report(g, descriptor, slots, args.check, args.budget, t)
-    elapsed = time.monotonic() - started
-    emit(report, args.json)
-    print(_progress(descriptor, report, group, elapsed), file=sys.stderr)
-    return report_exit(report)
+        slots = t.slots
+    return report_exit(_verify_graph(g, descriptor, slots, args.check, args.budget, t, args.json))
 
 
 def cmd_batch(args) -> int:
@@ -185,29 +178,20 @@ def cmd_batch(args) -> int:
     specs = [line for line in lines if line and not line.startswith("#")]
     outdir = Path(args.json)
     # two specs writing one file, a bad spec, or a graph too large for the
-    # group checks batch always runs, is refused before the first report is written
+    # group checks batch always runs, is refused before the directory is made
     paths: dict[Path, str] = {}
     for spec in specs:
         path = outdir / (re.sub(r"[^A-Za-z0-9_.-]", "_", spec) + ".json")
         if path in paths:
             raise ValueError(f"specs {paths[path]!r} and {spec!r} would both write {path}")
         paths[path] = spec
-    outdir.mkdir(parents=True, exist_ok=True)
     graphs = [generate(spec) for spec in specs]
     for g in graphs:
         check_vertex_limit(g.n)
-    codes = []
+    outdir.mkdir(parents=True, exist_ok=True)
+    statuses = []
     for (path, spec), g in zip(paths.items(), graphs):
-        started = time.monotonic()
         t = matching_table(g)
-        slots = [(l, k) for k in range(1, t.r + 1) for l in range(1, k + 1)]
-        descriptor = f"gen:{spec}"
-        report, group = _verify_report(g, descriptor, slots, ALL_CHECKS, args.budget, t)
-        print(_progress(descriptor, report, group, time.monotonic() - started), file=sys.stderr)
-        emit(report, str(path))
-        codes.append(report_exit(report))
-    if 1 in codes:
-        return 1
-    if codes and all(c == 3 for c in codes):
-        return 3
-    return 0
+        status = _verify_graph(g, f"gen:{spec}", t.slots, ALL_CHECKS, args.budget, t, str(path))
+        statuses.append(status)
+    return report_exit(overall(statuses))

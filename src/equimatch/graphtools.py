@@ -79,13 +79,8 @@ def neighbor_set(g: Graph, pair: MatchingPair) -> tuple[MatchingPair, ...]:
 
 
 def check_numeric_logconcavity(t: MatchingTable) -> list[tuple[int, int, int]]:
-    """All (l, k, slack) triples with slack = m_l*m_k - m_{l-1}*m_{k+1}."""
-    out = []
-    for k in range(1, t.r + 1):
-        for l in range(1, k + 1):
-            slack = t.m(l) * t.m(k) - t.m(l - 1) * t.m(k + 1)
-            out.append((l, k, slack))
-    return out
+    """All (l, k, slack) triples with slack = m_l*m_k - m_{l-1}*m_{k+1}, in slot order."""
+    return [(l, k, t.m(l) * t.m(k) - t.m(l - 1) * t.m(k + 1)) for (l, k) in t.slots]
 
 
 def logconcavity_violations(t: MatchingTable) -> list[tuple[int, int, int]]:

@@ -4,14 +4,18 @@ Matchings are edge bitsets (ints) over the host graph's canonical edge
 indexing.  Enumeration backtracks over edge indices in increasing order with
 a used-vertex bitmask; results are sorted by bitset value, which is the basis
 ordering contract shared with the matrix modules.
-The table memoises each automorphism's edge permutation and its moves on
-each level, and holds the one scan that tests a slot map (Φ or the
+The table owns the walk order: `slots` lists every (l, k) slot and
+`pairs` the pairs of two levels in index order, and the index decodes
+(`noncommuting_column`, the f scan, `exactalg.pattern_commutes`) follow it.
+It memoises each automorphism's edge permutation and its moves on each
+level, and holds the one scan that tests a slot map (Φ or the
 single-output map) against it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import product
 
 from .autgroup import Permutation, apply_edge_perm, edge_action
 from .graph import Graph
@@ -54,6 +58,16 @@ class MatchingTable:
 
     def level(self, k: int) -> tuple[int, ...]:
         return self.by_size[k] if 0 <= k <= self.r else ()
+
+    @property
+    def slots(self) -> tuple[tuple[int, int], ...]:
+        """Every (l, k) slot, 1 <= l <= k <= r, by k and then by l: the order every caller walks."""
+        return tuple((ell, k) for k in range(1, self.r + 1) for ell in range(1, k + 1))
+
+    def pairs(self, a: int, b: int):
+        """The (a, b) pairs of matchings in index order, pair i * m_b + j being
+        (level(a)[i], level(b)[j]): both levels sorted, so by (blue, pink)."""
+        return product(self.level(a), self.level(b))
 
     def check_slot(self, ell: int, k: int) -> None:
         """Raise ValueError unless 1 <= ell <= k <= r; k = r is a valid slot with no columns."""

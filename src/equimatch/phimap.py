@@ -47,11 +47,6 @@ class BudgetExceededError(RuntimeError):
     """Matrix would exceed the nonzero budget; report as skipped."""
 
 
-def _tensor_pairs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[PairBits, ...]:
-    # both factors sorted, so the nested product is sorted by (blue, pink)
-    return tuple((x, y) for x in a for y in b)
-
-
 class Block(namedtuple("Block", "key col_indices")):
     __slots__ = ()
 
@@ -85,11 +80,11 @@ class PhiMatrix:
 
     @cached_property
     def col_pairs(self) -> tuple[PairBits, ...]:
-        return _tensor_pairs(self.table.level(self.ell - 1), self.table.level(self.k + 1))
+        return tuple(self.table.pairs(self.ell - 1, self.k + 1))
 
     @cached_property
     def row_pairs(self) -> tuple[PairBits, ...]:
-        return _tensor_pairs(self.table.level(self.ell), self.table.level(self.k))
+        return tuple(self.table.pairs(self.ell, self.k))
 
     @property
     def nnz(self) -> int:
@@ -115,23 +110,18 @@ def build_phi(
     forced = k - ell + 2  # p - b for every column pair
     columns = []
     nnz = blocks = 0
-    for blue in t.level(ell - 1):
-        for pink in t.level(k + 1):
-            chains = odd_chains(g, blue ^ pink)[0]
-            rows = sorted(
-                row_of_blue[blue ^ c] * m_k + row_of_pink[pink ^ c]
-                for (c, end) in chains
-                if pink & end
-            )
-            if len(rows) < forced:
-                raise InternalError("pink-chain count below the forced minimum")
-            nnz += len(rows)
-            if budget is not None and nnz > budget:
-                raise BudgetExceededError(
-                    f"nonzero count exceeds budget {budget} at ({ell}, {k})"
-                )
-            blocks += all(pink & end for (_, end) in chains[-len(rows):])
-            columns.append(tuple(rows))
+    for blue, pink in t.pairs(ell - 1, k + 1):
+        chains = odd_chains(g, blue ^ pink)[0]
+        rows = sorted(
+            row_of_blue[blue ^ c] * m_k + row_of_pink[pink ^ c] for (c, end) in chains if pink & end
+        )
+        if len(rows) < forced:
+            raise InternalError("pink-chain count below the forced minimum")
+        nnz += len(rows)
+        if budget is not None and nnz > budget:
+            raise BudgetExceededError(f"nonzero count exceeds budget {budget} at ({ell}, {k})")
+        blocks += all(pink & end for (_, end) in chains[-len(rows):])
+        columns.append(tuple(rows))
     return PhiMatrix(t, ell, k, tuple(columns), blocks)
 
 
@@ -155,16 +145,13 @@ def slot_identity_holds(phi: PhiMatrix) -> bool:
     gives P full column rank; a column of exactly k − l + 2 entries (b = 0
     when correct) is given no down pair and its chains are not read.
     """
-    g, t = phi.graph, phi.table
     shift = phi.k - phi.ell + 2
-    blues, pinks = t.level(phi.ell - 1), t.level(phi.k + 1)
-    m_k1 = len(pinks)
+    pairs = phi.table.pairs(phi.ell - 1, phi.k + 1)
     downs: dict[PairBits, list[int]] = {}
-    for j, column in enumerate(phi.columns):
+    for j, ((blue, pink), column) in enumerate(zip(pairs, phi.columns)):
         if len(column) == shift:
             continue
-        blue, pink = blues[j // m_k1], pinks[j % m_k1]
-        for (c, end) in odd_chains(g, blue ^ pink)[0]:
+        for (c, end) in odd_chains(phi.graph, blue ^ pink)[0]:
             if not pink & end:
                 downs.setdefault((blue ^ c, pink ^ c), []).append(j)
     return gram_identity_holds(phi.columns, shift, downs.values())
@@ -190,9 +177,6 @@ def verify_injective(
     """Full column rank by the slot identity, or else by exact rank per block."""
     t = table or matching_table(g)
     t.check_slot(ell, k)
-    if k + 1 > t.r:
-        # no columns at all: vacuously injective
-        return InjectivityReport(ell, k, 0, 0, 0)
     phi = phi or build_phi(g, ell, k, table=t)
     ncols = len(phi.columns)
     if slot_identity_holds(phi):
@@ -244,12 +228,10 @@ def verify_equivariant(
     t = table or matching_table(g)
     t.check_slot(ell, k)
     grp = group or automorphisms(g)
-    if k + 1 > t.r:
-        return EquivarianceReport(ell, k, grp.order, 0, ())
+    if k == t.r or not grp.generators:
+        # nothing to move (`moves` would read level r + 1 of an empty slot)
+        return EquivarianceReport(ell, k, grp.order, t.m(ell - 1) * t.m(k + 1), ())
     phi = phi or build_phi(g, ell, k, table=t)
-    ncols = len(phi.columns)
-    if not grp.generators:
-        return EquivarianceReport(ell, k, grp.order, ncols, ())
     commutes = None
     if phi.nnz * len(grp.generators) >= EQUIVARIANCE_SCAN_LIMIT:
         # imported here so small slots and trivial groups never compile numpy code
@@ -265,7 +247,7 @@ def verify_equivariant(
             failures.append((sigma, pair))
         elif commutes:
             raise InternalError("pattern mismatch without an offending column")
-    return EquivarianceReport(ell, k, grp.order, ncols, tuple(failures))
+    return EquivarianceReport(ell, k, grp.order, len(phi.columns), tuple(failures))
 
 
 class PartRecord(
@@ -313,27 +295,25 @@ def count_parts(
     """
     t = table or matching_table(g)
     t.check_slot(ell, k)
-    if k + 1 > t.r:
-        return []
+    if k == t.r:
+        return []  # no column pair, so no union for the top walk to find
     evens: dict[int, int] = {}
     even_components: dict[int, int] = {}
     sources: dict[int, set] = {}
-    for blue in t.level(ell - 1):
-        for pink in t.level(k + 1):
-            u = blue | pink
-            h = evens.get(u)
-            if h is None:
-                _, h, even_components[u] = odd_chains(g, blue ^ pink)
-                evens[u] = h
-                sources[u] = set()
-            sources[u].add(blue & h)
+    for blue, pink in t.pairs(ell - 1, k + 1):
+        u = blue | pink
+        h = evens.get(u)
+        if h is None:
+            _, h, even_components[u] = odd_chains(g, blue ^ pink)
+            evens[u] = h
+            sources[u] = set()
+        sources[u].add(blue & h)
     targets: dict[int, set] = {u: set() for u in sources}
-    for blue in t.level(ell):
-        for pink in t.level(k):
-            u = blue | pink
-            h = evens.get(u)
-            if h is not None:
-                targets[u].add(blue & h)
+    for blue, pink in t.pairs(ell, k):
+        u = blue | pink
+        h = evens.get(u)
+        if h is not None:
+            targets[u].add(blue & h)
     return [
         PartRecord(u, len(sources[u]), len(targets[u]), evens[u].bit_count(), even_components[u])
         for u in sorted(sources)

@@ -100,9 +100,8 @@ def verify_diagram(
     phi = phi or build_phi(g, ell, k, table=t)
     row_blues, row_pinks = t.level(ell), t.level(k)
     m_k = len(row_pinks)
-    col_pairs = ((blue, pink) for blue in t.level(ell - 1) for pink in t.level(k + 1))
     failures = []
-    for (blue, pink), column in zip(col_pairs, phi.columns):
+    for (blue, pink), column in zip(t.pairs(ell - 1, k + 1), phi.columns):
         union, inter = blue | pink, blue & pink
         even = odd_chains(g, blue ^ pink)[1]
         kept = bool(column)

@@ -9,10 +9,12 @@ vertex-order-dependent subset injection (the bracket matching of
 `brackets.bracket_successor`, imported only where f is applied).
 
 `odd_chains` is the one chain decomposition: each odd chain with one end
-edge, memoised per one-colored set, so Φ's build, the union-part counts and
-the single-output map share it, and so do the neighbor sets and the
-`transfer` command's `decompose` (both in `graphtools`, which `verify` and
-`batch` never compile).  None of them checks its pair; `decompose` does.
+edge, memoised per one-colored set, so Φ's build, the union-part counts, the
+single-output map and the neighbor sets (`graphtools.neighbor_set`) share
+it.  None of them checks its pair.  The `transfer` command's `decompose` (in
+`graphtools`, which `verify` and `batch` never compile) checks it, and names
+every component, even ones included, by walking `graph.components` and
+`end_edge` itself.
 The f-equivariance counterexample runs the table's one group scan
 (`MatchingTable.noncommuting_column`) on f's lazily applied columns.
 """
@@ -26,14 +28,11 @@ from . import graph as graphlib
 from .graph import Graph
 from .matchings import MatchingTable, matching_table
 
+
 class MatchingPair(namedtuple("MatchingPair", "blue pink")):
     """An ordered pair of matchings on a shared host; blue first, pink second."""
 
     __slots__ = ()
-
-    @property
-    def union(self) -> int:
-        return self.blue | self.pink
 
     @property
     def intersection(self) -> int:
@@ -42,9 +41,6 @@ class MatchingPair(namedtuple("MatchingPair", "blue pink")):
     @property
     def one_colored(self) -> int:
         return self.blue ^ self.pink
-
-    def sizes(self) -> tuple[int, int]:
-        return (self.blue.bit_count(), self.pink.bit_count())
 
 
 def end_edge(g: Graph, component: int) -> int:

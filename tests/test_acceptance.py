@@ -77,9 +77,9 @@ def test_criterion_2_small_graph_sweep():
                         dec = decompose(g, pair)
                         assert dec.p - dec.b == k - ell + 2, (g, ell, k, pair)
                         for q in neighbor_set(g, pair):
-                            assert q.union == pair.union
+                            assert q.blue | q.pink == pair.blue | pair.pink
                             assert q.intersection == pair.intersection
-                            assert q.sizes() == (ell, k)
+                            assert (q.blue.bit_count(), q.pink.bit_count()) == (ell, k)
                         checked_pairs += 1
                 phi = build_phi(g, ell, k, table=t)
             else:

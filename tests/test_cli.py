@@ -479,7 +479,7 @@ def test_batch_refuses_a_bad_spec_before_any_report(tmp_path):
     specs.write_text("cycle:6\npath:4\ncomplete:x\n")
     outdir = tmp_path / "reports"
     assert run(["batch", "--specs", str(specs), "--json", str(outdir)]) == 2
-    assert not list(outdir.glob("*.json"))
+    assert not outdir.exists()
 
 
 def test_batch_refuses_an_oversize_graph_before_any_report(tmp_path, capsys):
@@ -490,7 +490,7 @@ def test_batch_refuses_an_oversize_graph_before_any_report(tmp_path, capsys):
     outdir = tmp_path / "reports"
     assert run(["batch", "--specs", str(specs), "--json", str(outdir)]) == 2
     assert "n=16 exceeds the vertex limit 12" in capsys.readouterr().err
-    assert not list(outdir.glob("*.json"))
+    assert not outdir.exists()
 
 
 def test_batch_refuses_two_specs_that_write_one_file(tmp_path, capsys):
@@ -502,7 +502,61 @@ def test_batch_refuses_two_specs_that_write_one_file(tmp_path, capsys):
         assert run(["batch", "--specs", str(specs), "--json", str(outdir)]) == 2
         name = lines.split()[0].replace(":", "_") + ".json"
         assert f"would both write {outdir / name}" in capsys.readouterr().err
-        assert not list(outdir.glob("*.json"))
+        assert not outdir.exists()
+
+
+def _failing_nonneg(monkeypatch):
+    # a nonneg check that always fails: no correct graph reaches the fail path
+    check = graphcli.Check(reads_phi=False, reads_group=False, run=lambda *args: (False, {"terms": 0}))
+    monkeypatch.setitem(graphcli.CHECKS, "nonneg", check)
+
+
+@pytest.mark.parametrize("budget", [cli.DEFAULT_BUDGET, 1])
+def test_verify_exits_1_on_a_failed_check(budget, monkeypatch, capsys):
+    # with budget 1 every other check is skipped, and the one failure still decides
+    _failing_nonneg(monkeypatch)
+    assert run(["verify", "--gen", "cycle:6", "--budget", str(budget)]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    statuses = {r["status"] for r in report["checks"]}
+    assert report["overall"] == "fail"
+    assert "fail" in statuses and ("skipped" in statuses) == (budget == 1)
+    assert "verify gen:cycle:6: fail (" in captured.err
+
+
+def test_batch_exits_1_on_a_failed_check_and_writes_every_report(monkeypatch, tmp_path, capsys):
+    _failing_nonneg(monkeypatch)
+    specs = tmp_path / "specs.txt"
+    specs.write_text("cycle:6\npath:4\n")
+    outdir = tmp_path / "reports"
+    assert run(["batch", "--specs", str(specs), "--json", str(outdir)]) == 1
+    names = sorted(p.name for p in outdir.iterdir())
+    assert names == ["cycle_6.json", "path_4.json"]
+    assert all(json.loads((outdir / name).read_text())["overall"] == "fail" for name in names)
+
+
+def test_boolean_exits_1_on_an_invalid_chain_family(monkeypatch, capsys):
+    monkeypatch.setattr(boollattice, "chains_are_valid", lambda fam: False)
+    assert run(["boolean", "--n", "4"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["overall"] == "fail"
+    assert {r["status"] for r in report["checks"] if r["check"] == "chains"} == {"fail"}
+    assert {r["status"] for r in report["checks"] if r["check"] == "lemma-rank"} == {"pass"}
+
+
+@pytest.mark.parametrize(
+    "statuses, expected",
+    [
+        ((), "pass"),
+        (("pass",), "pass"),
+        (("skipped",), "skipped"),
+        (("skipped", "pass"), "pass"),
+        (("skipped", "fail"), "fail"),
+    ],
+)
+def test_the_overall_status_of_a_report(statuses, expected):
+    assert cli.overall(statuses) == expected
+    assert cli.overall(iter(statuses * 2)) == expected
 
 
 def test_check_subset_without_group_checks_skips_the_group(capsys):
@@ -907,7 +961,7 @@ def test_an_all_check_slot_decodes_its_pairs_from_the_levels(spec, ell, k, monke
     t = matching_table(g)
     group = graphcli.automorphisms(g)
     records = graphcli._run_checks(g, ell, k, cli.ALL_CHECKS, cli.DEFAULT_BUDGET, group, t)
-    statuses = {r["check"]: r["status"] for r in records}
+    statuses = {check: status for (check, _, _, status, _) in records}
     assert all(statuses[c] == "pass" for c in cli.ALL_CHECKS if graphcli.CHECKS[c].reads_phi)
     assert "fail" not in statuses.values()
     assert len(built) == 1 and built[0].blocks > 0
@@ -921,8 +975,7 @@ def test_a_verify_report_leaves_no_cyclic_garbage(spec):
     with collector_off():
         g = generate(spec)
         t = matching_table(g)
-        slots = [(ell, k) for k in range(1, t.r + 1) for ell in range(1, k + 1)]
-        report, group = graphcli._verify_report(g, spec, slots, cli.ALL_CHECKS, cli.DEFAULT_BUDGET, t)
+        report, group = graphcli._verify_report(g, spec, t.slots, cli.ALL_CHECKS, cli.DEFAULT_BUDGET, t)
         passed = report["overall"] == "pass" and group is not None
         del g, t, report, group
         garbage = gc.collect()

@@ -81,6 +81,9 @@ def test_every_slot_has_one_slack(c6, path4, petersen):
         t = matching_table(g)
         slots = [(l, k) for (l, k, _) in check_numeric_logconcavity(t)]
         assert sorted(slots) == [(l, k) for l in range(1, t.r + 1) for k in range(l, t.r + 1)]
+        # the table's one slot order: by k, then by l
+        assert slots == list(t.slots) == sorted(slots, key=lambda slot: slot[::-1])
+    assert matching_table(generate("path:1")).slots == ()
 
 
 def test_a_table_with_m1_squared_below_m2_violates_logconcavity(c6):
@@ -113,3 +116,13 @@ def test_table_levels_match_bruteforce(n, num, seed):
     assert t.counts == tuple(counts)
     for k in range(len(counts)):
         assert list(t.level(k)) == brute_force_matchings(g, k)
+
+
+def test_the_pairs_of_two_levels_come_in_index_order(c6):
+    t = matching_table(c6)
+    for a, b in [(0, 3), (1, 2), (2, 1), (3, 4)]:
+        pairs = list(t.pairs(a, b))
+        assert len(pairs) == t.m(a) * t.m(b)
+        assert pairs == sorted(pairs)
+        for j, (x, y) in enumerate(pairs):
+            assert (x, y) == (t.level(a)[j // t.m(b)], t.level(b)[j % t.m(b)])
