@@ -7,6 +7,10 @@ labeled graph.
 
 Edge sets are plain Python ints used as bitsets over edge indices.
 
+An edge is valid when it is no loop, its labels lie in 0..n-1 and it is
+no repeat: `_checked_edge` says so once, for `graph_from_edges` and for
+`parse_graph` (which adds the line number).
+
 `load_graph` reads the graph a command names by `--gen` or `--file`; it
 lives here, with `edge_token`, so that both command modules (`graphcli`
 and `graphtools`) share it and neither compiles the other.
@@ -118,24 +122,24 @@ class Graph:
         return "\n".join(lines) + "\n"
 
 
-def graph_from_edges(n: int, edges) -> Graph:
-    """Canonicalize an iterable of (u, v) pairs into a Graph.
+def _checked_edge(u: int, v: int, n: int, seen, line: int | None = None) -> tuple[int, int]:
+    """The edge u-v as (min, max), unless it is a loop, has a label outside 0..n-1 or is in `seen`."""
+    if u == v:
+        raise GraphFormatError(f"loop at vertex {u}", line)
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphFormatError(f"label out of range in ({u}, {v})", line)
+    edge = (u, v) if u < v else (v, u)
+    if edge in seen:
+        raise GraphFormatError(f"duplicate edge {edge}", line)
+    return edge
 
-    Rejects loops and duplicates; endpoint order within a pair is irrelevant.
-    """
-    canon = []
+
+def graph_from_edges(n: int, edges) -> Graph:
+    """Canonicalize an iterable of (u, v) pairs into a Graph; endpoint order within a pair is irrelevant."""
     seen = set()
     for (u, v) in edges:
-        if u == v:
-            raise ValueError(f"loop at vertex {u}")
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        canon.append((u, v))
-    canon.sort()
-    return Graph(n, tuple(canon))
+        seen.add(_checked_edge(u, v, n, seen))
+    return Graph(n, tuple(sorted(seen)))
 
 
 def parse_graph(text: str) -> Graph:
@@ -152,7 +156,6 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError("header must be two integers", 1) from None
     if n < 0 or m < 0:
         raise GraphFormatError("negative count in header", 1)
-    edges = []
     seen = set()
     for lineno in range(2, m + 2):
         if lineno - 1 >= len(lines):
@@ -165,21 +168,11 @@ def parse_graph(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError(f"non-integer label in {raw!r}", lineno) from None
-        if u == v:
-            raise GraphFormatError(f"loop at vertex {u}", lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"label out of range in ({u}, {v})", lineno)
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
-        seen.add((u, v))
-        edges.append((u, v))
+        seen.add(_checked_edge(u, v, n, seen, lineno))
     for lineno, raw in enumerate(lines[m + 1:], start=m + 2):
         if raw.strip():
             raise GraphFormatError(f"unexpected line after the edges: {raw!r}", lineno)
-    edges.sort()
-    return Graph(n, tuple(edges))
+    return Graph(n, tuple(sorted(seen)))
 
 
 _MASK64 = (1 << 64) - 1

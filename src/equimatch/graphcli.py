@@ -88,8 +88,8 @@ def _f_equivariance(g, ell, k, t, group, phi, budget):
     witness = f_equivariance_counterexample(g, group, ell, k, table=t)
     details = {"counterexample": None, "group_order": group.order}
     if witness is not None:
-        sigma, pair = witness
-        details["counterexample"] = _witness(g, sigma, pair.blue, pair.pink)
+        sigma, (blue, pink) = witness
+        details["counterexample"] = _witness(g, sigma, blue, pink)
         details["note"] = "expected failure of the order-dependent map, witnessed"
     return True, details
 

@@ -3,11 +3,11 @@
 `cli.run` imports this module only for these four commands, so `verify`
 and `batch` never compile it, nor the code that only these commands read:
 the edge-token parser, the full chain decomposition with a named kind for
-every component (`decompose`), the neighbor set of one pair, and the
-numeric log-concavity of the matching numbers.  Φ's build reads the same
-chains through `transfer.odd_chains`, which `neighbor_set` reads too.
-These commands in turn compile none of the `verify` side (`graphcli`,
-`phimap`, `polyring`, `gram`).
+every component (`decompose`), the neighbor set of one (blue, pink) tuple
+of matchings, and the numeric log-concavity of the matching numbers.
+Φ's build reads the same chains through `transfer.odd_chains`, which
+`neighbor_set` reads too.  These commands in turn compile none of the
+`verify` side (`graphcli`, `phimap`, `polyring`, `gram`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .autgroup import automorphisms
 from .cli import write_stdout
 from .graph import Graph, edge_bits, edge_token, generate, load_graph
 from .matchings import MatchingTable, is_matching, matching_table
-from .transfer import MatchingPair, end_edge, krattenthaler_f, odd_chains
+from .transfer import end_edge, krattenthaler_f, odd_chains
 
 BLUE_CHAIN = "blue"
 PINK_CHAIN = "pink"
@@ -33,7 +33,7 @@ class ChainComponent(namedtuple("ChainComponent", "edges kind")):
     __slots__ = ()
 
 
-class ChainDecomposition(namedtuple("ChainDecomposition", "pair components")):
+class ChainDecomposition(namedtuple("ChainDecomposition", "components")):
     __slots__ = ()
 
     @property
@@ -45,37 +45,36 @@ class ChainDecomposition(namedtuple("ChainDecomposition", "pair components")):
         return sum(1 for c in self.components if c.kind == PINK_CHAIN)
 
 
-def decompose(g: Graph, pair: MatchingPair) -> ChainDecomposition:
+def decompose(g: Graph, pair: tuple[int, int]) -> ChainDecomposition:
     """Check that both sides are matchings and name the kind of every component.
 
     Components are listed by minimum edge index; p - b always equals
     |pink| - |blue|.  Colors alternate along a component of two matchings,
     so its cycles are even and both end edges of an odd chain share a color.
     """
-    if not (is_matching(g, pair.blue) and is_matching(g, pair.pink)):
+    blue, pink = pair
+    if not (is_matching(g, blue) and is_matching(g, pink)):
         raise ValueError("both sides of the pair must be matchings")
     comps = []
-    for comp in graphlib.components(g, pair.one_colored):
+    for comp in graphlib.components(g, blue ^ pink):
         end = end_edge(g, comp)
         if comp.bit_count() % 2:
-            kind = PINK_CHAIN if pair.pink & end else BLUE_CHAIN
+            kind = PINK_CHAIN if pink & end else BLUE_CHAIN
         else:
             kind = EVEN_PATH if end else EVEN_CYCLE
         comps.append(ChainComponent(comp, kind))
-    return ChainDecomposition(pair, tuple(comps))
+    return ChainDecomposition(tuple(comps))
 
 
-def neighbor_set(g: Graph, pair: MatchingPair) -> tuple[MatchingPair, ...]:
+def neighbor_set(g: Graph, pair: tuple[int, int]) -> tuple[tuple[int, int], ...]:
     """All pairs obtained by swapping exactly one pink chain, sorted.
 
     Swapping chain c gives (blue ^ c, pink ^ c).  The pair is trusted to be
     two matchings, as in `transfer.odd_chains`.
     """
-    blue, pink = pair.blue, pair.pink
+    blue, pink = pair
     chains = odd_chains(g, blue ^ pink)[0]
-    out = [MatchingPair(blue ^ c, pink ^ c) for (c, end) in chains if pink & end]
-    out.sort(key=lambda q: (q.blue, q.pink))
-    return tuple(out)
+    return tuple(sorted((blue ^ c, pink ^ c) for (c, end) in chains if pink & end))
 
 
 def check_numeric_logconcavity(t: MatchingTable) -> list[tuple[int, int, int]]:
@@ -136,18 +135,17 @@ def cmd_transfer(args) -> int:
     g, _ = load_graph(args)
     blue = _parse_matching_tokens(g, args.blue)
     pink = _parse_matching_tokens(g, args.pink)
-    pair = MatchingPair(blue, pink)
-    dec = decompose(g, pair)
+    dec = decompose(g, (blue, pink))
     if args.kratt and blue.bit_count() >= pink.bit_count():
         raise ValueError("--kratt needs |blue| < |pink|: f maps (l-1, k+1) pairs")
     write_stdout(f"blue = [{edge_token(g, blue)}]  pink = [{edge_token(g, pink)}]\n")
-    write_stdout(f"two-colored = [{edge_token(g, pair.intersection)}]\n")
+    write_stdout(f"two-colored = [{edge_token(g, blue & pink)}]\n")
     for comp in dec.components:
         write_stdout(f"component [{edge_token(g, comp.edges)}]: {comp.kind}\n")
     write_stdout(f"b = {dec.b}, p = {dec.p}\n")
-    for q in neighbor_set(g, pair):
-        write_stdout(f"neighbor: blue=[{edge_token(g, q.blue)}] pink=[{edge_token(g, q.pink)}]\n")
+    for (b, p) in neighbor_set(g, (blue, pink)):
+        write_stdout(f"neighbor: blue=[{edge_token(g, b)}] pink=[{edge_token(g, p)}]\n")
     if args.kratt:
-        out = krattenthaler_f(g, pair)
-        write_stdout(f"f: blue=[{edge_token(g, out.blue)}] pink=[{edge_token(g, out.pink)}]\n")
+        b, p = krattenthaler_f(g, (blue, pink))
+        write_stdout(f"f: blue=[{edge_token(g, b)}] pink=[{edge_token(g, p)}]\n")
     return 0

@@ -10,9 +10,11 @@ even components of the union, so Φ is block diagonal under that block key.
 All pairs of a block share one one-colored set and so one chain
 decomposition; only the color of each odd chain differs between them.  The
 build therefore decomposes each one-colored set once (`transfer.odd_chains`,
-memoised on the graph), reads a chain's color off one end edge, computes a
-swapped pair's row index arithmetically, and counts a block at its one column
-whose first N − p odd chains are blue.  Injectivity is certified on the whole
+memoised on the graph), reads a chain's color off one end edge and computes a
+swapped pair's row index arithmetically.  A column with p rows has
+N = 2p − (k − l + 2) odd chains, and its block holds all C(N, p) colorings
+of them with p pink, each a column of the slot, so the build counts the
+blocks from the row counts alone.  Injectivity is certified on the whole
 slot by one integer identity (`slot_identity_holds`, which builds the
 down-pair witnesses for `gram.gram_identity_holds`); only a Φ that fails it
 is grouped (`block_partition`) and ranked block by block
@@ -25,8 +27,9 @@ compiles no numpy code.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property
+from math import comb
 
 from . import InternalError
 from .autgroup import AutomorphismGroup, automorphisms
@@ -56,8 +59,9 @@ class PhiMatrix:
 
     Column j is the pair `col_pairs[j]` and row i the pair `row_pairs[i]`,
     both in sorted (blue, pink) order, built only when read.  `columns[j]`
-    lists the sorted row indices of column j's neighbor set; `blocks` counts
-    the blocks (`block_partition` groups them).
+    lists the sorted row indices of column j's neighbor set.  `blocks`
+    counts the blocks: n_p columns with p rows fill n_p / C(2p − k + l − 2, p)
+    of them (`block_partition` groups them).
     """
 
     def __init__(
@@ -109,7 +113,7 @@ def build_phi(
     row_of_blue, row_of_pink = t.positions[ell], t.positions[k]
     forced = k - ell + 2  # p - b for every column pair
     columns = []
-    nnz = blocks = 0
+    nnz = 0
     for blue, pink in t.pairs(ell - 1, k + 1):
         chains = odd_chains(g, blue ^ pink)[0]
         rows = sorted(
@@ -120,8 +124,8 @@ def build_phi(
         nnz += len(rows)
         if budget is not None and nnz > budget:
             raise BudgetExceededError(f"nonzero count exceeds budget {budget} at ({ell}, {k})")
-        blocks += all(pink & end for (_, end) in chains[-len(rows):])
         columns.append(tuple(rows))
+    blocks = sum(n // comb(2 * p - forced, p) for p, n in Counter(map(len, columns)).items())
     return PhiMatrix(t, ell, k, tuple(columns), blocks)
 
 

@@ -21,9 +21,9 @@ from .transfer import odd_chains
 MonomialKey = tuple[int, int]  # (union, intersection) of a pair of matchings
 
 
-def _key_counts(blues: tuple[int, ...], pinks: tuple[int, ...]) -> Counter:
+def _key_counts(pairs) -> Counter:
     """Number of pairs per monomial key, i.e. the product of two matching polynomials."""
-    return Counter((b | p, b & p) for b in blues for p in pinks)
+    return Counter((b | p, b & p) for (b, p) in pairs)
 
 
 def _exponents(g: Graph, key: MonomialKey) -> tuple[int, ...]:
@@ -55,10 +55,10 @@ def verify_nonneg(
     """
     t = table or matching_table(g)
     t.check_slot(ell, k)
-    top = _key_counts(t.level(ell), t.level(k))
+    top = _key_counts(t.pairs(ell, k))
     terms = len(top)
     violations = []
-    for key, c in _key_counts(t.level(ell - 1), t.level(k + 1)).items():
+    for key, c in _key_counts(t.pairs(ell - 1, k + 1)).items():
         coeff = top.get(key, 0) - c
         if coeff == 0:
             terms -= 1

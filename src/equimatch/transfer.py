@@ -1,12 +1,13 @@
 """Chain decomposition of two-colored matching pairs and the single-output transfer map.
 
-Given a pair (blue, pink) of matchings, the edges carrying exactly one color
-form a subgraph whose components are paths ("chains") or even cycles.  Odd
-chains whose end edges are blue (resp. pink) are the swappable currency: the
-neighbor set of a pair swaps the colors inside one pink chain at a time,
-while the single-output map `krattenthaler_f` picks one pink chain through a
-vertex-order-dependent subset injection (the bracket matching of
-`brackets.bracket_successor`, imported only where f is applied).
+A pair (blue, pink) of matchings is a tuple of two edge bitsets.  The
+edges carrying exactly one color form a subgraph whose components are
+paths ("chains") or even cycles.  Odd chains whose end edges are blue
+(resp. pink) are the swappable currency: the neighbor set of a pair swaps
+the colors inside one pink chain at a time, while the single-output map
+`krattenthaler_f` picks one pink chain through a vertex-order-dependent
+subset injection (the bracket matching of `brackets.bracket_successor`,
+imported only where f is applied).
 
 `odd_chains` is the one chain decomposition: each odd chain with one end
 edge, memoised per one-colored set, so Φ's build, the union-part counts, the
@@ -21,26 +22,10 @@ The f-equivariance counterexample runs the table's one group scan
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from . import InternalError
 from . import graph as graphlib
 from .graph import Graph
 from .matchings import MatchingTable, matching_table
-
-
-class MatchingPair(namedtuple("MatchingPair", "blue pink")):
-    """An ordered pair of matchings on a shared host; blue first, pink second."""
-
-    __slots__ = ()
-
-    @property
-    def intersection(self) -> int:
-        return self.blue & self.pink
-
-    @property
-    def one_colored(self) -> int:
-        return self.blue ^ self.pink
 
 
 def end_edge(g: Graph, component: int) -> int:
@@ -96,7 +81,7 @@ def odd_chains(g: Graph, one_colored: int) -> tuple[tuple[tuple[int, int], ...],
     return hit
 
 
-def krattenthaler_f(g: Graph, pair: MatchingPair, successor=None) -> MatchingPair:
+def krattenthaler_f(g: Graph, pair: tuple[int, int], successor=None) -> tuple[int, int]:
     """The vertex-order-dependent single-output transfer map.
 
     Odd chains are ordered by minimum vertex label (the order of
@@ -107,7 +92,7 @@ def krattenthaler_f(g: Graph, pair: MatchingPair, successor=None) -> MatchingPai
     """
     if successor is None:
         from .brackets import bracket_successor as successor
-    blue, pink = pair.blue, pair.pink
+    blue, pink = pair
     chains = odd_chains(g, blue ^ pink)[0]
     blue_positions = 0
     for i, (c, end) in enumerate(chains):
@@ -121,13 +106,13 @@ def krattenthaler_f(g: Graph, pair: MatchingPair, successor=None) -> MatchingPai
     c, end = chains[(enlarged ^ blue_positions).bit_length() - 1]
     if not pink & end:
         raise InternalError("the subset injection named a blue chain")
-    return MatchingPair(blue ^ c, pink ^ c)
+    return blue ^ c, pink ^ c
 
 
 def f_equivariance_counterexample(
     g, group, ell: int, k: int, table: MatchingTable | None = None
 ):
-    """First (sigma, pair) with f(sigma.pair) != sigma.f(pair), or None.
+    """First (sigma, (blue, pink)) with f(sigma.pair) != sigma.f(pair), or None.
 
     f is a slot map whose column j holds one row, that of f(pair j), so
     `MatchingTable.noncommuting_column` tests it against each sorted
@@ -153,12 +138,12 @@ def f_equivariance_counterexample(
     def column(j: int) -> tuple[int]:
         image = images.get(j)
         if image is None:
-            fp = krattenthaler_f(g, MatchingPair(blues[j // m_k1], pinks[j % m_k1]), bracket_successor)
-            image = images[j] = (row_of_blue[fp.blue] * m_k + row_of_pink[fp.pink],)
+            blue, pink = krattenthaler_f(g, (blues[j // m_k1], pinks[j % m_k1]), bracket_successor)
+            image = images[j] = (row_of_blue[blue] * m_k + row_of_pink[pink],)
         return image
 
     for sigma in group.generators:
         pair = t.noncommuting_column(ell, k, sigma, column)
         if pair is not None:
-            return (sigma, MatchingPair(*pair))
+            return (sigma, pair)
     return None

@@ -35,7 +35,6 @@ from equimatch.exactalg import Pattern
 from equimatch.graph import Graph, InternalError
 from equimatch.matchings import matching_table
 from equimatch.phimap import build_phi
-from equimatch.transfer import MatchingPair
 
 
 def brute_force_matchings(g: Graph, k: int) -> list[int]:
@@ -621,7 +620,7 @@ def block_key(g: Graph, blue: int, pink: int) -> tuple[int, int, int]:
 
 
 def f_counterexample_eager(g: Graph, group, ell: int, k: int):
-    """First (sigma, pair) with f(sigma.pair) != sigma.f(pair), or None.
+    """First (sigma, (blue, pink)) with f(sigma.pair) != sigma.f(pair), or None.
 
     Applies f to every column pair up front and scans every group element,
     the identity included, in sorted order.
@@ -636,7 +635,7 @@ def f_counterexample_eager(g: Graph, group, ell: int, k: int):
             fp = images[pair]
             moved_f = (act_matching(sigma, g, fp[0]), act_matching(sigma, g, fp[1]))
             if images[moved] != moved_f:
-                return (sigma, MatchingPair(*pair))
+                return (sigma, pair)
     return None
 
 

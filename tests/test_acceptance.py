@@ -17,7 +17,7 @@ from equimatch.graph import edge_bits
 from equimatch.graphtools import check_numeric_logconcavity, decompose, neighbor_set
 from equimatch.matchings import matching_table
 from equimatch.phimap import BudgetExceededError, build_phi
-from equimatch.transfer import MatchingPair, f_equivariance_counterexample
+from equimatch.transfer import f_equivariance_counterexample
 from oracles import (
     atlas_graphs,
     brute_force_matchings,
@@ -50,9 +50,7 @@ def test_criterion_1_c6_fixture(c6):
     grp = automorphisms(c6)
     ok &= grp.order == 12
     ok &= phimap.verify_equivariant(c6, 2, 2, table=t, group=grp, phi=phi).passed
-    pair = MatchingPair(
-        edge_bits(c6, [(0, 1)]), edge_bits(c6, [(0, 1), (2, 3), (4, 5)])
-    )
+    pair = (edge_bits(c6, [(0, 1)]), edge_bits(c6, [(0, 1), (2, 3), (4, 5)]))
     ok &= len(neighbor_set(c6, pair)) == 2
     ok &= f_equivariance_counterexample(c6, grp, 2, 2) is not None
     elapsed = time.monotonic() - started
@@ -73,13 +71,12 @@ def test_criterion_2_small_graph_sweep():
             if t.m(k + 1):
                 for b in t.level(ell - 1):
                     for p in t.level(k + 1):
-                        pair = MatchingPair(b, p)
-                        dec = decompose(g, pair)
-                        assert dec.p - dec.b == k - ell + 2, (g, ell, k, pair)
-                        for q in neighbor_set(g, pair):
-                            assert q.blue | q.pink == pair.blue | pair.pink
-                            assert q.intersection == pair.intersection
-                            assert (q.blue.bit_count(), q.pink.bit_count()) == (ell, k)
+                        dec = decompose(g, (b, p))
+                        assert dec.p - dec.b == k - ell + 2, (g, ell, k, b, p)
+                        for (qb, qp) in neighbor_set(g, (b, p)):
+                            assert qb | qp == b | p
+                            assert qb & qp == b & p
+                            assert (qb.bit_count(), qp.bit_count()) == (ell, k)
                         checked_pairs += 1
                 phi = build_phi(g, ell, k, table=t)
             else:

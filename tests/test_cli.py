@@ -199,13 +199,15 @@ def test_a_slot_of_an_edgeless_graph_is_refused_before_any_check(check, monkeypa
     ],
 )
 def test_nonsense_limits_and_check_lists_are_usage_errors(argv, message, monkeypatch, capsys, tmp_path):
-    # refused while the arguments are parsed: no graph built, no report written
-    def no_work(spec):
+    # refused while the arguments are parsed: no graph built, no report written;
+    # `batch` builds its graphs by `generate`, `verify` by `load_graph`
+    def no_work(*args):
         raise RuntimeError("a graph was built before the arguments were checked")
 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "specs.txt").write_text("cycle:6\n")
     monkeypatch.setattr(graphcli, "generate", no_work)
+    monkeypatch.setattr(graphcli, "load_graph", no_work)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

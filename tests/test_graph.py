@@ -85,6 +85,25 @@ def test_generate_rejects_bad_specs(spec):
         generate(spec)
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (2, 2)], "loop at vertex 2"),
+        ([(0, 1), (1, 5)], "label out of range in (1, 5)"),
+        ([(0, 1), (-1, 2)], "label out of range in (-1, 2)"),
+        ([(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+    ],
+)
+def test_generators_and_files_refuse_an_edge_alike(edges, message):
+    with pytest.raises(ValueError) as exc:
+        graph_from_edges(3, edges)
+    assert str(exc.value) == message
+    text = "3 2\n" + "".join(f"{u} {v}\n" for (u, v) in edges)
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == f"line 3: {message}" and exc.value.line == 3
+
+
 def test_graph_invariants_enforced():
     with pytest.raises(ValueError):
         Graph(3, ((1, 1),))
@@ -130,7 +149,6 @@ def test_components_match_union_find(n, num, seed, support):
 
 def test_plain_classes_keep_equality_hash_repr_and_validation():
     from equimatch.exactalg import Pattern
-    from equimatch.transfer import MatchingPair
 
     a = parse_graph("3 2\n1 2\n0 1\n")
     b = Graph(3, ((0, 1), (1, 2)))
@@ -150,5 +168,3 @@ def test_plain_classes_keep_equality_hash_repr_and_validation():
     assert repr(m) == "Pattern(nrows=2, cols=((0, 1),))"
     with pytest.raises(ValueError):
         Pattern(2, ((1, 0),))
-
-    assert repr(MatchingPair(1, 2)) == "MatchingPair(blue=1, pink=2)"

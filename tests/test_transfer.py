@@ -8,12 +8,7 @@ from equimatch.autgroup import apply_edge_perm, automorphisms, edge_action
 from equimatch.graph import edge_bits, generate
 from equimatch.graphtools import BLUE_CHAIN, PINK_CHAIN, decompose, neighbor_set
 from equimatch.matchings import is_matching, matching_table
-from equimatch.transfer import (
-    MatchingPair,
-    f_equivariance_counterexample,
-    krattenthaler_f,
-    odd_chains,
-)
+from equimatch.transfer import f_equivariance_counterexample, krattenthaler_f, odd_chains
 from oracles import (
     atlas_graphs,
     chain_kinds,
@@ -28,21 +23,21 @@ from oracles import (
 
 def test_decompose_perfect_matching_vs_empty(c6):
     pink = edge_bits(c6, [(0, 1), (2, 3), (4, 5)])
-    dec = decompose(c6, MatchingPair(0, pink))
+    dec = decompose(c6, (0, pink))
     assert dec.b == 0 and dec.p == 3
     assert all(c.kind == PINK_CHAIN and c.edges.bit_count() == 1 for c in dec.components)
     assert dec.p - dec.b == 3
 
 
 def test_decompose_path4(path4):
-    dec = decompose(path4, MatchingPair(0, edge_bits(path4, [(0, 1), (2, 3)])))
+    dec = decompose(path4, (0, edge_bits(path4, [(0, 1), (2, 3)])))
     assert dec.b == 0 and dec.p == 2
 
 
 def test_decompose_shared_edge_excluded(c6):
     blue = edge_bits(c6, [(0, 1)])
     pink = edge_bits(c6, [(0, 1), (2, 3), (4, 5)])
-    dec = decompose(c6, MatchingPair(blue, pink))
+    dec = decompose(c6, (blue, pink))
     assert dec.b == 0 and dec.p == 2
     # the two-colored edge is not in any one-colored component
     shared = blue & pink
@@ -54,46 +49,40 @@ def test_neighbor_set_three_edge_chain():
     # edges 0-1, 2-3 pink; 1-2 blue: a single odd pink chain a-b-c
     blue = edge_bits(p6, [(1, 2)])
     pink = edge_bits(p6, [(0, 1), (2, 3)])
-    dec = decompose(p6, MatchingPair(blue, pink))
+    dec = decompose(p6, (blue, pink))
     assert [c.kind for c in dec.components] == [PINK_CHAIN]
     assert dec.components[0].edges.bit_count() == 3
-    assert neighbor_set(p6, MatchingPair(blue, pink)) == (MatchingPair(pink, blue),)
+    assert neighbor_set(p6, (blue, pink)) == ((pink, blue),)
 
 
 def test_neighbor_set_never_swaps_a_blue_chain(c6):
-    pair = MatchingPair(edge_bits(c6, [(0, 1)]), edge_bits(c6, [(2, 3), (4, 5)]))
+    pair = (edge_bits(c6, [(0, 1)]), edge_bits(c6, [(2, 3), (4, 5)]))
     dec = decompose(c6, pair)
     assert [c.kind for c in dec.components] == [BLUE_CHAIN, PINK_CHAIN, PINK_CHAIN]
     # each neighbor keeps the blue chain 0-1 blue
     ns = neighbor_set(c6, pair)
-    assert len(ns) == 2 and all(q.blue & pair.blue == pair.blue for q in ns)
+    assert len(ns) == 2 and all(b & pair[0] == pair[0] for (b, _) in ns)
 
 
 def test_neighbor_set_figure_pair(c6):
-    pair = MatchingPair(
-        edge_bits(c6, [(0, 1)]), edge_bits(c6, [(0, 1), (2, 3), (4, 5)])
-    )
+    pair = (edge_bits(c6, [(0, 1)]), edge_bits(c6, [(0, 1), (2, 3), (4, 5)]))
     ns = neighbor_set(c6, pair)
     assert set(ns) == {
-        MatchingPair(
-            edge_bits(c6, [(0, 1), (2, 3)]), edge_bits(c6, [(0, 1), (4, 5)])
-        ),
-        MatchingPair(
-            edge_bits(c6, [(0, 1), (4, 5)]), edge_bits(c6, [(0, 1), (2, 3)])
-        ),
+        (edge_bits(c6, [(0, 1), (2, 3)]), edge_bits(c6, [(0, 1), (4, 5)])),
+        (edge_bits(c6, [(0, 1), (4, 5)]), edge_bits(c6, [(0, 1), (2, 3)])),
     }
 
 
 def test_neighbor_set_path4(path4):
     e1 = edge_bits(path4, [(0, 1)])
     e3 = edge_bits(path4, [(2, 3)])
-    ns = neighbor_set(path4, MatchingPair(0, e1 | e3))
-    assert set(ns) == {MatchingPair(e1, e3), MatchingPair(e3, e1)}
+    ns = neighbor_set(path4, (0, e1 | e3))
+    assert set(ns) == {(e1, e3), (e3, e1)}
 
 
 def _all_pairs(g, ell, k):
     return [
-        MatchingPair(b, p)
+        (b, p)
         for b in enumerate_matchings(g, ell - 1)
         for p in enumerate_matchings(g, k + 1)
     ]
@@ -108,13 +97,14 @@ def test_neighbor_set_properties(spec):
             for pair in _all_pairs(g, ell, k):
                 dec = decompose(g, pair)
                 assert dec.p - dec.b == k - ell + 2
+                blue, pink = pair
                 ns = neighbor_set(g, pair)
                 assert len(ns) == dec.p >= 2 + dec.b >= 2
-                for q in ns:
-                    assert is_matching(g, q.blue) and is_matching(g, q.pink)
-                    assert q.blue.bit_count() == ell and q.pink.bit_count() == k
-                    assert q.blue | q.pink == pair.blue | pair.pink
-                    assert q.intersection == pair.intersection
+                for (b, p) in ns:
+                    assert is_matching(g, b) and is_matching(g, p)
+                    assert b.bit_count() == ell and p.bit_count() == k
+                    assert b | p == blue | pink
+                    assert b & p == blue & pink
 
 
 @pytest.mark.parametrize("spec", ["cycle:6", "path:4", "kbipartite:2:3"])
@@ -125,13 +115,11 @@ def test_neighbor_set_is_natural(spec):
     for k in range(1, t.r + 1):
         for ell in range(1, k + 1):
             for pair in _all_pairs(g, ell, k):
-                ns = {(q.blue, q.pink) for q in neighbor_set(g, pair)}
+                ns = set(neighbor_set(g, pair))
                 for sigma in grp:
                     ep = edge_action(sigma, g)
-                    moved = MatchingPair(
-                        apply_edge_perm(ep, pair.blue), apply_edge_perm(ep, pair.pink)
-                    )
-                    lhs = {(q.blue, q.pink) for q in neighbor_set(g, moved)}
+                    moved = (apply_edge_perm(ep, pair[0]), apply_edge_perm(ep, pair[1]))
+                    lhs = set(neighbor_set(g, moved))
                     rhs = {
                         (apply_edge_perm(ep, b), apply_edge_perm(ep, p))
                         for (b, p) in ns
@@ -165,21 +153,17 @@ def test_subset_inject_exhaustively_injective(n):
 
 
 def test_krattenthaler_path4(path4):
-    pair = MatchingPair(0, edge_bits(path4, [(0, 1), (2, 3)]))
+    pair = (0, edge_bits(path4, [(0, 1), (2, 3)]))
     out = krattenthaler_f(path4, pair)
-    assert out == MatchingPair(edge_bits(path4, [(0, 1)]), edge_bits(path4, [(2, 3)]))
+    assert out == (edge_bits(path4, [(0, 1)]), edge_bits(path4, [(2, 3)]))
 
 
 def test_krattenthaler_converts_lowest_chain(c6):
     # the shared-edge pair: pink chains at edges (2,3) and (4,5); the chain
     # containing the lowest label among odd chains is (2,3)
-    pair = MatchingPair(
-        edge_bits(c6, [(0, 1)]), edge_bits(c6, [(0, 1), (2, 3), (4, 5)])
-    )
+    pair = (edge_bits(c6, [(0, 1)]), edge_bits(c6, [(0, 1), (2, 3), (4, 5)]))
     out = krattenthaler_f(c6, pair)
-    assert out == MatchingPair(
-        edge_bits(c6, [(0, 1), (2, 3)]), edge_bits(c6, [(0, 1), (4, 5)])
-    )
+    assert out == (edge_bits(c6, [(0, 1), (2, 3)]), edge_bits(c6, [(0, 1), (4, 5)]))
 
 
 @pytest.mark.parametrize("spec", ["cycle:6", "path:4", "complete:5", "petersen"])
@@ -202,13 +186,11 @@ def test_f_counterexample_c6(c6):
     grp = automorphisms(c6)
     wit = f_equivariance_counterexample(c6, grp, 2, 2)
     assert wit is not None
-    sigma, pair = wit
+    sigma, (blue, pink) = wit
     ep = edge_action(sigma, c6)
-    moved = MatchingPair(apply_edge_perm(ep, pair.blue), apply_edge_perm(ep, pair.pink))
-    fp = krattenthaler_f(c6, pair)
-    assert krattenthaler_f(c6, moved) != MatchingPair(
-        apply_edge_perm(ep, fp.blue), apply_edge_perm(ep, fp.pink)
-    )
+    moved = (apply_edge_perm(ep, blue), apply_edge_perm(ep, pink))
+    fb, fp = krattenthaler_f(c6, (blue, pink))
+    assert krattenthaler_f(c6, moved) != (apply_edge_perm(ep, fb), apply_edge_perm(ep, fp))
 
 
 def test_f_counterexample_path4_reversal(path4):
@@ -218,13 +200,13 @@ def test_f_counterexample_path4_reversal(path4):
     # the documented reversal witness really is a counterexample
     rev = (3, 2, 1, 0)
     ep = edge_action(rev, path4)
-    pair = MatchingPair(0, edge_bits(path4, [(0, 1), (2, 3)]))
-    moved = MatchingPair(apply_edge_perm(ep, pair.blue), apply_edge_perm(ep, pair.pink))
+    blue, pink = 0, edge_bits(path4, [(0, 1), (2, 3)])
+    moved = (apply_edge_perm(ep, blue), apply_edge_perm(ep, pink))
     f_moved = krattenthaler_f(path4, moved)
-    fp = krattenthaler_f(path4, pair)
-    moved_f = MatchingPair(apply_edge_perm(ep, fp.blue), apply_edge_perm(ep, fp.pink))
-    assert f_moved == MatchingPair(edge_bits(path4, [(0, 1)]), edge_bits(path4, [(2, 3)]))
-    assert moved_f == MatchingPair(edge_bits(path4, [(2, 3)]), edge_bits(path4, [(0, 1)]))
+    fb, fp = krattenthaler_f(path4, (blue, pink))
+    moved_f = (apply_edge_perm(ep, fb), apply_edge_perm(ep, fp))
+    assert f_moved == (edge_bits(path4, [(0, 1)]), edge_bits(path4, [(2, 3)]))
+    assert moved_f == (edge_bits(path4, [(2, 3)]), edge_bits(path4, [(0, 1)]))
     assert f_moved != moved_f
 
 
@@ -281,11 +263,8 @@ def test_neighbor_set_and_f_match_oracle_on_atlas():
             for ell in range(1, k + 1):
                 for blue in t.level(ell - 1):
                     for pink in t.level(k + 1):
-                        pair = MatchingPair(blue, pink)
-                        got = [(q.blue, q.pink) for q in neighbor_set(g, pair)]
-                        assert got == neighbor_pairs(g, blue, pink)
-                        f = krattenthaler_f(g, pair)
-                        assert (f.blue, f.pink) == f_by_definition(g, blue, pink)
+                        assert list(neighbor_set(g, (blue, pink))) == neighbor_pairs(g, blue, pink)
+                        assert krattenthaler_f(g, (blue, pink)) == f_by_definition(g, blue, pink)
                         pairs += 1
     assert pairs > 1000
 
@@ -309,7 +288,7 @@ def test_decompose_matches_degree_oracle(n, num, seed, rnd):
     matchings = [m for level in matching_table(g).by_size for m in level]
     for _ in range(30):
         blue, pink = rnd.choice(matchings), rnd.choice(matchings)
-        dec = decompose(g, MatchingPair(blue, pink))
+        dec = decompose(g, (blue, pink))
         kinds = chain_kinds(g, blue, pink)
         assert [(c.edges, c.kind) for c in dec.components] == [(e, kind) for (e, kind, _) in kinds]
         # components by minimum edge come by minimum vertex too; f relies on it
