@@ -199,71 +199,58 @@ def _positive(token: str, what: str) -> int:
     return val
 
 
+def _cycle(n: int):
+    if n < 3:
+        raise GraphSpecError("cycle needs n >= 3")
+    return n, [(i, (i + 1) % n) for i in range(n)]
+
+
+def _gnp(n: int, p_num: str, p_den: str, seed: str):
+    try:
+        p_num, p_den, seed = int(p_num), int(p_den), int(seed)
+    except ValueError:
+        raise GraphSpecError("gnp parameters must be integers") from None
+    if p_den <= 0 or p_num < 0 or p_num > p_den:
+        raise GraphSpecError("probability must lie in [0, 1]")
+    rng = _splitmix64(seed)
+    return n, [(u, v) for u in range(n) for v in range(u + 1, n) if next(rng) * p_den < p_num << 64]
+
+
+def _petersen():
+    # the outer 5-cycle, its spokes and the inner pentagram
+    return 10, [e for i in range(5) for e in ((i, (i + 1) % 5), (i, i + 5), (5 + i, 5 + (i + 2) % 5))]
+
+
+# family: (parameter names, how many leading ones are positive sizes, builder of (n, edges))
+_FAMILIES = {
+    "path": (("n",), 1, lambda n: (n, [(i, i + 1) for i in range(n - 1)])),
+    "cycle": (("n",), 1, _cycle),
+    "complete": (("n",), 1, lambda n: (n, [(i, j) for i in range(n) for j in range(i + 1, n)])),
+    "kbipartite": (("a", "b"), 2, lambda a, b: (a + b, [(i, a + j) for i in range(a) for j in range(b)])),
+    "star": (("n",), 1, lambda n: (n, [(0, i) for i in range(1, n)])),
+    "petersen": ((), 0, _petersen),
+    "gnp": (("n", "p_num", "p_den", "seed"), 1, _gnp),
+}
+
+
 def generate(spec: str) -> Graph:
-    """Deterministic graph families.
+    """Deterministic graph families, one row each of `_FAMILIES`.
 
     Grammar: path:n | cycle:n | complete:n | kbipartite:a:b | star:n |
-    petersen | gnp:n:p_num:p_den:seed.  gnp draws one splitmix64 value per
+    petersen | gnp:n:p_num:p_den:seed.  Sizes (n, a, b) are positive
+    integers, and cycle needs n >= 3.  gnp draws one splitmix64 value per
     vertex pair (u, v) with u < v in lexicographic order and keeps the edge
-    iff draw * p_den < p_num * 2^64.
+    iff draw * p_den < p_num * 2^64, with 0 <= p_num <= p_den.
     """
-    parts = spec.split(":")
-    family = parts[0]
-    if family == "path":
-        if len(parts) != 2:
-            raise GraphSpecError("usage: path:n")
-        n = _positive(parts[1], "size")
-        return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    if family == "cycle":
-        if len(parts) != 2:
-            raise GraphSpecError("usage: cycle:n")
-        n = _positive(parts[1], "size")
-        if n < 3:
-            raise GraphSpecError("cycle needs n >= 3")
-        return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    if family == "complete":
-        if len(parts) != 2:
-            raise GraphSpecError("usage: complete:n")
-        n = _positive(parts[1], "size")
-        return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if family == "kbipartite":
-        if len(parts) != 3:
-            raise GraphSpecError("usage: kbipartite:a:b")
-        a = _positive(parts[1], "size")
-        b = _positive(parts[2], "size")
-        return graph_from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-    if family == "star":
-        if len(parts) != 2:
-            raise GraphSpecError("usage: star:n")
-        n = _positive(parts[1], "size")
-        return graph_from_edges(n, [(0, i) for i in range(1, n)])
-    if family == "petersen":
-        if len(parts) != 1:
-            raise GraphSpecError("usage: petersen")
-        edges = [(i, (i + 1) % 5) for i in range(5)]
-        edges += [(i, i + 5) for i in range(5)]
-        edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        return graph_from_edges(10, edges)
-    if family == "gnp":
-        if len(parts) != 5:
-            raise GraphSpecError("usage: gnp:n:p_num:p_den:seed")
-        n = _positive(parts[1], "size")
-        try:
-            p_num = int(parts[2])
-            p_den = int(parts[3])
-            seed = int(parts[4])
-        except ValueError:
-            raise GraphSpecError("gnp parameters must be integers") from None
-        if p_den <= 0 or p_num < 0 or p_num > p_den:
-            raise GraphSpecError("probability must lie in [0, 1]")
-        rng = _splitmix64(seed)
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if next(rng) * p_den < p_num << 64:
-                    edges.append((u, v))
-        return graph_from_edges(n, edges)
-    raise GraphSpecError(f"unknown graph family {family!r}")
+    family, *params = spec.split(":")
+    try:
+        names, sizes, build = _FAMILIES[family]
+    except KeyError:
+        raise GraphSpecError(f"unknown graph family {family!r}") from None
+    if len(params) != len(names):
+        raise GraphSpecError(f"usage: {':'.join((family, *names))}")
+    args = [_positive(p, "size") for p in params[:sizes]] + params[sizes:]
+    return graph_from_edges(*build(*args))
 
 
 def components(g: Graph, support: int) -> list[int]:

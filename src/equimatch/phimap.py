@@ -105,13 +105,18 @@ def build_phi(
     """Matrix of the averaged chain-swap map for one (l, k) slot.
 
     Swapping a pink chain c of (blue, pink) gives (blue ^ c, pink ^ c), whose
-    row index is position(blue ^ c) * m_k + position(pink ^ c).
+    row index is position(blue ^ c) * m_k + position(pink ^ c).  Past `budget`
+    nonzeros it raises `BudgetExceededError`, before any chain is decomposed
+    when the floor m_{l-1} * m_{k+1} * (k - l + 2) is already past it.
     """
     t = table or matching_table(g)
     t.check_slot(ell, k)
     m_k = t.m(k)
     row_of_blue, row_of_pink = t.positions[ell], t.positions[k]
     forced = k - ell + 2  # p - b for every column pair
+    floor = t.m(ell - 1) * t.m(k + 1) * forced  # every column has at least `forced` rows
+    if budget is not None and floor > budget:
+        raise BudgetExceededError(f"nonzero floor {floor} exceeds budget {budget} at ({ell}, {k})")
     columns = []
     nnz = 0
     for blue, pink in t.pairs(ell - 1, k + 1):

@@ -131,6 +131,53 @@ def test_verify_budget_skips_are_reported_not_dropped(capsys):
     assert report["overall"] == "pass"
 
 
+# Petersen's slot (2, 2): every one of its m_1 * m_3 = 15 * 145 columns has at
+# least k - l + 2 = 2 rows, so Φ has at least 4,350 nonzeros; it has 4,710
+PETERSEN_22 = ["verify", "--gen", "petersen", "--ell", "2", "--k", "2", "--check", "injective"]
+
+
+def test_a_slot_over_its_nonzero_floor_decomposes_no_chain(monkeypatch, capsys):
+    def unwanted(g, one_colored):
+        raise RuntimeError("a chain decomposed for a slot over its nonzero floor")
+
+    monkeypatch.setattr(phimap, "odd_chains", unwanted)
+    assert run([*PETERSEN_22, "--budget", "4349"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert [(r["check"], r["status"]) for r in report["checks"]] == [("injective", "skipped")]
+
+
+@pytest.mark.parametrize("budget, status", [(4350, "skipped"), (4709, "skipped"), (4710, "pass")])
+def test_a_slot_within_its_floor_is_refused_by_the_build(budget, status, monkeypatch, capsys):
+    decomposed = []
+    real = phimap.odd_chains
+
+    def counted(g, one_colored):
+        decomposed.append(one_colored)
+        return real(g, one_colored)
+
+    monkeypatch.setattr(phimap, "odd_chains", counted)
+    assert run([*PETERSEN_22, "--budget", str(budget)]) == cli.report_exit(status)
+    report = json.loads(capsys.readouterr().out)
+    assert [(r["check"], r["status"]) for r in report["checks"]] == [("injective", status)]
+    assert decomposed
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 4), st.integers(0, 2**31 - 1), st.data())
+def test_phi_records_are_skipped_exactly_when_phi_exceeds_the_budget(n, num, seed, data):
+    g = generate(f"gnp:{n}:{num}:4:{seed}")
+    t = matching_table(g)
+    nnz = {(ell, k): phimap.build_phi(g, ell, k, table=t).nnz for (ell, k) in t.slots}
+    floors = [t.m(ell - 1) * t.m(k + 1) * (k - ell + 2) for (ell, k) in t.slots]
+    edges = sorted({max(1, v + d) for v in [*nnz.values(), *floors] for d in (-1, 0, 1)})
+    budget = data.draw(st.sampled_from(edges or [1]), label="budget")
+    report, _ = graphcli._verify_report(g, "gen", t.slots, cli.ALL_CHECKS, budget, t)
+    for rec in report["checks"]:
+        if graphcli.CHECKS[rec["check"]].reads_phi:
+            over = nnz[(rec["ell"], rec["k"])] > budget
+            assert (rec["status"] == "skipped") == over, rec
+
+
 def test_phi_is_built_only_for_checks_that_read_it(monkeypatch, capsys):
     def unwanted(*args, **kwargs):
         raise RuntimeError("Φ built for a check that does not read it")

@@ -59,15 +59,36 @@ def test_roundtrip_idempotence(c6, path4, petersen):
         assert parse_graph(g.serialize()) == g
 
 
-def test_generate_families():
-    assert generate("path:4").edges == ((0, 1), (1, 2), (2, 3))
-    assert generate("cycle:6") == parse_graph("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
-    assert generate("complete:4").num_edges == 6
-    assert generate("kbipartite:2:3").num_edges == 6
-    assert generate("star:5").num_edges == 4
-    p = generate("petersen")
-    assert p.n == 10 and p.num_edges == 15
-    assert all(p.adjacency_bits[v].bit_count() == 3 for v in range(10))
+@pytest.mark.parametrize(
+    "spec, n, edges",
+    [
+        ("path:1", 1, ()),
+        ("path:4", 4, ((0, 1), (1, 2), (2, 3))),
+        ("cycle:3", 3, ((0, 1), (0, 2), (1, 2))),
+        ("cycle:6", 6, ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))),
+        ("complete:1", 1, ()),
+        ("complete:4", 4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+        ("kbipartite:2:3", 5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))),
+        ("star:1", 1, ()),
+        ("star:5", 5, ((0, 1), (0, 2), (0, 3), (0, 4))),
+        # the outer 5-cycle 0..4, the spokes i-(i+5) and the inner pentagram on 5..9
+        ("petersen", 10, (
+            (0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 4),
+            (3, 8), (4, 9), (5, 7), (5, 8), (6, 8), (6, 9), (7, 9),
+        )),
+        ("gnp:1:1:1:0", 1, ()),
+        ("gnp:4:1:1:3", 4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+        ("gnp:4:0:1:3", 4, ()),
+        # the splitmix64 draws are fixed forever, and so are the graphs they give
+        ("gnp:8:1:2:7", 8, (
+            (0, 1), (0, 2), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 4),
+            (1, 5), (2, 7), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7),
+        )),
+    ],
+)
+def test_generate_families(spec, n, edges):
+    g = generate(spec)
+    assert (g.n, g.edges) == (n, edges)
 
 
 def test_generate_deterministic():
@@ -77,12 +98,46 @@ def test_generate_deterministic():
 
 
 @pytest.mark.parametrize(
-    "spec",
-    ["wheel:5", "path:0", "path:-3", "gnp:5:3:2:1", "gnp:5:-1:2:1", "cycle:2", "petersen:5"],
+    "spec, message",
+    [
+        ("", "unknown graph family ''"),
+        ("wheel:5", "unknown graph family 'wheel'"),
+        ("Path:3", "unknown graph family 'Path'"),
+        ("path", "usage: path:n"),
+        ("path:3:4", "usage: path:n"),
+        ("cycle", "usage: cycle:n"),
+        ("complete:3:3", "usage: complete:n"),
+        ("kbipartite:3", "usage: kbipartite:a:b"),
+        ("kbipartite:1:2:3", "usage: kbipartite:a:b"),
+        ("star", "usage: star:n"),
+        ("petersen:5", "usage: petersen"),
+        ("gnp:4:1:2", "usage: gnp:n:p_num:p_den:seed"),
+        ("gnp:4:1:2:1:1", "usage: gnp:n:p_num:p_den:seed"),
+        ("path:0", "non-positive size: 0"),
+        ("path:-3", "non-positive size: -3"),
+        ("path:", "non-integer size: ''"),
+        ("cycle:0", "non-positive size: 0"),
+        ("cycle:2", "cycle needs n >= 3"),
+        ("complete:x", "non-integer size: 'x'"),
+        ("kbipartite:0:3", "non-positive size: 0"),
+        ("kbipartite:3:0", "non-positive size: 0"),
+        ("kbipartite:3:y", "non-integer size: 'y'"),
+        ("star:0", "non-positive size: 0"),
+        ("gnp:0:1:2:1", "non-positive size: 0"),
+        ("gnp:x:1:2:1", "non-integer size: 'x'"),
+        ("gnp:0:x:2:1", "non-positive size: 0"),
+        ("gnp:5:x:2:1", "gnp parameters must be integers"),
+        ("gnp:5:1:2:s", "gnp parameters must be integers"),
+        ("gnp:5:3:2:1", "probability must lie in [0, 1]"),
+        ("gnp:5:-1:2:1", "probability must lie in [0, 1]"),
+        ("gnp:5:1:0:1", "probability must lie in [0, 1]"),
+        ("gnp:5:0:-1:1", "probability must lie in [0, 1]"),
+    ],
 )
-def test_generate_rejects_bad_specs(spec):
-    with pytest.raises(GraphSpecError):
+def test_generate_rejects_bad_specs(spec, message):
+    with pytest.raises(GraphSpecError) as exc:
         generate(spec)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
