@@ -89,7 +89,7 @@ def _check_list(text: str) -> list[str]:
 
 
 def _budget(text: str) -> int:
-    """A positive budget: the most Φ nonzeros, or f-equivariance pairs times |Aut|, per slot."""
+    """A positive per-slot budget: Φ nonzeros, top pairs (nonneg, parts) or f pairs times |Aut|."""
     try:
         value = int(text)
     except ValueError:

@@ -5,7 +5,8 @@ an edge is its position in that sorted list.  Every other module keys matrices
 and bitsets off this single ordering, so it must be a pure function of the
 labeled graph.
 
-Edge sets are plain Python ints used as bitsets over edge indices.
+Edge sets are plain Python ints used as bitsets over edge indices;
+`Graph.incident` holds each vertex's, which `transfer.chain_walk` steps along.
 
 An edge is valid when it is no loop, its labels lie in 0..n-1 and it is
 no repeat: `_checked_edge` says so once, for `graph_from_edges` and for
@@ -86,13 +87,13 @@ class Graph:
         return tuple((1 << u) | (1 << v) for (u, v) in self.edges)
 
     @cached_property
-    def touching(self) -> tuple[int, ...]:
-        """For each edge, the bitset of edges sharing an endpoint with it, itself included."""
+    def incident(self) -> tuple[int, ...]:
+        """For each vertex, the bitset of its edges."""
         inc = [0] * self.n
         for i, (u, v) in enumerate(self.edges):
             inc[u] |= 1 << i
             inc[v] |= 1 << i
-        return tuple(inc[u] | inc[v] for (u, v) in self.edges)
+        return tuple(inc)
 
     @cached_property
     def adjacency_bits(self) -> tuple[int, ...]:
@@ -104,7 +105,7 @@ class Graph:
         return tuple(adj)
 
     @cached_property
-    def _chain_memo(self) -> dict[int, tuple[tuple[tuple[int, int], ...], int, int]]:
+    def _chain_memo(self) -> dict[int, tuple[tuple[int, ...], int, int, int]]:
         """Memo of `transfer.odd_chains`, filled as one-colored sets are asked for."""
         return {}
 
@@ -251,34 +252,6 @@ def generate(spec: str) -> Graph:
         raise GraphSpecError(f"usage: {':'.join((family, *names))}")
     args = [_positive(p, "size") for p in params[:sizes]] + params[sizes:]
     return graph_from_edges(*build(*args))
-
-
-def components(g: Graph, support: int) -> list[int]:
-    """Connected components of the subgraph induced by the edge bitset.
-
-    Returns a partition of `support` into component bitsets, sorted by
-    minimum edge index.  Each component grows from its lowest edge by whole
-    frontiers of touching edges at a time.
-    """
-    if support >> g.num_edges:
-        raise ValueError("support has bits beyond the host edge count")
-    touching = g.touching
-    unvisited = support
-    out = []
-    while unvisited:
-        frontier = unvisited & -unvisited
-        comp = 0
-        while frontier:
-            comp |= frontier
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= touching[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & unvisited & ~comp
-        unvisited &= ~comp
-        out.append(comp)
-    return out
 
 
 def edge_bits(g: Graph, pairs) -> int:

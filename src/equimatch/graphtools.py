@@ -16,12 +16,11 @@ import re
 from collections import namedtuple
 from pathlib import Path
 
-from . import graph as graphlib
 from .autgroup import automorphisms
 from .cli import write_stdout
 from .graph import Graph, edge_bits, edge_token, generate, load_graph
 from .matchings import MatchingTable, is_matching, matching_table
-from .transfer import end_edge, krattenthaler_f, odd_chains
+from .transfer import chain_walk, krattenthaler_f, odd_chains
 
 BLUE_CHAIN = "blue"
 PINK_CHAIN = "pink"
@@ -56,8 +55,7 @@ def decompose(g: Graph, pair: tuple[int, int]) -> ChainDecomposition:
     if not (is_matching(g, blue) and is_matching(g, pink)):
         raise ValueError("both sides of the pair must be matchings")
     comps = []
-    for comp in graphlib.components(g, blue ^ pink):
-        end = end_edge(g, comp)
+    for comp, end in chain_walk(g, blue ^ pink):
         if comp.bit_count() % 2:
             kind = PINK_CHAIN if pink & end else BLUE_CHAIN
         else:
@@ -73,8 +71,8 @@ def neighbor_set(g: Graph, pair: tuple[int, int]) -> tuple[tuple[int, int], ...]
     two matchings, as in `transfer.odd_chains`.
     """
     blue, pink = pair
-    chains = odd_chains(g, blue ^ pink)[0]
-    return tuple(sorted((blue ^ c, pink ^ c) for (c, end) in chains if pink & end))
+    chains, ends = odd_chains(g, blue ^ pink)[:2]
+    return tuple(sorted((blue ^ c, pink ^ c) for c in chains if pink & ends & c))
 
 
 def check_numeric_logconcavity(t: MatchingTable) -> list[tuple[int, int, int]]:

@@ -10,8 +10,8 @@ even components of the union, so Φ is block diagonal under that block key.
 All pairs of a block share one one-colored set and so one chain
 decomposition; only the color of each odd chain differs between them.  The
 build therefore decomposes each one-colored set once (`transfer.odd_chains`,
-memoised on the graph), reads a chain's color off one end edge and computes a
-swapped pair's row index arithmetically.  A column with p rows has
+memoised on the graph), reads a chain c's color as `pink & ends & c` and
+computes a swapped pair's row index arithmetically.  A column with p rows has
 N = 2p − (k − l + 2) odd chains, and its block holds all C(N, p) colorings
 of them with p pink, each a column of the slot, so the build counts the
 blocks from the row counts alone.  Injectivity is certified on the whole
@@ -120,9 +120,9 @@ def build_phi(
     columns = []
     nnz = 0
     for blue, pink in t.pairs(ell - 1, k + 1):
-        chains = odd_chains(g, blue ^ pink)[0]
+        chains, ends = odd_chains(g, blue ^ pink)[:2]
         rows = sorted(
-            row_of_blue[blue ^ c] * m_k + row_of_pink[pink ^ c] for (c, end) in chains if pink & end
+            row_of_blue[blue ^ c] * m_k + row_of_pink[pink ^ c] for c in chains if pink & ends & c
         )
         if len(rows) < forced:
             raise InternalError("pink-chain count below the forced minimum")
@@ -138,7 +138,7 @@ def block_partition(phi: PhiMatrix) -> list[Block]:
     """The columns by block key, sorted by key: the one grouping, read from the chain memo."""
     groups: dict[BlockKey, list[int]] = {}
     for j, (blue, pink) in enumerate(phi.col_pairs):
-        even = odd_chains(phi.graph, blue ^ pink)[1]
+        even = odd_chains(phi.graph, blue ^ pink)[2]
         groups.setdefault((blue | pink, blue & pink, blue & even), []).append(j)
     return [Block(key, tuple(cols)) for key, cols in sorted(groups.items())]
 
@@ -160,8 +160,9 @@ def slot_identity_holds(phi: PhiMatrix) -> bool:
     for j, ((blue, pink), column) in enumerate(zip(pairs, phi.columns)):
         if len(column) == shift:
             continue
-        for (c, end) in odd_chains(phi.graph, blue ^ pink)[0]:
-            if not pink & end:
+        chains, ends = odd_chains(phi.graph, blue ^ pink)[:2]
+        for c in chains:
+            if not pink & ends & c:
                 downs.setdefault((blue ^ c, pink ^ c), []).append(j)
     return gram_identity_holds(phi.columns, shift, downs.values())
 
@@ -313,7 +314,7 @@ def count_parts(
         u = blue | pink
         h = evens.get(u)
         if h is None:
-            _, h, even_components[u] = odd_chains(g, blue ^ pink)
+            _, _, h, even_components[u] = odd_chains(g, blue ^ pink)
             evens[u] = h
             sources[u] = set()
         sources[u].add(blue & h)

@@ -103,7 +103,7 @@ def verify_diagram(
     failures = []
     for (blue, pink), column in zip(t.pairs(ell - 1, k + 1), phi.columns):
         union, inter = blue | pink, blue & pink
-        even = odd_chains(g, blue ^ pink)[1]
+        even = odd_chains(g, blue ^ pink)[2]
         kept = bool(column)
         for r in column:
             b, p = row_blues[r // m_k], row_pinks[r % m_k]

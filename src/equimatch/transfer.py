@@ -9,13 +9,15 @@ the colors inside one pink chain at a time, while the single-output map
 subset injection (the bracket matching of `brackets.bracket_successor`,
 imported only where f is applied).
 
-`odd_chains` is the one chain decomposition: each odd chain with one end
-edge, memoised per one-colored set, so Φ's build, the union-part counts, the
-single-output map and the neighbor sets (`graphtools.neighbor_set`) share
-it.  None of them checks its pair.  The `transfer` command's `decompose` (in
-`graphtools`, which `verify` and `batch` never compile) checks it, and names
-every component, even ones included, by walking `graph.components` and
-`end_edge` itself.
+`chain_walk` is the one component walk of a one-colored set: one walk
+per component, which finds an end edge of each path as it goes.
+`odd_chains` keeps its odd chains as plain edge bitsets with one mask of
+their end edges, memoised per one-colored set, so Φ's build, the
+union-part counts, the single-output map and the neighbor sets
+(`graphtools.neighbor_set`) share it.  None of them checks its pair.  The
+`transfer` command's `decompose` (in `graphtools`, which `verify` and
+`batch` never compile) checks it, and names every component, even ones
+included, from `chain_walk`.
 The f-equivariance counterexample runs the table's one group scan
 (`MatchingTable.noncommuting_column`) on f's lazily applied columns.
 """
@@ -23,61 +25,72 @@ The f-equivariance counterexample runs the table's one group scan
 from __future__ import annotations
 
 from . import InternalError
-from . import graph as graphlib
 from .graph import Graph
 from .matchings import MatchingTable, matching_table
 
 
-def end_edge(g: Graph, component: int) -> int:
-    """One end edge of a path component, as a single-bit edge set; 0 for a cycle."""
-    if not component & (component - 1):
-        return component
-    ends = g.ends
-    seen = twice = 0
-    rest = component
+def chain_walk(g: Graph, one_colored: int) -> list[tuple[int, int]]:
+    """The components of a one-colored set by minimum edge, each with an end edge (0 for a cycle).
+
+    From the lowest remaining edge {u, v}, u < v, it walks from v along
+    the set's one remaining edge at each vertex until none is left.  Back
+    at u, the component is a cycle; otherwise the last edge walked (the
+    first, if none was) ends at a degree-1 vertex, and the walk goes on
+    from u.  The set is trusted to have maximum degree 2, as the symmetric
+    difference of two matchings has.
+    """
+    edges, incident = g.edges, g.incident
+    rest = one_colored
+    out = []
     while rest:
-        vm = ends[(rest & -rest).bit_length() - 1]
-        twice |= seen & vm
-        seen |= vm
-        rest &= rest - 1
-    endpoints = seen & ~twice
-    rest = component
-    while rest:
-        low = rest & -rest
-        if ends[low.bit_length() - 1] & endpoints:
-            return low
-        rest ^= low
-    return 0
+        end = rest & -rest
+        rest ^= end
+        u, x = edges[end.bit_length() - 1]
+        comp = end
+        while step := incident[x] & rest:
+            rest ^= step
+            comp |= (end := step)
+            a, b = edges[step.bit_length() - 1]
+            x = a + b - x  # the step's other end
+        if x == u:
+            end = 0  # a cycle: nothing is left at u either
+        x = u
+        while step := incident[x] & rest:
+            rest ^= step
+            comp |= step
+            a, b = edges[step.bit_length() - 1]
+            x = a + b - x
+        out.append((comp, end))
+    return out
 
 
-def odd_chains(g: Graph, one_colored: int) -> tuple[tuple[tuple[int, int], ...], int, int]:
-    """The odd chains of a one-colored set, the union of its even components, and their number.
+def odd_chains(g: Graph, one_colored: int) -> tuple[tuple[int, ...], int, int, int]:
+    """(chains, ends, even, count): odd chains, their end edges, the even part and its components.
 
-    Each chain is (edges, end) with `end` one of its end edges, so a pair
-    with this one-colored set colors the chain pink iff `pink & end`.
-    Chains come by minimum edge index; components share no vertex and edges
-    sort lexicographically, so that is also ascending minimum vertex.  The
-    set must be the symmetric difference of two matchings; that is not
-    checked here (`graphtools.decompose` checks it).  Then the pair's intersection
-    edges are isolated single-edge components of its union, so the even
-    part and its component count are also those of the union.  Memoised on
-    `g` per set, so all pairs sharing a union and an intersection search its
-    components once.
+    Each chain is a plain edge bitset and `ends` holds one end edge per
+    chain, so a pair with this one-colored set colors chain c pink iff
+    `pink & ends & c`.  Chains come by minimum edge index (`chain_walk`),
+    which for vertex-disjoint components is ascending minimum vertex.  The
+    set must be the symmetric difference of two matchings, unchecked here
+    (`graphtools.decompose` checks it).  Then the pair's intersection edges
+    are isolated single-edge components of its union, so the even part and
+    its `count` of components are also the union's.  Memoised on `g` per
+    set, so all pairs sharing a union and an intersection walk it once.
     """
     hit = g._chain_memo.get(one_colored)
     if hit is None:
         chains = []
-        even = count = 0
-        for comp in graphlib.components(g, one_colored):
+        ends = even = count = 0
+        for comp, end in chain_walk(g, one_colored):
             if comp.bit_count() % 2:
-                end = end_edge(g, comp)
                 if not end:
-                    raise InternalError("odd component without an end vertex")
-                chains.append((comp, end))
+                    raise InternalError("odd cycle in a one-colored set")
+                chains.append(comp)
+                ends |= end
             else:
                 even |= comp
                 count += 1
-        hit = g._chain_memo[one_colored] = (tuple(chains), even, count)
+        hit = g._chain_memo[one_colored] = (tuple(chains), ends, even, count)
     return hit
 
 
@@ -93,18 +106,18 @@ def krattenthaler_f(g: Graph, pair: tuple[int, int], successor=None) -> tuple[in
     if successor is None:
         from .brackets import bracket_successor as successor
     blue, pink = pair
-    chains = odd_chains(g, blue ^ pink)[0]
+    chains, ends = odd_chains(g, blue ^ pink)[:2]
     blue_positions = 0
-    for i, (c, end) in enumerate(chains):
-        if not pink & end:
+    for i, c in enumerate(chains):
+        if not pink & ends & c:
             blue_positions |= 1 << i
     if 2 * blue_positions.bit_count() >= len(chains):
         raise ValueError("need fewer blue than pink chains")
     enlarged = successor(len(chains), blue_positions)
     if enlarged is None:
         raise InternalError("no unmatched opener although b < p")
-    c, end = chains[(enlarged ^ blue_positions).bit_length() - 1]
-    if not pink & end:
+    c = chains[(enlarged ^ blue_positions).bit_length() - 1]
+    if not pink & ends & c:
         raise InternalError("the subset injection named a blue chain")
     return blue ^ c, pink ^ c
 

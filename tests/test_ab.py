@@ -27,6 +27,9 @@ def test_two_pairs_of_version_on_one_tree_agree():
         for side in ("base", "head"):
             stats = row[name][side]
             assert 0 < stats["q1"] <= stats["median"] <= stats["q3"], (name, side)
+        paired = row[name]["paired"]
+        assert len(paired) == 2 and all(len(pair) == 2 for pair in paired)
+        assert row[name]["head_lower_in"] == sum(h < b for b, h in paired)
     assert result["harness_peak_rss_mb"] > 0
 
 
@@ -36,3 +39,14 @@ def test_outputs_that_differ_are_named():
     row = ab.summarize("--version", {"base": [{**run, "digest": "a"}], "head": [{**run, "digest": "b"}]})
     assert not row["same_output"] and row["digest"] == {"base": ["a"], "head": ["b"]}
     assert row["wall_s"]["median_ratio"] == 1.0 and row["wall_s"]["head_lower_in"] == 0
+
+
+def test_each_pair_is_written_in_run_order():
+    ab = _ab()
+    runs = {
+        side: [{"wall_s": w, "cpu_s": w, "peak_rss_mb": w, "code": 0, "digest": "a"} for w in walls]
+        for side, walls in (("base", [2.0, 3.0, 1.0]), ("head", [1.0, 3.5, 0.5]))
+    }
+    row = ab.summarize("verify", runs)
+    assert row["wall_s"]["paired"] == [[2.0, 1.0], [3.0, 3.5], [1.0, 0.5]]
+    assert row["wall_s"]["head_lower_in"] == 2 and row["wall_s"]["base"]["median"] == 2.0

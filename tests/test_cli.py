@@ -178,6 +178,21 @@ def test_phi_records_are_skipped_exactly_when_phi_exceeds_the_budget(n, num, see
             assert (rec["status"] == "skipped") == over, rec
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 4), st.integers(0, 2**31 - 1), st.data())
+def test_nonneg_and_parts_are_skipped_exactly_when_the_top_pairs_exceed_the_budget(n, num, seed, data):
+    g = generate(f"gnp:{n}:{num}:4:{seed}")
+    t = matching_table(g)
+    tops = sorted({max(1, t.m(ell) * t.m(k) + d) for (ell, k) in t.slots for d in (-1, 0, 1)})
+    budget = data.draw(st.sampled_from(tops or [1]), label="budget")
+    report, _ = graphcli._verify_report(g, "gen", t.slots, ["nonneg", "parts"], budget, t)
+    assert len(report["checks"]) == 2 * len(t.slots)
+    for rec in report["checks"]:
+        over = t.m(rec["ell"]) * t.m(rec["k"]) > budget
+        assert (rec["status"] == "skipped") == over, rec
+        assert (rec["details"] == {"reason": f"budget {budget} exceeded"}) == over, rec
+
+
 def test_phi_is_built_only_for_checks_that_read_it(monkeypatch, capsys):
     def unwanted(*args, **kwargs):
         raise RuntimeError("Φ built for a check that does not read it")
@@ -185,9 +200,11 @@ def test_phi_is_built_only_for_checks_that_read_it(monkeypatch, capsys):
     monkeypatch.setattr(graphcli, "build_phi", unwanted)
     assert run(["verify", "--gen", "petersen", "--check", "nonneg"]) == 0
     assert run(["verify", "--gen", "cycle:6", "--check", "f-equivariance"]) == 0
+    # `parts` counts its classes from the table and its own pair budget
+    assert run(["verify", "--gen", "cycle:6", "--check", "nonneg,parts"]) == 0
     capsys.readouterr()
     # a check that reads Φ still asks for it
-    assert run(["verify", "--gen", "cycle:6", "--check", "nonneg,parts"]) == 4
+    assert run(["verify", "--gen", "cycle:6", "--check", "diagram,parts"]) == 4
     assert "Φ built for a check" in capsys.readouterr().err
 
 
@@ -627,7 +644,7 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     # a pink-chain count below the forced minimum breaks an invariant of
     # build_phi, which must surface as an internal error, not as a failed
     # check (1) or an input error (2)
-    monkeypatch.setattr(phimap, "odd_chains", lambda g, one_colored: ((), 0, 0))
+    monkeypatch.setattr(phimap, "odd_chains", lambda g, one_colored: ((), 0, 0, 0))
     assert run(["verify", "--gen", "cycle:6", "--check", "injective"]) == 4
     err = capsys.readouterr().err
     assert "InternalError" in err and "internal error" in err

@@ -1,17 +1,13 @@
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from equimatch.graph import (
     Graph,
     GraphFormatError,
     GraphSpecError,
-    components,
-    edge_bits,
     generate,
     graph_from_edges,
     parse_graph,
 )
-from oracles import union_find_components
 
 
 def test_parse_c6_canonical_order():
@@ -166,40 +162,6 @@ def test_graph_invariants_enforced():
         Graph(3, ((1, 2), (0, 1)))  # not sorted
     with pytest.raises(ValueError):
         graph_from_edges(3, [(0, 1), (1, 0)])  # duplicate after flip
-
-
-def test_components_examples(c6, path4):
-    all6 = (1 << 6) - 1
-    assert components(c6, all6) == [all6]
-    two = edge_bits(c6, [(0, 1), (2, 3)])
-    comps = components(c6, two)
-    assert len(comps) == 2
-    assert comps[0] | comps[1] == two and comps[0] & comps[1] == 0
-    one = edge_bits(path4, [(0, 1), (1, 2)])
-    assert components(path4, one) == [one]
-
-
-@given(st.integers(0, 2**15 - 1))
-def test_components_partition_support(support):
-    g = generate("gnp:8:2:3:5")
-    support &= (1 << g.num_edges) - 1
-    comps = components(g, support)
-    acc = 0
-    for c in comps:
-        assert c and not (acc & c)
-        acc |= c
-    assert acc == support
-    # sorted by minimum edge index
-    mins = [(c & -c) for c in comps]
-    assert mins == sorted(mins)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 5), st.integers(0, 2**31 - 1), st.integers(0, 2**36 - 1))
-def test_components_match_union_find(n, num, seed, support):
-    g = generate(f"gnp:{n}:{num}:6:{seed}")
-    support &= (1 << g.num_edges) - 1
-    assert components(g, support) == union_find_components(g, support)
 
 
 def test_plain_classes_keep_equality_hash_repr_and_validation():

@@ -135,7 +135,7 @@ def test_even_part_empty_for_odd_components(c6):
     # a perfect matching union: three single-edge (odd) components, so the
     # chain memo holds no even part and no even component
     pm = edge_bits(c6, [(0, 1), (2, 3), (4, 5)])
-    assert odd_chains(c6, pm)[1:] == (0, 0)
+    assert odd_chains(c6, pm)[2:] == (0, 0)
 
 
 def test_verify_injective_examples(c6, path4):
@@ -298,7 +298,7 @@ def test_entry_outside_its_block_is_an_internal_error():
 
 
 def test_pink_chains_below_the_forced_minimum_are_an_internal_error(c6, monkeypatch):
-    monkeypatch.setattr(phimap, "odd_chains", lambda g, one_colored: ((), 0, 0))
+    monkeypatch.setattr(phimap, "odd_chains", lambda g, one_colored: ((), 0, 0, 0))
     with pytest.raises(InternalError):
         build_phi(c6, 2, 2)
 
@@ -579,13 +579,11 @@ def test_repeated_blue_chain_fails_the_identity(spec, ell, k):
     # the pattern is intact, so the fallback finds full rank
     g = generate(spec)
     phi = build_phi(g, ell, k)
-    blue, pink = next(
-        (b, p) for (b, p) in phi.col_pairs
-        if any(not p & end for (_, end) in odd_chains(g, b ^ p)[0])
-    )
-    chains, even, even_components = odd_chains(g, blue ^ pink)
-    repeated = next(chain for chain in chains if not pink & chain[1])
-    g._chain_memo[blue ^ pink] = (chains + (repeated,), even, even_components)
+    # a column with a blue chain has more than k - l + 2 rows
+    blue, pink = next(pair for pair, rows in zip(phi.col_pairs, phi.columns) if len(rows) > k - ell + 2)
+    chains, ends, even, even_components = odd_chains(g, blue ^ pink)
+    repeated = next(c for c in chains if not pink & ends & c)
+    g._chain_memo[blue ^ pink] = (chains + (repeated,), ends, even, even_components)
     assert not slot_identity_holds(phi)
     rep = verify_injective(g, ell, k, phi=phi)
     assert rep.total_rank == rank_gauss_sparse(phi_matrix(phi)) == rep.expected

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -5,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from equimatch import transfer
 from equimatch.autgroup import apply_edge_perm, automorphisms, edge_action
-from equimatch.graph import edge_bits, generate
+from equimatch.graph import edge_bits, generate, graph_from_edges
 from equimatch.graphtools import BLUE_CHAIN, PINK_CHAIN, decompose, neighbor_set
 from equimatch.matchings import is_matching, matching_table
-from equimatch.transfer import f_equivariance_counterexample, krattenthaler_f, odd_chains
+from equimatch.transfer import chain_walk, f_equivariance_counterexample, krattenthaler_f, odd_chains
 from oracles import (
     atlas_graphs,
     chain_kinds,
@@ -18,6 +19,7 @@ from oracles import (
     f_counterexample_eager,
     neighbor_pairs,
     subset_inject,
+    union_find_components,
 )
 
 
@@ -299,17 +301,19 @@ def test_decompose_matches_degree_oracle(n, num, seed, rnd):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 8), st.integers(1, 5), st.integers(0, 2**31 - 1), st.randoms(use_true_random=False))
 def test_odd_chains_match_degree_oracle(n, num, seed, rnd):
-    """Each odd chain's stored edge is an end edge, so `pink & end` gives its color."""
+    """Each odd chain's stored edge is an end edge, so `pink & ends & c` gives its color."""
     g = generate(f"gnp:{n}:{num}:6:{seed}")
     matchings = [m for level in matching_table(g).by_size for m in level]
     for _ in range(30):
         blue, pink = rnd.choice(matchings), rnd.choice(matchings)
-        chains, even, even_components = odd_chains(g, blue ^ pink)
+        chains, ends, even, even_components = odd_chains(g, blue ^ pink)
         kinds = chain_kinds(g, blue, pink)
         odd = [(edges, kind) for (edges, kind, _) in kinds if kind in (BLUE_CHAIN, PINK_CHAIN)]
-        assert [(c, PINK_CHAIN if pink & end else BLUE_CHAIN) for (c, end) in chains] == odd
-        for (c, end) in chains:
-            assert end & c and not end & (end - 1)
+        assert [(c, PINK_CHAIN if pink & ends & c else BLUE_CHAIN) for c in chains] == odd
+        assert not ends & ~sum(chains)  # one end edge per chain, none elsewhere
+        for c in chains:
+            end = ends & c
+            assert end and not end & (end - 1)
             others = c & ~end
             touching = {v for i in range(g.num_edges) if others >> i & 1 for v in g.edges[i]}
             assert len(set(g.edges[end.bit_length() - 1]) - touching) >= 1
@@ -318,3 +322,49 @@ def test_odd_chains_match_degree_oracle(n, num, seed, rnd):
         # so the even part and its component count are the union's
         assert (even, even_components) == direct_even_part(g, blue | pink)
     assert odd_chains(g, blue ^ pink) is odd_chains(g, blue ^ pink)  # memoised
+
+
+def _assert_walk(g, one_colored):
+    """`chain_walk` gives the union-find components in their order, a path an
+    edge at a degree-1 vertex of the set, and a cycle 0; returns the cycle count."""
+    walked = chain_walk(g, one_colored)
+    assert [comp for comp, _ in walked] == union_find_components(g, one_colored)
+    degree = Counter(v for i in range(g.num_edges) if one_colored >> i & 1 for v in g.edges[i])
+    cycles = 0
+    for comp, end in walked:
+        ends = [v for i in range(g.num_edges) if comp >> i & 1 for v in g.edges[i] if degree[v] == 1]
+        if not ends:
+            assert end == 0
+            cycles += 1
+        else:
+            assert end & comp and not end & (end - 1)
+            assert set(g.edges[end.bit_length() - 1]) & set(ends)
+    return cycles
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 5), st.integers(0, 2**31 - 1), st.randoms(use_true_random=False))
+def test_chain_walk_matches_union_find_on_matching_pairs(n, num, seed, rnd):
+    g = generate(f"gnp:{n}:{num}:6:{seed}")
+    matchings = [m for level in matching_table(g).by_size for m in level]
+    for _ in range(30):
+        _assert_walk(g, rnd.choice(matchings) ^ rnd.choice(matchings))
+
+
+# C6, C8 and C4 + C6, each of whose perfect-matching pairs is a union of even cycles
+CYCLES = [[(i, (i + 1) % n) for i in range(n)] for n in (6, 8)] + [
+    [(0, 1), (1, 2), (2, 3), (0, 3)] + [(4 + i, 4 + (i + 1) % 6) for i in range(6)]
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CYCLES), st.randoms(use_true_random=False))
+def test_chain_walk_closes_the_cycles_of_perfect_matching_pairs(edges, rnd):
+    n = max(v for e in edges for v in e) + 1
+    label = rnd.sample(range(n), n)
+    g = graph_from_edges(n, [(label[u], label[v]) for (u, v) in edges])
+    perfect = matching_table(g).level(n // 2)
+    blue, pink = rnd.choice(perfect), rnd.choice(perfect)
+    assert _assert_walk(g, blue ^ pink) == len(union_find_components(g, blue ^ pink))
+    # one component per cycle on which the two matchings differ
+    assert _assert_walk(g, perfect[0] ^ perfect[-1]) >= 1

@@ -19,8 +19,9 @@ floor under every RSS figure it writes.
 It checks that every run of both trees wrote the same bytes: stdout, then
 whatever `{out}` names (a file, or a directory's files in sorted order).
 The JSON it writes has, per argv line and per measure, each tree's median
-and Q1–Q3 (inclusive quartiles), the median of the paired ratios
-HEAD / BASE, and in how many pairs HEAD was lower.  It exits 1 if the
+and Q1–Q3 (inclusive quartiles), every pair's `[base, head]` values in run
+order, the median of the paired ratios HEAD / BASE, and in how many pairs
+HEAD was lower.  It exits 1 if the
 outputs differ.
 """
 
@@ -110,6 +111,7 @@ def summarize(argv: str, runs: dict[str, list[dict]]) -> dict:
         ratios = [h / b for b, h in zip(values["base"], values["head"])]
         row[name] = {
             **{side: _quartiles(values[side]) for side in SIDES},
+            "paired": [list(pair) for pair in zip(values["base"], values["head"])],
             "median_ratio": round(statistics.median(ratios), 4),
             "head_lower_in": sum(h < b for b, h in zip(values["base"], values["head"])),
         }
