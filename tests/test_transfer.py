@@ -366,5 +366,5 @@ def test_chain_walk_closes_the_cycles_of_perfect_matching_pairs(edges, rnd):
     perfect = matching_table(g).level(n // 2)
     blue, pink = rnd.choice(perfect), rnd.choice(perfect)
     assert _assert_walk(g, blue ^ pink) == len(union_find_components(g, blue ^ pink))
-    # one component per cycle on which the two matchings differ
+    # two different perfect matchings differ on at least one whole cycle
     assert _assert_walk(g, perfect[0] ^ perfect[-1]) >= 1
