@@ -89,7 +89,7 @@ def _check_list(text: str) -> list[str]:
 
 
 def _budget(text: str) -> int:
-    """A positive per-slot budget: Φ nonzeros, top pairs (nonneg, parts) or f pairs times |Aut|."""
+    """A positive per-slot budget on each check's work, tested before any runs (`graphcli.CHECKS`)."""
     try:
         value = int(text)
     except ValueError:

@@ -8,7 +8,8 @@ suite.  Arguments reach them already parsed and checked by `cli`, all but
 those that need the graph (a `verify` slot must lie within 1..r).  Both
 run one graph at a time through `_verify_graph`, which walks the slots in
 the table's order (`MatchingTable.slots`), hands the records to
-`cli.make_report` and writes the report.  `batch` makes its output
+`cli.make_report` and writes the report.  A check whose work on a slot is
+over the budget is skipped there before any runs.  `batch` makes its output
 directory only once every spec is generated and within the vertex limit.
 """
 
@@ -33,22 +34,22 @@ def _witness(g: Graph, sigma, blue: int, pink: int) -> dict:
     return {"sigma": list(sigma), "blue": edge_token(g, blue), "pink": edge_token(g, pink)}
 
 
-class Check(namedtuple("Check", "reads_phi reads_group run")):
-    """One `verify` check and what it reads besides the matching table.
+class Check(namedtuple("Check", "reads_phi reads_group work run")):
+    """One `verify` check: what it reads besides the matching table, what it walks, and its run.
 
-    `run(g, ell, k, table, group, phi, budget)` returns (passed, details),
-    or None when the check's own work would exceed the budget.
+    `work(t, ell, k, group)` counts what the check walks on a slot, from the
+    table's counts alone; `run(g, ell, k, table, group, phi)` returns (passed, details).
     """
 
     __slots__ = ()
 
 
-def _injective(g, ell, k, t, group, phi, budget):
+def _injective(g, ell, k, t, group, phi):
     rep = phimap.verify_injective(g, ell, k, table=t, phi=phi)
     return rep.passed, {"rank": rep.total_rank, "columns": rep.expected, "blocks": rep.blocks}
 
 
-def _equivariant(g, ell, k, t, group, phi, budget):
+def _equivariant(g, ell, k, t, group, phi):
     rep = phimap.verify_equivariant(g, ell, k, table=t, group=group, phi=phi)
     details = {"group_order": rep.group_order, "columns": rep.columns}
     if rep.failures:
@@ -57,14 +58,12 @@ def _equivariant(g, ell, k, t, group, phi, budget):
     return rep.passed, details
 
 
-def _diagram(g, ell, k, t, group, phi, budget):
+def _diagram(g, ell, k, t, group, phi):
     rep = polyring.verify_diagram(g, ell, k, table=t, phi=phi)
     return rep.passed, {"columns": rep.columns}
 
 
-def _nonneg(g, ell, k, t, group, phi, budget):
-    if t.m(ell) * t.m(k) > budget:  # the top pairs it walks
-        return None
+def _nonneg(g, ell, k, t, group, phi):
     rep = polyring.verify_nonneg(g, ell, k, table=t)
     details = {"terms": rep.term_count}
     if rep.violations:
@@ -73,9 +72,7 @@ def _nonneg(g, ell, k, t, group, phi, budget):
     return rep.passed, details
 
 
-def _parts(g, ell, k, t, group, phi, budget):
-    if t.m(ell) * t.m(k) > budget:
-        return None
+def _parts(g, ell, k, t, group, phi):
     recs = phimap.count_parts(g, ell, k, table=t, phi=phi)
     return all(r.counts_equal for r in recs), {
         "unions": len(recs),
@@ -84,11 +81,9 @@ def _parts(g, ell, k, t, group, phi, budget):
     }
 
 
-def _f_equivariance(g, ell, k, t, group, phi, budget):
+def _f_equivariance(g, ell, k, t, group, phi):
     """Expected failure: the single-output map is order dependent, so a
     counterexample on a graph with nontrivial symmetry counts as a pass."""
-    if t.m(ell - 1) * t.m(k + 1) * max(group.order, 1) > budget:
-        return None
     witness = f_equivariance_counterexample(g, group, ell, k, table=t)
     details = {"counterexample": None, "group_order": group.order}
     if witness is not None:
@@ -98,39 +93,44 @@ def _f_equivariance(g, ell, k, t, group, phi, budget):
     return True, details
 
 
-# keyed by the names `cli.ALL_CHECKS` lists for the parser
+def _phi_floor(t, ell, k, group):  # each column has at least k - l + 2 rows, or the build raises
+    return t.m(ell - 1) * t.m(k + 1) * (k - ell + 2)
+
+
+# keyed by the names `cli.ALL_CHECKS` lists for the parser: Check(reads_phi, reads_group, work, run)
 CHECKS = {
-    "diagram": Check(reads_phi=True, reads_group=False, run=_diagram),
-    "equivariant": Check(reads_phi=True, reads_group=True, run=_equivariant),
-    "f-equivariance": Check(reads_phi=False, reads_group=True, run=_f_equivariance),
-    "injective": Check(reads_phi=True, reads_group=False, run=_injective),
-    "nonneg": Check(reads_phi=False, reads_group=False, run=_nonneg),
-    "parts": Check(reads_phi=False, reads_group=False, run=_parts),
+    "diagram": Check(True, False, _phi_floor, _diagram),
+    "equivariant": Check(True, True, _phi_floor, _equivariant),
+    "f-equivariance": Check(
+        False, True, lambda t, ell, k, group: t.m(ell - 1) * t.m(k + 1) * max(group.order, 1), _f_equivariance
+    ),
+    "injective": Check(True, False, _phi_floor, _injective),
+    "nonneg": Check(False, False, lambda t, ell, k, group: t.m(ell) * t.m(k), _nonneg),
+    "parts": Check(False, False, lambda t, ell, k, group: t.m(ell) * t.m(k) if t.m(k + 1) else 0, _parts),
 }
 
 
 def _run_checks(g: Graph, ell: int, k: int, checks, budget: int, group, t) -> list[tuple]:
     """The (check, ell, k, status, details) records of one slot; `t` is the graph's matching table.
 
-    Φ is built once, and only if a requested check reads it.  A check whose
-    Φ or own work exceeds the budget gets a `skipped` record.
+    A check whose work is over the budget is skipped before anything runs.
+    Φ is built once, only if a check left reads it; a build whose nonzeros
+    pass the budget after all skips every check that reads it.
     """
+    within = [c for c in checks if CHECKS[c].work(t, ell, k, group) <= budget]
     phi = None
-    phi_over_budget = False
-    if any(CHECKS[c].reads_phi for c in checks):
+    if any(CHECKS[c].reads_phi for c in within):
         try:
             phi = build_phi(g, ell, k, table=t, budget=budget)
         except BudgetExceededError:
-            phi_over_budget = True
+            within = [c for c in within if not CHECKS[c].reads_phi]
     records = []
     for name in checks:
-        check = CHECKS[name]
-        skip = check.reads_phi and phi_over_budget
-        result = None if skip else check.run(g, ell, k, t, group, phi, budget)
-        if result is None:
-            status, details = "skipped", {"reason": f"budget {budget} exceeded"}
+        if name in within:
+            passed, details = CHECKS[name].run(g, ell, k, t, group, phi)
+            status = "pass" if passed else "fail"
         else:
-            status, details = ("pass" if result[0] else "fail"), result[1]
+            status, details = "skipped", {"reason": f"budget {budget} exceeded"}
         records.append((name, ell, k, status, details))
     return records
 

@@ -104,9 +104,12 @@ class MatchingTable:
         columns.  sigma moves both index pairs by `moves`, a bijection on
         columns, so None means the map commutes with sigma.  Scanned over
         the sorted generators, the first failure is the first failing
-        element of the whole group (the argument is in `autgroup.automorphisms`).
+        element of the whole group (the argument is in `autgroup.automorphisms`);
+        an empty column level (k = r) gives None before any level is moved.
         """
         blues, pinks = self.level(ell - 1), self.level(k + 1)
+        if not pinks:
+            return None
         m_k, m_k1 = self.m(k), len(pinks)
         col_a, col_b = self.moves(sigma, ell - 1), self.moves(sigma, k + 1)
         row_a, row_b = self.moves(sigma, ell), self.moves(sigma, k)

@@ -106,17 +106,13 @@ def build_phi(
 
     Swapping a pink chain c of (blue, pink) gives (blue ^ c, pink ^ c), whose
     row index is position(blue ^ c) * m_k + position(pink ^ c).  Past `budget`
-    nonzeros it raises `BudgetExceededError`, before any chain is decomposed
-    when the floor m_{l-1} * m_{k+1} * (k - l + 2) is already past it.
+    nonzeros it raises `BudgetExceededError` (`verify` first skips a slot that must pass it).
     """
     t = table or matching_table(g)
     t.check_slot(ell, k)
     m_k = t.m(k)
     row_of_blue, row_of_pink = t.positions[ell], t.positions[k]
     forced = k - ell + 2  # p - b for every column pair
-    floor = t.m(ell - 1) * t.m(k + 1) * forced  # every column has at least `forced` rows
-    if budget is not None and floor > budget:
-        raise BudgetExceededError(f"nonzero floor {floor} exceeds budget {budget} at ({ell}, {k})")
     columns = []
     nnz = 0
     for blue, pink in t.pairs(ell - 1, k + 1):
@@ -238,8 +234,7 @@ def verify_equivariant(
     t = table or matching_table(g)
     t.check_slot(ell, k)
     grp = group or automorphisms(g)
-    if k == t.r or not grp.generators:
-        # nothing to move (`moves` would read level r + 1 of an empty slot)
+    if not grp.generators:  # nothing to move: Φ is neither built nor counted
         return EquivarianceReport(ell, k, grp.order, t.m(ell - 1) * t.m(k + 1), ())
     phi = phi or build_phi(g, ell, k, table=t)
     commutes = None
@@ -295,7 +290,7 @@ def count_parts(
     either power-of-two candidate.  Both sides are scanned from the table's
     levels, keyed by union, so every (l, k) pair with a realized union
     counts, reached by Φ or not; `phi` is accepted like the other checks'
-    and not read.  A slot with no columns realizes no union.
+    and not read.  The top pairs are walked only for a union some column pair gave.
 
     A union's even part and component count come from the chain memo of
     the first column pair with that union (`transfer.odd_chains`): its
@@ -305,8 +300,6 @@ def count_parts(
     """
     t = table or matching_table(g)
     t.check_slot(ell, k)
-    if k == t.r:
-        return []  # no column pair, so no union for the top walk to find
     evens: dict[int, int] = {}
     even_components: dict[int, int] = {}
     sources: dict[int, set] = {}
@@ -319,7 +312,7 @@ def count_parts(
             sources[u] = set()
         sources[u].add(blue & h)
     targets: dict[int, set] = {u: set() for u in sources}
-    for blue, pink in t.pairs(ell, k):
+    for blue, pink in t.pairs(ell, k) if sources else ():
         u = blue | pink
         h = evens.get(u)
         if h is not None:

@@ -140,8 +140,6 @@ def f_equivariance_counterexample(
     if not group.generators:
         return None
     blues, pinks = t.level(ell - 1), t.level(k + 1)
-    if not pinks:
-        return None
     from .brackets import bracket_successor
 
     m_k, m_k1 = t.m(k), len(pinks)

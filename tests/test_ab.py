@@ -2,6 +2,9 @@
 
 import hashlib
 import importlib.util
+import os
+import py_compile
+import shutil
 from pathlib import Path
 
 from equimatch import __version__
@@ -50,3 +53,21 @@ def test_each_pair_is_written_in_run_order():
     row = ab.summarize("verify", runs)
     assert row["wall_s"]["paired"] == [[2.0, 1.0], [3.0, 3.5], [1.0, 0.5]]
     assert row["wall_s"]["head_lower_in"] == 2 and row["wall_s"]["base"]["median"] == 2.0
+
+
+def test_both_trees_are_byte_compiled_before_the_first_pair(tmp_path):
+    # a copied tree whose every source is newer than its bytecode: without the
+    # compile step, a module `--version` never imports would stay stale
+    tree = tmp_path / "tree"
+    shutil.copytree(REPO / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    sources = sorted((tree / "src").rglob("*.py"))
+    for path in sources:
+        py_compile.compile(str(path), doraise=True)
+        stat = path.stat()
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**10))
+    _ab().compare(tree, tree, ["--version"], pairs=1)
+    for path in sources:
+        header = Path(importlib.util.cache_from_source(str(path))).read_bytes()[:16]
+        mtime = int(path.stat().st_mtime) & 0xFFFFFFFF
+        assert header[:4] == importlib.util.MAGIC_NUMBER, path
+        assert int.from_bytes(header[8:12], "little") == mtime, path

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -162,20 +163,40 @@ def test_a_slot_within_its_floor_is_refused_by_the_build(budget, status, monkeyp
     assert decomposed
 
 
+def _work(t, order: int, check: str, ell: int, k: int) -> int:
+    """What `check` walks on slot (ell, k), counted here from the table and the group order."""
+    columns = t.m(ell - 1) * t.m(k + 1)
+    if check == "nonneg":
+        return t.m(ell) * t.m(k)
+    if check == "parts":  # the top pairs, read only where a column pair gives a union
+        return t.m(ell) * t.m(k) if columns else 0
+    if check == "f-equivariance":
+        return columns * order
+    return columns * (k - ell + 2)  # Φ: each column has at least k - l + 2 rows
+
+
+PHI_CHECKS = {"diagram", "equivariant", "injective"}
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 8), st.integers(1, 4), st.integers(0, 2**31 - 1), st.data())
 def test_phi_records_are_skipped_exactly_when_phi_exceeds_the_budget(n, num, seed, data):
+    # every check, not only those reading Φ: a record is skipped exactly when
+    # the check's own work or, for a check reading Φ, Φ's nonzeros pass the budget
     g = generate(f"gnp:{n}:{num}:4:{seed}")
     t = matching_table(g)
+    order = graphcli.automorphisms(g).order
     nnz = {(ell, k): phimap.build_phi(g, ell, k, table=t).nnz for (ell, k) in t.slots}
-    floors = [t.m(ell - 1) * t.m(k + 1) * (k - ell + 2) for (ell, k) in t.slots]
-    edges = sorted({max(1, v + d) for v in [*nnz.values(), *floors] for d in (-1, 0, 1)})
+    works = [_work(t, order, c, ell, k) for (ell, k) in t.slots for c in cli.ALL_CHECKS]
+    edges = sorted({max(1, v + d) for v in [*nnz.values(), *works] for d in (-1, 0, 1)})
     budget = data.draw(st.sampled_from(edges or [1]), label="budget")
     report, _ = graphcli._verify_report(g, "gen", t.slots, cli.ALL_CHECKS, budget, t)
+    assert len(report["checks"]) == len(cli.ALL_CHECKS) * len(t.slots)
     for rec in report["checks"]:
-        if graphcli.CHECKS[rec["check"]].reads_phi:
-            over = nnz[(rec["ell"], rec["k"])] > budget
-            assert (rec["status"] == "skipped") == over, rec
+        slot = (rec["ell"], rec["k"])
+        over = _work(t, order, rec["check"], *slot) > budget
+        over |= rec["check"] in PHI_CHECKS and nnz[slot] > budget
+        assert (rec["status"] == "skipped") == over, rec
 
 
 @settings(max_examples=30, deadline=None)
@@ -189,8 +210,34 @@ def test_nonneg_and_parts_are_skipped_exactly_when_the_top_pairs_exceed_the_budg
     assert len(report["checks"]) == 2 * len(t.slots)
     for rec in report["checks"]:
         over = t.m(rec["ell"]) * t.m(rec["k"]) > budget
+        # `parts` reads the top pairs only where a column pair gives a union to find
+        over &= rec["check"] == "nonneg" or t.m(rec["k"] + 1) > 0
         assert (rec["status"] == "skipped") == over, rec
         assert (rec["details"] == {"reason": f"budget {budget} exceeded"}) == over, rec
+
+
+@pytest.mark.parametrize(
+    "argv", [["complete:9", "--ell", "3", "--k", "4"], ["cycle:6", "--ell", "2", "--k", "3", "--budget", "5"]]
+)
+def test_parts_passes_a_slot_without_columns_over_the_budget(argv, capsys):
+    # k = r: no column pair gives a union, so `parts` reads no top pair
+    # however many there are (K9's (3, 4) has 1,190,700, C6's (2, 3) 18)
+    assert run(["verify", "--gen", *argv, "--check", "parts"]) == 0
+    (rec,) = json.loads(capsys.readouterr().out)["checks"]
+    assert rec["status"] == "pass" and rec["details"]["unions"] == 0
+
+
+@pytest.mark.parametrize("check", ["f-equivariance", "nonneg", "parts"])
+def test_a_check_runs_when_its_work_equals_the_budget(check, capsys):
+    # gnp:8:1:2:7 has a trivial group, so f's work is its m_0 * m_2 column
+    # pairs alone; `nonneg` and `parts` walk the m_1 * m_1 top pairs
+    t = matching_table(generate("gnp:8:1:2:7"))
+    work = t.m(0) * t.m(2) if check == "f-equivariance" else t.m(1) * t.m(1)
+    argv = ["verify", "--gen", "gnp:8:1:2:7", "--ell", "1", "--k", "1", "--check", check]
+    for budget, status in [(work, "pass"), (work - 1, "skipped")]:
+        assert run([*argv, "--budget", str(budget)]) == cli.report_exit(status)
+        (rec,) = json.loads(capsys.readouterr().out)["checks"]
+        assert rec["status"] == status, budget
 
 
 def test_phi_is_built_only_for_checks_that_read_it(monkeypatch, capsys):
@@ -573,7 +620,10 @@ def test_batch_refuses_two_specs_that_write_one_file(tmp_path, capsys):
 
 def _failing_nonneg(monkeypatch):
     # a nonneg check that always fails: no correct graph reaches the fail path
-    check = graphcli.Check(reads_phi=False, reads_group=False, run=lambda *args: (False, {"terms": 0}))
+    # and walks nothing, so no budget skips it
+    check = graphcli.Check(
+        reads_phi=False, reads_group=False, work=lambda *args: 0, run=lambda *args: (False, {"terms": 0})
+    )
     monkeypatch.setitem(graphcli.CHECKS, "nonneg", check)
 
 
@@ -804,6 +854,32 @@ def test_an_empty_generator_spec_is_bad_input(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: unknown graph family ''\n"
+
+
+def test_the_equivariant_record_names_the_first_failing_generator(monkeypatch):
+    g = generate("cycle:6")
+    t = matching_table(g)
+    grp = graphcli.automorphisms(g)
+    pairs = list(t.pairs(1, 3))[:2]
+    failures = tuple(zip(grp.generators, pairs))
+    assert len(failures) == 2
+    report = phimap.EquivarianceReport(1, 2, grp.order, 12, failures)
+    monkeypatch.setattr(phimap, "verify_equivariant", lambda *args, **kwargs: report)
+    passed, details = graphcli._equivariant(g, 1, 2, t, grp, None)
+    (blue, pink), sigma = pairs[0], grp.generators[0]
+    assert not passed
+    assert details["witness"] == {
+        "sigma": list(sigma), "blue": graph.edge_token(g, blue), "pink": graph.edge_token(g, pink)
+    }
+
+
+def test_the_summary_times_the_report(capsys):
+    started = time.monotonic()
+    assert run(["verify", "--gen", "cycle:6"]) == 0
+    elapsed = time.monotonic() - started
+    (line,) = capsys.readouterr().err.splitlines()
+    seconds = float(re.fullmatch(r"verify gen:cycle:6: pass \(.*, (\d+\.\d\d)s\)", line).group(1))
+    assert 0 <= seconds <= elapsed + 0.01
 
 
 def test_group_size_goes_to_stderr_not_the_report(tmp_path, capsys):

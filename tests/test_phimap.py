@@ -166,6 +166,25 @@ def test_verify_equivariant_examples(c6, path4):
     assert rep.passed and rep.group_order == 12
 
 
+@pytest.mark.parametrize("spec", ["cycle:6", "complete:6"])
+def test_a_slot_without_columns_is_the_tables_case(spec):
+    # at k = r the column level r + 1 is empty: the scan returns None for
+    # every generator without reading a column, and neither group check
+    # special-cases the slot
+    def unread(j):
+        raise AssertionError(f"column {j} of a slot without columns read")
+
+    g = generate(spec)
+    t = matching_table(g)
+    grp = automorphisms(g)
+    assert t.r == 3 and t.m(4) == 0 and grp.generators
+    for sigma in grp.generators:
+        assert t.noncommuting_column(3, 3, sigma, unread) is None
+    rep = verify_equivariant(g, 3, 3, table=t, group=grp)
+    assert rep.passed and rep.failures == () and rep.columns == 0
+    assert f_equivariance_counterexample(g, grp, 3, 3, table=t) is None
+
+
 def test_level_moves_are_computed_once_per_table(monkeypatch):
     """Both group checks over every slot of K6 read each generator's image of
     each level from one memo on the table, and each generator's edge action

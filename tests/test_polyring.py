@@ -4,7 +4,6 @@ import pytest
 
 from equimatch import graphcli
 from equimatch.autgroup import automorphisms, edge_action
-from equimatch.cli import DEFAULT_BUDGET
 from equimatch.graph import edge_bits, generate
 from equimatch.graphtools import check_numeric_logconcavity
 from equimatch.matchings import MatchingTable, matching_table
@@ -232,7 +231,7 @@ def test_nonneg_names_each_monomial_a_missing_edge_makes_negative(c6):
     expected = sorted((_exponent_vector(c6, {(0, 1): 1, f: 1}), -1) for f in [(2, 3), (3, 4), (4, 5)])
     assert list(verify_nonneg(c6, 1, 1, table=fake).violations) == expected
     # the report names the first of them
-    passed, details = graphcli._nonneg(c6, 1, 1, fake, None, None, DEFAULT_BUDGET)
+    passed, details = graphcli._nonneg(c6, 1, 1, fake, None, None)
     assert not passed
     assert details["violating_monomial"] == {"exponents": list(expected[0][0]), "coefficient": "-1"}
 

@@ -4,7 +4,11 @@
 
 Each argv line runs as `python -m equimatch ARGV` in a fresh process, with
 PYTHONPATH set to the tree's `src` and PYTHONHASHSEED=0, stdout to a file
-and stderr discarded.  Runs go pair by pair, and which tree goes first
+and stderr discarded.  Both trees' `src` is byte-compiled first
+(`python -m compileall -q`, which writes bytecode even under
+PYTHONDONTWRITEBYTECODE): a tree whose bytecode is stale would otherwise
+recompile its changed modules in every run and read slower than it is.
+Runs go pair by pair, and which tree goes first
 alternates from pair to pair.  A `{out}` in an argv line becomes a fresh
 path per run, so `--json {out}` reports can be compared too.  The `--`
 keeps argparse from reading an argv line such as "--version" as an option.
@@ -125,6 +129,8 @@ def summarize(argv: str, runs: dict[str, list[dict]]) -> dict:
 def compare(base: Path, head: Path, argvs: list[str], pairs: int, log=None) -> dict:
     """Every argv line on both trees, `pairs` alternated pairs each; the JSON layout as a dict."""
     trees = {"base": base.resolve(), "head": head.resolve()}
+    for tree in trees.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")], check=True)
     rows = []
     with tempfile.TemporaryDirectory(prefix="equimatch-ab-") as workdir:
         for line in argvs:
