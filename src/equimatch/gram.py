@@ -1,8 +1,9 @@
 """0/1 patterns, and one integer Gram identity: the full-column-rank certificate of Φ and of the Boolean up maps.
 
 If PᵀP = shift·I + Σ w·wᵀ with shift > 0, then |Px|² > 0 for every x ≠ 0.
-Both are Proctor's sl₂ relation DU − UD = (n − 2i)·I (1982): Φ's blocks are
-Boolean up maps.  Importing nothing of the package keeps `exactalg` uncompiled
+Both are Proctor's sl₂ relation DU − UD = (n − 2i)·I (1982), each with the
+columns of its map one step down as witnesses: U_{i−1} for U_i, Φ_{l−1,k+1}
+for Φ_{l,k}.  Importing nothing of the package keeps `exactalg` uncompiled
 wherever every identity holds.
 """
 
@@ -47,7 +48,7 @@ def gram_identity_holds(cols, shift: int, witnesses) -> bool:
     """True iff shift > 0 and PᵀP = shift·I + Σ w·wᵀ in integers; False means only "not certified".
 
     `cols` are P's 0/1 columns, each a tuple of strictly increasing rows;
-    each witness is a sorted list of column indices, and all are read twice.
+    each witness is a sorted sequence of column indices, and all are read twice.
     The diagonal is each column's length.  Off it, the (j, j') pairs of row
     sharing among named columns and those of the witnesses are compared as
     multisets (two Counters hold no zero counts, so dict equality is

@@ -9,7 +9,8 @@ those that need the graph (a `verify` slot must lie within 1..r).  Both
 run one graph at a time through `_verify_graph`, which walks the slots in
 the table's order (`MatchingTable.slots`), hands the records to
 `cli.make_report` and writes the report.  A check whose work on a slot is
-over the budget is skipped there before any runs.  `batch` makes its output
+over the budget is skipped there before any runs, a check reading Φ by
+Φ's exact nonzero count (`phimap.nonzeros`).  `batch` makes its output
 directory only once every spec is generated and within the vertex limit.
 """
 
@@ -26,7 +27,7 @@ from .autgroup import automorphisms, check_vertex_limit
 from .cli import ALL_CHECKS, emit, make_report, overall, report_exit
 from .graph import Graph, edge_token, generate, load_graph
 from .matchings import matching_table
-from .phimap import BudgetExceededError, build_phi
+from .phimap import build_phi
 from .transfer import f_equivariance_counterexample
 
 
@@ -93,18 +94,18 @@ def _f_equivariance(g, ell, k, t, group, phi):
     return True, details
 
 
-def _phi_floor(t, ell, k, group):  # each column has at least k - l + 2 rows, or the build raises
-    return t.m(ell - 1) * t.m(k + 1) * (k - ell + 2)
+def _phi_nonzeros(t, ell, k, group):  # exact, so a check reading Φ is skipped just when Φ is over the budget
+    return phimap.nonzeros(t, ell, k)
 
 
 # keyed by the names `cli.ALL_CHECKS` lists for the parser: Check(reads_phi, reads_group, work, run)
 CHECKS = {
-    "diagram": Check(True, False, _phi_floor, _diagram),
-    "equivariant": Check(True, True, _phi_floor, _equivariant),
+    "diagram": Check(True, False, _phi_nonzeros, _diagram),
+    "equivariant": Check(True, True, _phi_nonzeros, _equivariant),
     "f-equivariance": Check(
-        False, True, lambda t, ell, k, group: t.m(ell - 1) * t.m(k + 1) * max(group.order, 1), _f_equivariance
+        False, True, lambda t, ell, k, group: t.m(ell - 1) * t.m(k + 1) * group.order, _f_equivariance
     ),
-    "injective": Check(True, False, _phi_floor, _injective),
+    "injective": Check(True, False, _phi_nonzeros, _injective),
     "nonneg": Check(False, False, lambda t, ell, k, group: t.m(ell) * t.m(k), _nonneg),
     "parts": Check(False, False, lambda t, ell, k, group: t.m(ell) * t.m(k) if t.m(k + 1) else 0, _parts),
 }
@@ -114,16 +115,11 @@ def _run_checks(g: Graph, ell: int, k: int, checks, budget: int, group, t) -> li
     """The (check, ell, k, status, details) records of one slot; `t` is the graph's matching table.
 
     A check whose work is over the budget is skipped before anything runs.
-    Φ is built once, only if a check left reads it; a build whose nonzeros
-    pass the budget after all skips every check that reads it.
+    Φ is built once, with no budget of its own, only if a check left reads
+    it: their work is Φ's exact nonzero count, so no build is refused.
     """
     within = [c for c in checks if CHECKS[c].work(t, ell, k, group) <= budget]
-    phi = None
-    if any(CHECKS[c].reads_phi for c in within):
-        try:
-            phi = build_phi(g, ell, k, table=t, budget=budget)
-        except BudgetExceededError:
-            within = [c for c in within if not CHECKS[c].reads_phi]
+    phi = build_phi(g, ell, k, table=t) if any(CHECKS[c].reads_phi for c in within) else None
     records = []
     for name in checks:
         if name in within:

@@ -14,9 +14,11 @@ memoised on the graph), reads a chain c's color as `pink & ends & c` and
 computes a swapped pair's row index arithmetically.  A column with p rows has
 N = 2p − (k − l + 2) odd chains, and its block holds all C(N, p) colorings
 of them with p pink, each a column of the slot, so the build counts the
-blocks from the row counts alone.  Injectivity is certified on the whole
-slot by one integer identity (`slot_identity_holds`, which builds the
-down-pair witnesses for `gram.gram_identity_holds`); only a Φ that fails it
+blocks from the row counts alone.  As 0/1 patterns, Φ_{l,k}ᵀΦ_{l,k} =
+(k − l + 2)·I + Φ_{l−1,k+1}Φ_{l−1,k+1}ᵀ (Proctor's sl₂ relation), both
+sides from one column builder.  It certifies injectivity on the whole slot
+(`slot_identity_holds`), and its trace is Φ's exact nonzero count
+(`nonzeros`), the budget of every check reading Φ.  Only a Φ that fails it
 is grouped (`block_partition`) and ranked block by block
 (`exactalg.rank_by_groups`), and only then is `exactalg` loaded.
 Equivariance is the table's one group scan
@@ -95,39 +97,51 @@ class PhiMatrix:
         return sum(len(c) for c in self.columns)
 
 
+def nonzeros(t: MatchingTable, ell: int, k: int) -> int:
+    """Φ's nonzero count on (l, k) from the matching numbers alone: the trace of the slot identity.
+
+    nnz(l, k) = (k − l + 2)·m(l−1)·m(k+1) + nnz(l − 1, k + 1), and nnz(0, ·) = 0.
+    """
+    return sum((k - ell + 2 + 2 * i) * t.m(ell - 1 - i) * t.m(k + 1 + i) for i in range(ell))
+
+
+def _columns(g: Graph, t: MatchingTable, ell: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Φ's columns from the (l − 1, k + 1) pairs to the (l, k) pairs; none if l − 1 < 0 or k + 1 > r.
+
+    Swapping a pink chain c of (blue, pink) gives (blue ^ c, pink ^ c), whose
+    row index is position(blue ^ c) * m_k + position(pink ^ c).
+    """
+    if ell < 1 or k >= t.r:
+        return ()
+    m_k = t.m(k)
+    row_of_blue, row_of_pink = t.positions[ell], t.positions[k]
+    columns = []
+    for blue, pink in t.pairs(ell - 1, k + 1):
+        chains, ends = odd_chains(g, blue ^ pink)[:2]
+        rows = sorted(row_of_blue[blue ^ c] * m_k + row_of_pink[pink ^ c] for c in chains if pink & ends & c)
+        columns.append(tuple(rows))
+    return tuple(columns)
+
+
 def build_phi(
-    g: Graph,
-    ell: int,
-    k: int,
-    table: MatchingTable | None = None,
-    budget: int | None = None,
+    g: Graph, ell: int, k: int, table: MatchingTable | None = None, budget: int | None = None
 ) -> PhiMatrix:
     """Matrix of the averaged chain-swap map for one (l, k) slot.
 
-    Swapping a pink chain c of (blue, pink) gives (blue ^ c, pink ^ c), whose
-    row index is position(blue ^ c) * m_k + position(pink ^ c).  Past `budget`
-    nonzeros it raises `BudgetExceededError` (`verify` first skips a slot that must pass it).
+    Raises `BudgetExceededError` before any chain is read if Φ's `nonzeros`
+    pass `budget`, and `InternalError` if the build makes another count.
     """
     t = table or matching_table(g)
     t.check_slot(ell, k)
-    m_k = t.m(k)
-    row_of_blue, row_of_pink = t.positions[ell], t.positions[k]
+    nnz = nonzeros(t, ell, k)
+    if budget is not None and nnz > budget:
+        raise BudgetExceededError(f"nonzero count {nnz} exceeds budget {budget} at ({ell}, {k})")
+    columns = _columns(g, t, ell, k)
+    if sum(map(len, columns)) != nnz:
+        raise InternalError(f"Φ's nonzeros at ({ell}, {k}) differ from the slot identity's count {nnz}")
     forced = k - ell + 2  # p - b for every column pair
-    columns = []
-    nnz = 0
-    for blue, pink in t.pairs(ell - 1, k + 1):
-        chains, ends = odd_chains(g, blue ^ pink)[:2]
-        rows = sorted(
-            row_of_blue[blue ^ c] * m_k + row_of_pink[pink ^ c] for c in chains if pink & ends & c
-        )
-        if len(rows) < forced:
-            raise InternalError("pink-chain count below the forced minimum")
-        nnz += len(rows)
-        if budget is not None and nnz > budget:
-            raise BudgetExceededError(f"nonzero count exceeds budget {budget} at ({ell}, {k})")
-        columns.append(tuple(rows))
     blocks = sum(n // comb(2 * p - forced, p) for p, n in Counter(map(len, columns)).items())
-    return PhiMatrix(t, ell, k, tuple(columns), blocks)
+    return PhiMatrix(t, ell, k, columns, blocks)
 
 
 def block_partition(phi: PhiMatrix) -> list[Block]:
@@ -140,27 +154,15 @@ def block_partition(phi: PhiMatrix) -> list[Block]:
 
 
 def slot_identity_holds(phi: PhiMatrix) -> bool:
-    """True iff PᵀP = (k − l + 2)·I + DᵀD on Φ's 0/1 pattern P (`gram.gram_identity_holds`).
+    """True iff PᵀP = (k − l + 2)·I + WWᵀ on Φ's 0/1 pattern P (`gram.gram_identity_holds`).
 
-    D sends a column pair to its blue-chain swaps (blue ^ c, pink ^ c); the
-    witnesses are D's rows, the columns that reach each down pair.  A
-    column's p entries must be (k − l + 2) + b, b its blue chains, and two
-    columns must share as many rows as down pairs.  Any D makes the right
-    side positive definite, as the shift is at least 2, so the identity
-    gives P full column rank; a column of exactly k − l + 2 entries (b = 0
-    when correct) is given no down pair and its chains are not read.
+    W is Φ one slot down, at (l − 1, k + 1): its rows are P's column pairs,
+    and its column for an (l − 2, k + 2) pair lists the columns of P that
+    reach it by a blue-chain swap, so a column with b blue chains has
+    (k − l + 2) + b entries.  The shift is at least 2: the identity gives P full column rank.
     """
-    shift = phi.k - phi.ell + 2
-    pairs = phi.table.pairs(phi.ell - 1, phi.k + 1)
-    downs: dict[PairBits, list[int]] = {}
-    for j, ((blue, pink), column) in enumerate(zip(pairs, phi.columns)):
-        if len(column) == shift:
-            continue
-        chains, ends = odd_chains(phi.graph, blue ^ pink)[:2]
-        for c in chains:
-            if not pink & ends & c:
-                downs.setdefault((blue ^ c, pink ^ c), []).append(j)
-    return gram_identity_holds(phi.columns, shift, downs.values())
+    witnesses = _columns(phi.graph, phi.table, phi.ell - 1, phi.k + 1)
+    return gram_identity_holds(phi.columns, phi.k - phi.ell + 2, witnesses)
 
 
 class InjectivityReport(namedtuple("InjectivityReport", "ell k blocks total_rank expected")):

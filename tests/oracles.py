@@ -9,7 +9,8 @@ components by union-find and even parts by a fresh search per union, chain
 kinds from vertex degrees, neighbor sets and the single-output map from
 those kinds (odd chains sorted by minimum vertex explicitly, the bracket
 injection read off segment counts), Φ by one neighbor set per column pair
-with a row index over every row pair, the f-equivariance scan eagerly
+with a row index over every row pair and its slot identity's witnesses by
+each column pair's blue-chain swaps, the f-equivariance scan eagerly
 over every group element, the symmetric chains by a bracket walk on
 frozensets, and the Boolean levels and up maps by sorting combination sums
 and each column's covers.  It also holds
@@ -247,6 +248,22 @@ def phi_by_neighbor_sets(g: Graph, ell: int, k: int, table=None) -> PairPhi:
         w = Fraction(1, len(nbrs))
         columns.append(tuple(sorted((row_index[q], w) for q in nbrs)))
     return PairPhi(row_pairs, col_pairs, tuple(columns))
+
+
+def down_pair_witnesses(g: Graph, ell: int, k: int, table=None) -> list[tuple[int, ...]]:
+    """The witnesses of Φ's slot identity on (l, k), walked pair by pair.
+
+    Each (l − 2, k + 2) pair reached from a column pair (blue, pink) by
+    swapping a blue chain c, (blue ^ c, pink ^ c), gets the sorted indices of
+    the columns that reach it, in order of first reach; chains by `chain_kinds`.
+    """
+    t = table or matching_table(g)
+    downs: dict[tuple[int, int], list[int]] = {}
+    for j, (blue, pink) in enumerate((b, p) for b in t.level(ell - 1) for p in t.level(k + 1)):
+        for (c, kind, _) in chain_kinds(g, blue, pink):
+            if kind == "blue":
+                downs.setdefault((blue ^ c, pink ^ c), []).append(j)
+    return [tuple(cols) for cols in downs.values()]
 
 
 def pair_phi_blocks(g: Graph, phi: PairPhi) -> list[tuple[tuple, tuple[int, ...], tuple[int, ...]]]:

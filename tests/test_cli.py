@@ -132,8 +132,10 @@ def test_verify_budget_skips_are_reported_not_dropped(capsys):
     assert report["overall"] == "pass"
 
 
-# Petersen's slot (2, 2): every one of its m_1 * m_3 = 15 * 145 columns has at
-# least k - l + 2 = 2 rows, so Φ has at least 4,350 nonzeros; it has 4,710
+# Petersen's slot (2, 2): its m_1 * m_3 = 15 * 145 columns have k - l + 2 = 2
+# rows each, plus one per pair one slot down, of which there are m_0 * m_4 =
+# 1 * 90, each reached from 4 columns: 2 * 15 * 145 + 4 * 1 * 90 = 4,710
+# nonzeros, counted before any chain is decomposed
 PETERSEN_22 = ["verify", "--gen", "petersen", "--ell", "2", "--k", "2", "--check", "injective"]
 
 
@@ -149,6 +151,8 @@ def test_a_slot_over_its_nonzero_floor_decomposes_no_chain(monkeypatch, capsys):
 
 @pytest.mark.parametrize("budget, status", [(4350, "skipped"), (4709, "skipped"), (4710, "pass")])
 def test_a_slot_within_its_floor_is_refused_by_the_build(budget, status, monkeypatch, capsys):
+    # between the floor m_1 * m_3 * (k - l + 2) = 4,350 and the 4,710 nonzeros
+    # the slot is refused by its exact count, before the build reads a chain
     decomposed = []
     real = phimap.odd_chains
 
@@ -160,11 +164,11 @@ def test_a_slot_within_its_floor_is_refused_by_the_build(budget, status, monkeyp
     assert run([*PETERSEN_22, "--budget", str(budget)]) == cli.report_exit(status)
     report = json.loads(capsys.readouterr().out)
     assert [(r["check"], r["status"]) for r in report["checks"]] == [("injective", status)]
-    assert decomposed
+    assert bool(decomposed) == (status == "pass")
 
 
 def _work(t, order: int, check: str, ell: int, k: int) -> int:
-    """What `check` walks on slot (ell, k), counted here from the table and the group order."""
+    """What `check` walks on slot (ell, k), counted here from the table and the group order, or Φ's build."""
     columns = t.m(ell - 1) * t.m(k + 1)
     if check == "nonneg":
         return t.m(ell) * t.m(k)
@@ -172,30 +176,24 @@ def _work(t, order: int, check: str, ell: int, k: int) -> int:
         return t.m(ell) * t.m(k) if columns else 0
     if check == "f-equivariance":
         return columns * order
-    return columns * (k - ell + 2)  # Φ: each column has at least k - l + 2 rows
-
-
-PHI_CHECKS = {"diagram", "equivariant", "injective"}
+    return phimap.build_phi(t.graph, ell, k, table=t).nnz  # Φ: the nonzeros it has
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 8), st.integers(1, 4), st.integers(0, 2**31 - 1), st.data())
 def test_phi_records_are_skipped_exactly_when_phi_exceeds_the_budget(n, num, seed, data):
     # every check, not only those reading Φ: a record is skipped exactly when
-    # the check's own work or, for a check reading Φ, Φ's nonzeros pass the budget
+    # the check's own work passes the budget, for a check reading Φ its nonzeros
     g = generate(f"gnp:{n}:{num}:4:{seed}")
     t = matching_table(g)
     order = graphcli.automorphisms(g).order
-    nnz = {(ell, k): phimap.build_phi(g, ell, k, table=t).nnz for (ell, k) in t.slots}
-    works = [_work(t, order, c, ell, k) for (ell, k) in t.slots for c in cli.ALL_CHECKS]
-    edges = sorted({max(1, v + d) for v in [*nnz.values(), *works] for d in (-1, 0, 1)})
+    works = {(c, ell, k): _work(t, order, c, ell, k) for (ell, k) in t.slots for c in cli.ALL_CHECKS}
+    edges = sorted({max(1, v + d) for v in works.values() for d in (-1, 0, 1)})
     budget = data.draw(st.sampled_from(edges or [1]), label="budget")
     report, _ = graphcli._verify_report(g, "gen", t.slots, cli.ALL_CHECKS, budget, t)
-    assert len(report["checks"]) == len(cli.ALL_CHECKS) * len(t.slots)
+    assert len(report["checks"]) == len(works)
     for rec in report["checks"]:
-        slot = (rec["ell"], rec["k"])
-        over = _work(t, order, rec["check"], *slot) > budget
-        over |= rec["check"] in PHI_CHECKS and nnz[slot] > budget
+        over = works[rec["check"], rec["ell"], rec["k"]] > budget
         assert (rec["status"] == "skipped") == over, rec
 
 

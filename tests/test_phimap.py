@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from equimatch.phimap import (
     block_partition,
     build_phi,
     count_parts,
+    nonzeros,
     slot_identity_holds,
     verify_equivariant,
     verify_injective,
@@ -28,6 +30,7 @@ from oracles import (
     brute_force_automorphisms,
     compose,
     direct_even_part,
+    down_pair_witnesses,
     equals,
     equivariance_failures_full,
     multiply,
@@ -109,6 +112,18 @@ def test_every_entry_point_refuses_a_slot_out_of_range(c6, entry, ell, k):
 def test_budget_exceeded(c6):
     with pytest.raises(BudgetExceededError):
         build_phi(c6, 2, 2, budget=3)
+
+
+def test_a_build_within_its_budget_reads_chains_and_one_over_reads_none(monkeypatch):
+    # C6's (2, 2) has 2·m1·m3 = 24 nonzeros, tested before any chain is read
+    g = generate("cycle:6")
+    decomposed = []
+    real = phimap.odd_chains
+    monkeypatch.setattr(phimap, "odd_chains", lambda g, u: decomposed.append(u) or real(g, u))
+    with pytest.raises(BudgetExceededError, match=r"^nonzero count 24 exceeds budget 23 at \(2, 2\)$"):
+        build_phi(g, 2, 2, budget=23)
+    assert not decomposed
+    assert build_phi(g, 2, 2, budget=24).nnz == 24 and decomposed
 
 
 def test_block_partition_c6(c6):
@@ -246,6 +261,23 @@ def test_count_parts_c6(c6):
     assert all(r.counts_equal for r in recs)
     # unions with only odd components collapse to one class
     assert all(r.source_classes == 1 for r in recs if r.even_edges == 0)
+
+
+@pytest.mark.parametrize("spec", ["cycle:8", "path:6", "complete:6", "petersen"])
+def test_a_union_has_two_classes_per_even_component(spec):
+    # each even component is coloured one of two ways, so the classes number
+    # 2^components, and 2^edges only where the union has no even part
+    g = generate(spec)
+    t = matching_table(g)
+    records = []
+    for (ell, k) in t.slots:
+        recs = count_parts(g, ell, k, table=t)
+        assert [rec.union for rec in recs] == sorted({b | p for b in t.level(ell - 1) for p in t.level(k + 1)})
+        records += recs
+    assert all(rec.matches_pow_components for rec in records)
+    assert all(rec.matches_pow_edges == (rec.even_edges == 0) for rec in records)
+    if spec in ("cycle:8", "petersen"):
+        assert {rec.matches_pow_edges for rec in records} == {True, False}
 
 
 @pytest.mark.parametrize("spec", ["cycle:6", "path:4", "path:6", "complete:5"])
@@ -545,6 +577,47 @@ def test_slot_identity_holds_on_every_slot(spec):
     t = matching_table(g)
     for (ell, k) in _slots_with_columns(t):
         assert slot_identity_holds(build_phi(g, ell, k, table=t)), (ell, k)
+
+
+def _assert_the_identity_counts_and_witnesses_agree_with_the_oracles(g):
+    """Per slot with columns: the trace count is both builds' nonzeros, and Φ one
+    slot down has the pair-by-pair witnesses as its columns."""
+    t = matching_table(g)
+    for (ell, k) in _slots_with_columns(t):
+        phi = build_phi(g, ell, k, table=t)
+        oracle = phi_by_neighbor_sets(g, ell, k, table=t)
+        assert nonzeros(t, ell, k) == phi.nnz == sum(map(len, oracle.columns)), (ell, k)
+        below = build_phi(g, ell - 1, k + 1, table=t).columns if ell > 1 else ()
+        assert Counter(below) == Counter(down_pair_witnesses(g, ell, k, table=t)), (ell, k)
+
+
+@pytest.mark.parametrize("spec", ["cycle:8", "petersen", "complete:7", "kbipartite:4:4"])
+def test_the_identity_counts_and_witnesses_agree_with_the_oracles(spec):
+    _assert_the_identity_counts_and_witnesses_agree_with_the_oracles(generate(spec))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 5), st.integers(0, 2**31 - 1))
+def test_the_identity_counts_and_witnesses_agree_with_the_oracles_on_gnp(n, num, seed):
+    _assert_the_identity_counts_and_witnesses_agree_with_the_oracles(generate(f"gnp:{n}:{num}:6:{seed}"))
+
+
+def test_petersen_nonzeros_are_the_identitys_trace():
+    # 2·m1·m3 + 4·m0·m4: two rows per column, and one more per pair one slot down
+    t = matching_table(generate("petersen"))
+    assert nonzeros(t, 2, 2) == 2 * 15 * 145 + 4 * 1 * 90 == 4710
+
+
+def test_a_build_whose_nonzeros_miss_the_count_is_an_internal_error():
+    # a pink chain held twice in the memo gives its columns one row too many
+    g = generate("cycle:6")
+    t = matching_table(g)
+    blue, pink = next(t.pairs(1, 3))
+    chains, ends, even, even_components = odd_chains(g, blue ^ pink)
+    repeated = next(c for c in chains if pink & ends & c)
+    g._chain_memo[blue ^ pink] = (chains + (repeated,), ends, even, even_components)
+    with pytest.raises(InternalError, match=r"^Φ's nonzeros at \(2, 2\) differ from the slot identity's count 24$"):
+        build_phi(g, 2, 2, table=t)
 
 
 def _free_row(phi, j):
